@@ -10,11 +10,9 @@ kernel coverage, truncation, runtime scaling).
 __version__ = "0.1.0"
 
 from .numerics import (  # noqa: F401
-    ComplexSpectrum,
     GradTape,
     Tensor,
     circular_convolve,
-    fft,
     grad_check,
 )
 from .filters import (  # noqa: F401

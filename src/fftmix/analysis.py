@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .filters import eval_window
-from .mixers import GatedConvMixer, LocalConvMixer, MixerConfig
+from .mixers import GatedConvMixer, LocalConvMixer, MixerConfig, build_mixer
 from .model import Model
 from .numerics import GradTape, Tensor
 
@@ -248,73 +248,28 @@ def dense_conv2d_reference(qk: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 BENCH_VARIANTS = ("causal", "bidirectional", "global2d", "separable2d", "local", "dense2d")
 
 
-def _centered_conv_raw_1d(qk: np.ndarray, kernel: np.ndarray, length: int) -> np.ndarray:
-    from .numerics import _circ_conv_raw
-
-    padded = np.pad(qk, ((0, length - 1), (0, 0)))
-    h = np.roll(kernel, -(length - 1), axis=0)
-    return _circ_conv_raw(padded, h, (0,))[:length]
-
-
-def _centered_conv_raw_2d(qk: np.ndarray, kernel: np.ndarray, ey: int, ex: int) -> np.ndarray:
-    from .numerics import _circ_conv_raw
-
-    padded = np.pad(qk, ((0, ey - 1), (0, ex - 1), (0, 0)))
-    h = np.roll(np.roll(kernel, -(ey - 1), axis=0), -(ex - 1), axis=1)
-    return _circ_conv_raw(padded, h, (0, 1))[:ey, :ex]
-
-
 def _bench_callable(variant: str, extent: int, channels: int, seed: int):
-    """Prepare one token-interaction closure: gated input and kernels are
-    built outside the timed region so the clock sees only the mixing op."""
+    """Prepare one token-interaction closure over the variant's own mixer:
+    the gated input and the materialized kernels are built outside the
+    timed region, so the clock sees only the mixing op."""
     rng = np.random.default_rng(seed)
     f = int(extent)
-    if variant in ("causal", "bidirectional"):
-        length = f * f
-        qk = rng.normal(size=(length, channels))
-        if variant == "causal":
-            kernel = rng.normal(size=(length, channels)) / np.sqrt(length)
-
-            def run():
-                y = np.zeros_like(qk)
-                for s in range(length):
-                    y[s:] += kernel[s] * qk[: length - s]
-                return y
-
-        else:
-            kernel = rng.normal(size=(2 * length - 1, channels)) / np.sqrt(length)
-
-            def run():
-                return _centered_conv_raw_1d(qk, kernel, length)
-
-        return run
+    one_d = variant in ("causal", "bidirectional")
+    cfg = MixerConfig(
+        "global2d" if variant == "dense2d" else variant,
+        channels,
+        f * f if one_d else (f, f),
+        embed_dim=4,
+    )
+    mixer = build_mixer(cfg, rng)
+    x = Tensor(rng.normal(size=((f * f,) if one_d else (f, f)) + (channels,)))
     if variant == "local":
-        cfg = MixerConfig("local", channels, (f, f), embed_dim=4)
-        mixer = LocalConvMixer(cfg, rng)
-        x = Tensor(rng.normal(size=(f, f, channels)))
-
-        def run():
-            return mixer.forward(x).data
-
-        return run
-    qk = rng.normal(size=(f, f, channels))
-    if variant == "separable2d":
-        from .numerics import _circ_conv_raw
-
-        kh = rng.normal(size=(2 * f - 1, channels)) / np.sqrt(f)
-        kv = rng.normal(size=(2 * f - 1, channels)) / np.sqrt(f)
-
-        def run():
-            px = np.pad(qk, ((0, 0), (0, f - 1), (0, 0)))
-            gx = _circ_conv_raw(px, np.roll(kh, -(f - 1), axis=0), (1,))[:, :f]
-            py = np.pad(gx, ((0, f - 1), (0, 0), (0, 0)))
-            return _circ_conv_raw(py, np.roll(kv, -(f - 1), axis=0)[:, None, :], (0,))[:f]
-
-        return run
-    kernel = rng.normal(size=(2 * f - 1, 2 * f - 1, channels)) / f
+        return lambda: mixer.forward(x).data
+    kernels = [mixer.kernel(i) for i in range(len(mixer.filters))]
     if variant == "dense2d":
-        return lambda: dense_conv2d_reference(qk, kernel)
-    return lambda: _centered_conv_raw_2d(qk, kernel, f, f)
+        kernel = kernels[0].data.reshape(2 * f - 1, 2 * f - 1, channels)
+        return lambda: dense_conv2d_reference(x.data, kernel)
+    return lambda: mixer.long_conv(x, kernels).data
 
 
 def bench_runtime(
@@ -327,9 +282,12 @@ def bench_runtime(
     """Median wall time of each variant's token-interaction op plus slopes.
 
     ``extents`` are feature-map side lengths; 1D variants run on the
-    row-major flattened sequence of length extent**2.  Gated inputs and
-    materialized kernels are prepared outside the timed region, so the
-    measurement isolates the operation that scales with pixel count.  The
+    row-major flattened sequence of length extent**2.  Gated variants time
+    their mixer's own long convolution (``GatedConvMixer.long_conv``),
+    ``local`` its whole mixer, and ``dense2d`` the direct-summation
+    reference on a ``global2d`` kernel.  Gated inputs and materialized
+    kernels are prepared outside the timed region, so the measurement
+    isolates the operation that scales with pixel count.  The
     fitted log-log slope of time against pixel count characterizes scaling:
     FFT paths stay near-linear while the dense reference approaches
     quadratic.

@@ -28,13 +28,20 @@ def write_hpx1(path, array: np.ndarray) -> None:
         fh.write(payload.tobytes())
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what}")
+    return data
+
+
 def read_hpx1(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "shape"))
         count = int(np.prod(shape)) if rank else 1
         data = np.frombuffer(fh.read(4 * count), dtype="<f4")
         if data.size != count:

@@ -13,10 +13,10 @@ the sequence:
 * ``local``         - pointwise expand, 7x7 depthwise, activation, contract
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
-axes.  The centered variants zero-pad the input to the kernel extent and
-run one circular FFT convolution; the kernel is rotated so that offset zero
-sits at index zero, which makes the first L (or Ly x Lx) outputs exactly
-y[i] = sum_s x[s] * h[i - s].
+axes.  The centered variants zero-pad every convolved axis from L to 2L-1
+and run one circular FFT convolution with the kernel as materialized, whose
+index 0 holds offset -(L-1); outputs L-1 .. 2L-2 are then exactly
+y[i] = sum_s x[s] * h[i - s], since no index of that sum wraps around.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .numerics import Tensor
 MIXER_VARIANTS = ("causal", "bidirectional", "global2d", "separable2d", "local")
 _VARIANTS_1D = ("causal", "bidirectional")
 _VARIANTS_2D = ("global2d", "separable2d", "local")
-GATE_ORDER = 2  # gated recursion collapsed to y = g(q*k) * v
 
 
 @dataclass
@@ -51,13 +50,10 @@ class MixerConfig:
     short_conv_size: int = 0  # 0 picks the default: 3 for 1D, 5 for 2D
     local_kernel: int = 7
     expand_ratio: int = 2
-    order: int = GATE_ORDER
 
     def __post_init__(self):
         if self.variant not in MIXER_VARIANTS:
             raise ValueError(f"unknown mixer variant {self.variant!r}")
-        if self.order != GATE_ORDER:
-            raise ValueError("only order 2 (q, k, v gating) is supported")
         if self.channels < 1:
             raise ValueError("channels must be positive")
         if self.is_2d:
@@ -174,30 +170,16 @@ def project_qkv(x: Tensor, params: GateProjection) -> tuple[Tensor, Tensor, Tens
 # ---------------------------------------------------------------------------
 
 
-def _centered_conv_1d(qk: Tensor, kernel: Tensor, length: int) -> Tensor:
-    """y[i] = sum_s qk[s] * h[i-s] with h indexed by offsets -(L-1)..L-1."""
-    padded = 2 * length - 1
+def _centered_conv(qk: Tensor, kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """y[i] = sum_s qk[s] * h[i - s] along ``axes``, h indexed by offsets
+    -(L-1)..L-1 on each axis (kernel index 0 is offset -(L-1))."""
     pw = [(0, 0)] * qk.ndim
-    pw[-2] = (0, padded - length)
-    qk_pad = nx.pad(qk, pw)
-    h = nx.roll(kernel, -(length - 1), axis=0)  # offset 0 to index 0
-    full = nx.circular_convolve(qk_pad, h, dims=[-2])
     sl = [slice(None)] * qk.ndim
-    sl[-2] = slice(0, length)
-    return nx.crop(full, sl)
-
-
-def _centered_conv_2d(qk: Tensor, kernel: Tensor, ext_y: int, ext_x: int) -> Tensor:
-    py, px = 2 * ext_y - 1, 2 * ext_x - 1
-    pw = [(0, 0)] * qk.ndim
-    pw[-3] = (0, py - ext_y)
-    pw[-2] = (0, px - ext_x)
-    qk_pad = nx.pad(qk, pw)
-    h = nx.roll(nx.roll(kernel, -(ext_y - 1), axis=0), -(ext_x - 1), axis=1)
-    full = nx.circular_convolve(qk_pad, h, dims=[-3, -2])
-    sl = [slice(None)] * qk.ndim
-    sl[-3] = slice(0, ext_y)
-    sl[-2] = slice(0, ext_x)
+    for ax in axes:
+        n = qk.shape[ax]
+        pw[ax] = (0, n - 1)
+        sl[ax] = slice(n - 1, 2 * n - 1)
+    full = nx.circular_convolve(nx.pad(qk, pw), kernel, dims=axes)
     return nx.crop(full, sl)
 
 
@@ -261,38 +243,31 @@ class GatedConvMixer:
             k = nx.mul(k, Tensor(mask))
         return k
 
+    def long_conv(self, qk: Tensor, kernels) -> Tensor:
+        """The variant's long convolution of ``qk`` with materialized kernels."""
+        cfg = self.config
+        if cfg.variant == "causal":
+            return nx.causal_convolve(qk, kernels[0], axis=-2)
+        if cfg.variant == "bidirectional":
+            return _centered_conv(qk, kernels[0], (-2,))
+        ey, ex = cfg.extents
+        if cfg.variant == "global2d":
+            kern = nx.reshape(kernels[0], (2 * ey - 1, 2 * ex - 1, cfg.channels))
+            return _centered_conv(qk, kern, (-3, -2))
+        gx = _centered_conv(qk, kernels[0], (-2,))  # horizontal, then vertical
+        return _centered_conv(gx, nx.reshape(kernels[1], (2 * ey - 1, 1, cfg.channels)), (-3,))
+
     def forward(self, x: Tensor, kernel_override=None) -> Tensor:
         self._check_input(x)
-        cfg = self.config
         q, k, v = project_qkv(x, self.proj)
-        qk = nx.mul(q, k)
-        overrides = kernel_override
-        if overrides is not None and not isinstance(overrides, (list, tuple)):
-            overrides = [overrides]
-
-        def _kernel(i):
-            if overrides is not None:
-                kk = overrides[i]
-                return kk if isinstance(kk, Tensor) else Tensor(kk)
-            return self.kernel(i)
-
-        if cfg.variant == "causal":
-            g = nx.causal_convolve(qk, _kernel(0), axis=-2)
-        elif cfg.variant == "bidirectional":
-            g = _centered_conv_1d(qk, _kernel(0), int(cfg.extent))
-        elif cfg.variant == "global2d":
-            ey, ex = cfg.extents
-            kern = nx.reshape(_kernel(0), (2 * ey - 1, 2 * ex - 1, cfg.channels))
-            g = _centered_conv_2d(qk, kern, ey, ex)
+        if kernel_override is None:
+            kernels = [self.kernel(i) for i in range(len(self.filters))]
         else:
-            ey, ex = cfg.extents
-            gx = _centered_conv_1d(qk, _kernel(0), ex)  # along x (axis -2)
-            # Vertical pass: swap the two spatial axes, reuse the 1D path.
-            gx_t = _swap_spatial(gx)
-            gy_t = _centered_conv_1d(gx_t, _kernel(1), ey)
-            g = _swap_spatial(gy_t)
-        gated = nx.mul(g, v)
-        return nx.matmul(gated, self.out_proj)
+            if not isinstance(kernel_override, (list, tuple)):
+                kernel_override = [kernel_override]
+            kernels = [kk if isinstance(kk, Tensor) else Tensor(kk) for kk in kernel_override]
+        g = self.long_conv(nx.mul(q, k), kernels)
+        return nx.matmul(nx.mul(g, v), self.out_proj)
 
     __call__ = forward
 
@@ -302,12 +277,6 @@ class GatedConvMixer:
             out.extend(f.parameters())
         out.append(("out_w", self.out_proj))
         return out
-
-
-def _swap_spatial(x: Tensor) -> Tensor:
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return nx.transpose(x, axes)
 
 
 # ---------------------------------------------------------------------------

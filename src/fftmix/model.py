@@ -391,10 +391,6 @@ def count_params(model: Model) -> int:
     return sum(t.size for _, t in names)
 
 
-def forward(model: Model, images: Tensor) -> Tensor:
-    return model.forward(images)
-
-
 def load_params(model: Model, tensors: dict) -> Model:
     """Overwrite model parameters from a name -> ndarray mapping."""
     params = dict(model.parameters())

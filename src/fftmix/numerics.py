@@ -1,13 +1,13 @@
-"""Dense tensors, spectral transforms, and reverse-mode differentiation.
+"""Dense tensors, FFT convolutions, and reverse-mode differentiation.
 
 Everything in this package flows through :class:`Tensor`, a thin wrapper
 around a float ndarray.  Operations are plain functions; when a
 :class:`GradTape` is active they record vector-Jacobian products so that
 ``tape.gradient`` can replay the computation in exact reverse order.
 
-Values are float64 throughout the library and its tests; float32 is only
-used by the benchmark helpers.  Every operation validates that its output
-is finite: NaN/Inf anywhere is an error, never a silent state.
+Values are float64 throughout; float32 is only the storage format of HPX1
+files.  Every operation validates that its output is finite: NaN/Inf
+anywhere is an error, never a silent state.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class Tensor:
     differentiation source for any tape it participates in.
     """
 
-    __slots__ = ("data", "requires_grad", "name", "_tape_ref")
+    __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = _as_array(data)
@@ -47,7 +47,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._tape_ref = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,15 +63,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ValueError("item() requires a single-element tensor")
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -140,11 +130,14 @@ class GradTape:
     """Records operations of one forward pass for a single backward replay.
 
     Single-writer: one tape per forward pass.  ``gradient`` may be called
-    once; a second call without re-recording raises.
+    once; a second call without re-recording raises.  ``_outputs`` holds the
+    ids of recorded outputs; the nodes keep those tensors alive, so an id
+    cannot be reused while the tape exists.
     """
 
     def __init__(self):
         self._nodes: list[TapeNode] = []
+        self._outputs: set[int] = set()
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -193,7 +186,7 @@ class GradTape:
             for inp, partial in zip(node.inputs, partials):
                 if partial is None:
                     continue
-                if not (inp.requires_grad or inp._tape_ref is self):
+                if not (inp.requires_grad or id(inp) in self._outputs):
                     continue
                 acc = grads.get(id(inp))
                 grads[id(inp)] = partial if acc is None else acc + partial
@@ -207,8 +200,8 @@ def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
     tape = _active_tape()
     if tape is None:
         return
-    if any(i.requires_grad or i._tape_ref is tape for i in inputs):
-        output._tape_ref = tape
+    if any(i.requires_grad or id(i) in tape._outputs for i in inputs):
+        tape._outputs.add(id(output))
         tape._nodes.append(TapeNode(op, inputs, output, vjp))
 
 
@@ -624,51 +617,6 @@ def linear(x, weight, bias=None) -> Tensor:
     """x @ weight (+ bias) with x of shape [..., Cin]."""
     y = matmul(x, weight)
     return y if bias is None else add(y, bias)
-
-
-# ---------------------------------------------------------------------------
-# Spectral transforms
-# ---------------------------------------------------------------------------
-
-
-class ComplexSpectrum:
-    """Complex DFT values; memory layout of complex128 is interleaved (re, im)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=np.complex128)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def interleaved(self) -> np.ndarray:
-        """Real view [..., 2] with (re, im) pairs in storage order."""
-        return np.ascontiguousarray(self.values).view(np.float64).reshape(self.shape + (2,))
-
-    def real(self) -> np.ndarray:
-        return self.values.real
-
-    def imag(self) -> np.ndarray:
-        return self.values.imag
-
-
-def fft(x, dims: Sequence[int], inverse: bool = False) -> ComplexSpectrum:
-    """Discrete Fourier transform along ``dims``; arbitrary lengths supported.
-
-    Forward has no scaling; inverse applies 1/N per transformed axis.
-    """
-    if isinstance(x, ComplexSpectrum):
-        arr = x.values
-    elif isinstance(x, Tensor):
-        arr = x.data
-    else:
-        arr = np.asarray(x)
-    axes = _normalize_axes(arr.ndim, dims)
-    if inverse:
-        return ComplexSpectrum(np.fft.ifftn(arr, axes=axes))
-    return ComplexSpectrum(np.fft.fftn(arr, axes=axes))
 
 
 # ---------------------------------------------------------------------------

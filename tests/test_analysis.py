@@ -209,6 +209,13 @@ class TestTruncate:
 
 
 class TestBench:
+    @pytest.mark.parametrize("variant", an.BENCH_VARIANTS)
+    def test_every_variant_runs(self, variant):
+        table = an.bench_runtime([variant], [4, 8], channels=2, repeats=5)
+        assert [(r.variant, r.pixels) for r in table.rows] == [(variant, 16), (variant, 64)]
+        assert all(r.median_seconds > 0 for r in table.rows)
+        assert np.isfinite(table.slopes[variant])
+
     def test_table_structure(self):
         table = an.bench_runtime(["global2d", "local"], [8, 16], channels=2, repeats=5)
         assert len(table.rows) == 4
@@ -234,5 +241,5 @@ class TestBench:
         qk = rng.normal(size=(f, f, c))
         kernel = rng.normal(size=(2 * f - 1, 2 * f - 1, c))
         dense = an.dense_conv2d_reference(qk, kernel)
-        fft = an._centered_conv_raw_2d(qk, kernel, f, f)
+        fft = mx._centered_conv(Tensor(qk), Tensor(kernel), (0, 1)).data
         assert np.abs(dense - fft).max() < 1e-10

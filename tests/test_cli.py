@@ -144,6 +144,17 @@ class TestSubcommands:
         assert code == 0
         assert hpxio.read_hpx1(out / "erf.hpx1").shape == (32, 32)
 
+    def test_erf_truncated_image_exits_1(self, trained_run, tmp_path, capsys):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        (imgdir / "short.hpx1").write_bytes(b"HPX1\x03\x00")
+        code = cli.main(
+            ["erf", "--model", str(trained_run / "checkpoint"), "--images", str(imgdir),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_coverage_csv_header(self, trained_run, tmp_path):
         out = tmp_path / "cov"
         assert cli.main(["coverage", "--model", str(trained_run / "checkpoint"), "--out", str(out)]) == 0
@@ -220,6 +231,13 @@ class TestHpx1Format:
         path = tmp_path / "bad.hpx1"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            hpxio.read_hpx1(path)
+
+    @pytest.mark.parametrize("body", [b"\x02\x00", b"\x02\x00\x00\x00\x04\x00\x00\x00"])
+    def test_truncated_header_or_shape_rejected(self, tmp_path, body):
+        path = tmp_path / "short.hpx1"
+        path.write_bytes(b"HPX1" + body)
+        with pytest.raises(ValueError, match="short.hpx1: truncated"):
             hpxio.read_hpx1(path)
 
     def test_pgm_round_trip(self, tmp_path, rng):

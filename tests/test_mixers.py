@@ -63,11 +63,12 @@ def oracle_bidirectional(x, mixer):
     return (g * v) @ mixer.out_proj.data
 
 
-def oracle_global2d(x, mixer):
+def oracle_global2d(x, mixer, kernel=None):
     ey, ex, _ = x.shape
     q, k, v = oracle_project(x, mixer.proj)
     qk = q * k
-    h = mixer.kernel(0).data.reshape(2 * ey - 1, 2 * ex - 1, -1)
+    h = mixer.kernel(0).data if kernel is None else kernel
+    h = h.reshape(2 * ey - 1, 2 * ex - 1, -1)
     g = np.zeros_like(qk)
     for iy in range(ey):
         for ix in range(ex):
@@ -358,11 +359,34 @@ class TestLocal:
             mx.MixerConfig("local", channels=2, extent=(0, 4), embed_dim=2)
 
 
-class TestConfig:
-    def test_order_fixed_to_two(self):
-        with pytest.raises(ValueError):
-            mx.MixerConfig("causal", channels=2, extent=4, embed_dim=2, order=3)
+class TestSmallExtents:
+    """Extents 1 and 2, the micro model's stage-3 and stage-4 maps, against
+    direct summation: the centered crop starts at L-1 there too."""
 
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_bidirectional(self, rng, length):
+        mixer = mx.GatedConvMixer(mx.MixerConfig("bidirectional", 3, length, embed_dim=4), rng)
+        x = rng.normal(size=(length, 3))
+        y = mixer.forward(Tensor(x)).data
+        assert np.abs(y - oracle_bidirectional(x, mixer)).max() < 1e-10
+
+    @pytest.mark.parametrize("extent", [(1, 1), (2, 2), (1, 5)])
+    def test_global2d(self, rng, extent):
+        mixer = mx.GatedConvMixer(mx.MixerConfig("global2d", 3, extent, embed_dim=4), rng)
+        x = rng.normal(size=extent + (3,))
+        y = mixer.forward(Tensor(x)).data
+        assert np.abs(y - oracle_global2d(x, mixer)).max() < 1e-10
+
+    @pytest.mark.parametrize("extent", [(2, 2), (1, 5)])
+    def test_separable2d_matches_outer_product_oracle(self, rng, extent):
+        mixer = mx.GatedConvMixer(mx.MixerConfig("separable2d", 3, extent, embed_dim=4), rng)
+        h2d = mixer.kernel(1).data[:, None, :] * mixer.kernel(0).data[None, :, :]
+        x = rng.normal(size=extent + (3,))
+        y = mixer.forward(Tensor(x)).data
+        assert np.abs(y - oracle_global2d(x, mixer, h2d)).max() < 1e-10
+
+
+class TestConfig:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             mx.MixerConfig("attention", channels=2, extent=4, embed_dim=2)

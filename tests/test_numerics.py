@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from fftmix import numerics as nx
-from fftmix.numerics import GradTape, Tensor, circular_convolve, fft, grad_check
-
-
-def dft_direct(x: np.ndarray) -> np.ndarray:
-    """O(N^2) reference DFT."""
-    n = len(x)
-    k = np.arange(n)
-    return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in range(n)])
+from fftmix.numerics import GradTape, Tensor, circular_convolve, grad_check
 
 
 def circ_direct_1d(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -26,52 +19,6 @@ def circ_direct_2d(x: np.ndarray, h: np.ndarray) -> np.ndarray:
         for sx in range(nxx):
             y += x[sy, sx] * np.roll(np.roll(h, sy, axis=0), sx, axis=1)
     return y
-
-
-class TestFFT:
-    def test_impulse_spectrum_all_ones(self):
-        spec = fft(np.array([1.0, 0.0, 0.0, 0.0]), dims=[0])
-        assert np.allclose(spec.values, 1.0, atol=1e-14)
-
-    def test_constant_dc_bin(self):
-        n, c = 9, 2.5
-        spec = fft(np.full(n, c), dims=[0])
-        assert abs(spec.values[0] - n * c) < 1e-12
-        assert np.abs(spec.values[1:]).max() < 1e-12
-
-    @pytest.mark.parametrize("n", [63, 111, 127])
-    def test_matches_direct_dft(self, rng, n):
-        x = rng.normal(size=n)
-        spec = fft(x, dims=[0]).values
-        assert np.abs(spec - dft_direct(x)).max() < 1e-10
-
-    @pytest.mark.parametrize("n", [8, 63, 111, 127])
-    def test_inverse_roundtrip(self, rng, n):
-        x = rng.normal(size=n)
-        back = fft(fft(x, dims=[0]), dims=[0], inverse=True).values
-        assert np.abs(back - x).max() / np.abs(x).max() < 1e-12
-
-    @pytest.mark.parametrize("n", [8, 63, 111, 127])
-    def test_parseval(self, rng, n):
-        x = rng.normal(size=n)
-        spec = fft(x, dims=[0]).values
-        lhs = np.sum(x**2)
-        rhs = np.sum(np.abs(spec) ** 2) / n
-        assert abs(lhs - rhs) / lhs < 1e-10
-
-    def test_interleaved_layout(self, rng):
-        x = rng.normal(size=10)
-        spec = fft(x, dims=[0])
-        inter = spec.interleaved()
-        assert inter.shape == (10, 2)
-        assert np.array_equal(inter[:, 0], spec.values.real)
-        assert np.array_equal(inter[:, 1], spec.values.imag)
-
-    def test_errors(self, rng):
-        with pytest.raises(ValueError):
-            fft(rng.normal(size=4), dims=[])
-        with pytest.raises(ValueError):
-            fft(rng.normal(size=4), dims=[3])
 
 
 class TestCircularConvolve:

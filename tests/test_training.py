@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from fftmix import model as mdl
 from fftmix import training as tr
-from fftmix.numerics import Tensor
+from fftmix.numerics import GradTape, Tensor
 
 
 def adam_reference(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
@@ -178,6 +181,22 @@ class TestTrainLoop:
         conf = dict(total_epochs=3, warmup_epochs=1, seed=0)
         conf.update(kw)
         return model, spec, tr.TrainConfig(**conf)
+
+    def test_finished_step_tape_freed_without_gc(self):
+        model, _, _ = self.micro_setup()
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 32, 32, 3)))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with GradTape() as tape:
+                loss = tr.cross_entropy_smoothed(model(x), np.array([0, 1]), 0.1)
+            tape.gradient(loss, model.parameter_tensors())
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_zero_lr_constant_history(self):
         model, spec, conf = self.micro_setup(lr_peak=0.0, lr_final=0.0, weight_decay=0.0)
