@@ -231,18 +231,14 @@ def dense_conv2d_reference(qk: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Direct-summation centered 2D convolution (the quadratic reference).
 
     qk: [F, F, C]; kernel: [2F-1, 2F-1, C] indexed by offsets.
-    y[i] = sum_s qk[s] * kernel[i - s + F - 1] evaluated row by row.
+    y[i] = sum_s qk[s] * kernel[i - s + F - 1], one einsum over every
+    F x F window of the reversed kernel.
     """
     f = qk.shape[0]
     krev = kernel[::-1, ::-1]
-    y = np.empty_like(qk)
-    for iy in range(f):
-        rows = krev[f - 1 - iy : 2 * f - 1 - iy]  # [F, 2F-1, C]
-        windows = np.lib.stride_tricks.sliding_window_view(rows, f, axis=1)
-        # windows[sy, j, c, sx] is krev[.., j + sx, ..]; j = F-1-ix.
-        row = np.einsum("sxc,sjcx->jc", qk, windows)
-        y[iy] = row[::-1]
-    return y
+    windows = np.lib.stride_tricks.sliding_window_view(krev, (f, f), axis=(0, 1))
+    # windows[j, k, c, sy, sx] is krev[j + sy, k + sx, c]; (j, k) = (F-1-iy, F-1-ix).
+    return np.einsum("yxc,jkcyx->jkc", qk, windows)[::-1, ::-1]
 
 
 BENCH_VARIANTS = ("causal", "bidirectional", "global2d", "separable2d", "local", "dense2d")

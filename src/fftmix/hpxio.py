@@ -14,12 +14,16 @@ import numpy as np
 
 MAGIC = b"HPX1"
 CHECKPOINT_MANIFEST = "manifest.json"
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def write_hpx1(path, array: np.ndarray) -> None:
+    """Write ``array`` as HPX1; values must be finite in float32."""
     arr = np.asarray(array)
     if arr.dtype.kind != "f":
         raise ValueError("HPX1 stores float tensors")
+    if not np.all(np.abs(arr) <= F32_MAX):
+        raise ValueError(f"{path}: values are not finite in float32 (|x| > {F32_MAX:.4g} or NaN)")
     payload = np.ascontiguousarray(arr, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -36,6 +40,7 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
 
 
 def read_hpx1(path) -> np.ndarray:
+    """Read an HPX1 file; the payload must fill the file exactly and be finite."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -43,9 +48,11 @@ def read_hpx1(path) -> np.ndarray:
         (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "shape"))
         count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(fh.read(4 * count), dtype="<f4")
-        if data.size != count:
-            raise ValueError(f"{path}: truncated payload")
+        data = np.frombuffer(_read_exact(fh, 4 * count, path, "payload"), dtype="<f4")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the payload")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite payload")
     return data.reshape(shape).astype(np.float64)
 
 
@@ -63,13 +70,22 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read a binary 8-bit PGM (as ``write_pgm`` writes it) scaled to [0, 1]."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"P5":
-            raise ValueError("only binary PGM (P5) supported")
+            raise ValueError(f"{path}: only binary PGM (P5) supported")
         dims = fh.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
+        line = fh.readline().strip()
+        try:
+            width, height = (int(d) for d in dims)
+            maxval = int(line)
+        except ValueError:
+            raise ValueError(f"{path}: malformed header") from None
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: empty image {width}x{height}")
+        if not 1 <= maxval <= 255:
+            raise ValueError(f"{path}: maxval {maxval} outside 1..255")
+        data = np.frombuffer(_read_exact(fh, width * height, path, "payload"), dtype=np.uint8)
     return data.reshape(height, width).astype(np.float64) / maxval
 
 

@@ -397,6 +397,9 @@ def load_params(model: Model, tensors: dict) -> Model:
     missing = set(params) - set(tensors)
     if missing:
         raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:3]}...")
+    unknown = set(tensors) - set(params)
+    if unknown:
+        raise ValueError(f"checkpoint has unknown tensors: {sorted(unknown)}")
     for name, tensor in params.items():
         arr = np.asarray(tensors[name], dtype=np.float64)
         if arr.shape != tensor.shape and not (arr.size == 1 and tensor.size == 1):

@@ -99,18 +99,27 @@ def _lift(value) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output, and its vector-Jacobian product."""
+    """One recorded operation: inputs, output, and its vector-Jacobian product.
 
-    __slots__ = ("op", "inputs", "output", "_vjp")
+    ``need[k]`` says whether input ``k`` wants a partial.  The VJP closure
+    holds the same list (never the node, which would form a reference
+    cycle), so ``GradTape.gradient`` can narrow it in place.
+    """
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, vjp):
+    __slots__ = ("op", "inputs", "output", "_vjp", "need")
+
+    def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, vjp, need: list[bool]):
         self.op = op
         self.inputs = inputs
         self.output = output
         self._vjp = vjp
+        self.need = need
 
     def vjp(self, upstream) -> tuple[np.ndarray | None, ...]:
-        """Gradients w.r.t. each input given the upstream gradient array."""
+        """Gradients w.r.t. each input given the upstream gradient array.
+
+        An op may return ``None`` for an input whose ``need`` is false.
+        """
         g = upstream.data if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=DTYPE)
         if g.shape != self.output.shape:
             raise ValueError(
@@ -162,9 +171,15 @@ class GradTape:
     ) -> list[Tensor]:
         """Backpropagate from ``target``, returning one gradient per source.
 
-        Sources that do not influence the target get exact-zero gradients.
-        The node list is replayed back-to-front, which is a reverse
-        topological order of the recorded graph.
+        Sources that do not influence the target get exact-zero gradients,
+        as do sources that are neither ``requires_grad`` nor recorded
+        outputs.  A forward sweep first marks the tensors that depend on a
+        source and narrows each node's ``need`` to those inputs; the node
+        list is then replayed back-to-front, a reverse topological order of
+        the recorded graph, calling only nodes with a needed input.  VJPs
+        compute only the partials their ``need`` asks for, and the gradient
+        of a node's output is dropped once its VJP has run unless that
+        output is a source.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed; re-record the forward pass")
@@ -177,16 +192,25 @@ class GradTape:
             seed = upstream.data if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=DTYPE)
             if seed.shape != target.shape:
                 raise ValueError("upstream gradient shape must match target shape")
+        live = {id(s) for s in sources if s.requires_grad or id(s) in self._outputs}
+        for node in self._nodes:
+            node.need[:] = [id(inp) in live for inp in node.inputs]
+            if any(node.need):
+                live.add(id(node.output))
+        keep = {id(s) for s in sources}
         grads: dict[int, np.ndarray] = {id(target): seed}
         for node in reversed(self._nodes):
-            g_out = grads.get(id(node.output))
+            if not any(node.need):
+                continue
+            out_id = id(node.output)
+            # Every use of the output comes later on the tape, so its gradient
+            # is complete here and, unless it is a source, dead afterwards.
+            g_out = grads.get(out_id) if out_id in keep else grads.pop(out_id, None)
             if g_out is None:
                 continue
             partials = node._vjp(g_out)
-            for inp, partial in zip(node.inputs, partials):
-                if partial is None:
-                    continue
-                if not (inp.requires_grad or id(inp) in self._outputs):
+            for inp, need, partial in zip(node.inputs, node.need, partials):
+                if not need:
                     continue
                 acc = grads.get(id(inp))
                 grads[id(inp)] = partial if acc is None else acc + partial
@@ -196,13 +220,23 @@ class GradTape:
         ]
 
 
-def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
+def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> list[bool] | None:
+    """Record ``op`` on the active tape if any input is tracked.
+
+    Returns the node's ``need`` list (``None`` when nothing is recorded).  A
+    VJP may read it from its closure and return ``None`` for inputs whose
+    partial is not needed; ``GradTape.gradient`` narrows it to the inputs
+    that depend on the requested sources before any VJP runs.
+    """
     tape = _active_tape()
     if tape is None:
-        return
-    if any(i.requires_grad or id(i) in tape._outputs for i in inputs):
-        tape._outputs.add(id(output))
-        tape._nodes.append(TapeNode(op, inputs, output, vjp))
+        return None
+    need = [i.requires_grad or id(i) in tape._outputs for i in inputs]
+    if not any(need):
+        return None
+    tape._outputs.add(id(output))
+    tape._nodes.append(TapeNode(op, inputs, output, vjp, need))
+    return need
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -370,13 +404,11 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        ga = g @ b.data.T
-        a2 = a.data.reshape(-1, a.shape[-1])
-        g2 = g.reshape(-1, g.shape[-1])
-        gb = a2.T @ g2
+        ga = g @ b.data.T if need[0] else None
+        gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if need[1] else None
         return ga, gb
 
-    _record("matmul", out, (a, b), vjp)
+    need = _record("matmul", out, (a, b), vjp)
     return out
 
 
@@ -464,11 +496,14 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     h_axes = tuple(ax - offset for ax in x_axes)
 
     def vjp(g):
-        gx = _unbroadcast(_circ_conv_raw(g, _circ_reverse(h.data, h_axes), x_axes), x.shape)
-        gh = _unbroadcast(_circ_conv_raw(g, _circ_reverse(x.data, x_axes), x_axes), h.shape)
+        gx = gh = None
+        if need[0]:
+            gx = _unbroadcast(_circ_conv_raw(g, _circ_reverse(h.data, h_axes), x_axes), x.shape)
+        if need[1]:
+            gh = _unbroadcast(_circ_conv_raw(g, _circ_reverse(x.data, x_axes), x_axes), h.shape)
         return gx, gh
 
-    _record("circular_convolve", out, (x, h), vjp)
+    need = _record("circular_convolve", out, (x, h), vjp)
     return out
 
 
@@ -503,16 +538,18 @@ def causal_convolve(x, h, axis: int = -2) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gh = np.zeros_like(h.data)
+        gx = np.zeros_like(x.data) if need[0] else None
+        gh = np.zeros_like(h.data) if need[1] else None
         for s in range(taps):
-            gx[_src(s)] += h.data[s] * g[_dst(s)]
-            contrib = g[_dst(s)] * x.data[_src(s)]
-            red = tuple(range(contrib.ndim - (h.ndim - 1)))
-            gh[s] += contrib.sum(axis=red) if red else contrib
+            if need[0]:
+                gx[_src(s)] += h.data[s] * g[_dst(s)]
+            if need[1]:
+                contrib = g[_dst(s)] * x.data[_src(s)]
+                red = tuple(range(contrib.ndim - (h.ndim - 1)))
+                gh[s] += contrib.sum(axis=red) if red else contrib
         return gx, gh
 
-    _record("causal_convolve", out, (x, h), vjp)
+    need = _record("causal_convolve", out, (x, h), vjp)
     return out
 
 
@@ -554,19 +591,21 @@ def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]
     out = Tensor(y)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
+        gx = np.zeros_like(x.data) if need[0] else None
+        gw = np.zeros_like(w.data) if need[1] else None
         for t, off in enumerate(offs):
             src, dst = _pair(off)
             if src is None:
                 continue
-            gx[src] += w.data[t] * g[dst]
-            contrib = g[dst] * x.data[src]
-            red = tuple(range(contrib.ndim - (w.ndim - 1)))
-            gw[t] += contrib.sum(axis=red) if red else contrib
+            if need[0]:
+                gx[src] += w.data[t] * g[dst]
+            if need[1]:
+                contrib = g[dst] * x.data[src]
+                red = tuple(range(contrib.ndim - (w.ndim - 1)))
+                gw[t] += contrib.sum(axis=red) if red else contrib
         return gx, gw
 
-    _record("shift_convolve", out, (x, w), vjp)
+    need = _record("shift_convolve", out, (x, w), vjp)
     return out
 
 
@@ -596,20 +635,21 @@ def strided_conv2d(x, weight, bias, stride: int, padding: int) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(weight.data)
+        gxp = np.zeros_like(xp) if need[0] else None
+        gw = np.zeros_like(weight.data) if need[1] else None
         for dy in range(k):
             for dx in range(k):
-                sl = xp[:, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride, :]
-                gxp[:, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride, :] += (
-                    g @ weight.data[dy, dx].T
-                )
-                gw[dy, dx] = sl.reshape(-1, cin).T @ g.reshape(-1, g.shape[-1])
-        gx = gxp[:, padding : padding + hh, padding : padding + ww, :]
-        gb = g.sum(axis=(0, 1, 2))
+                win = (slice(None), slice(dy, dy + stride * ho, stride),
+                       slice(dx, dx + stride * wo, stride), slice(None))
+                if need[0]:
+                    gxp[win] += g @ weight.data[dy, dx].T
+                if need[1]:
+                    gw[dy, dx] = xp[win].reshape(-1, cin).T @ g.reshape(-1, g.shape[-1])
+        gx = gxp[:, padding : padding + hh, padding : padding + ww, :] if need[0] else None
+        gb = g.sum(axis=(0, 1, 2)) if need[2] else None
         return gx, gw, gb
 
-    _record("strided_conv2d", out, (x, weight, bias), vjp)
+    need = _record("strided_conv2d", out, (x, weight, bias), vjp)
     return out
 
 

@@ -16,6 +16,10 @@ MICRO_MODEL = {
 }
 
 
+# HPX1 header of a [32, 32, 3] tensor: magic, rank 3, then the three extents.
+HPX1_32x32x3 = b"HPX1\x03\x00\x00\x00" + b"\x20\x00\x00\x00" * 2 + b"\x03\x00\x00\x00"
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "model": MICRO_MODEL,
@@ -155,6 +159,19 @@ class TestSubcommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_erf_non_finite_image_exits_1(self, trained_run, tmp_path, capsys):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        payload = np.full((32, 32, 3), np.nan, dtype="<f4").tobytes()
+        (imgdir / "nan.hpx1").write_bytes(HPX1_32x32x3 + payload)
+        code = cli.main(
+            ["erf", "--model", str(trained_run / "checkpoint"), "--images", str(imgdir),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "nan.hpx1: non-finite payload" in err
+
     def test_coverage_csv_header(self, trained_run, tmp_path):
         out = tmp_path / "cov"
         assert cli.main(["coverage", "--model", str(trained_run / "checkpoint"), "--out", str(out)]) == 0
@@ -239,6 +256,56 @@ class TestHpx1Format:
         path.write_bytes(b"HPX1" + body)
         with pytest.raises(ValueError, match="short.hpx1: truncated"):
             hpxio.read_hpx1(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.hpx1"
+        hpxio.write_hpx1(path, np.ones(3))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="long.hpx1: trailing bytes"):
+            hpxio.read_hpx1(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.hpx1"
+        hpxio.write_hpx1(path, np.ones(3))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="bad.hpx1: non-finite payload"):
+            hpxio.read_hpx1(path)
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e39, np.nan])
+    def test_write_outside_float32_range_rejected(self, tmp_path, value):
+        path = tmp_path / "big.hpx1"
+        with pytest.raises(ValueError, match="big.hpx1: values are not finite in float32"):
+            hpxio.write_hpx1(path, np.array([1.0, value]))
+        assert not path.exists()
+
+    def test_write_float32_extremes_round_trip(self, tmp_path):
+        path = tmp_path / "max.hpx1"
+        arr = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max, 0.0])
+        hpxio.write_hpx1(path, arr)
+        assert np.array_equal(hpxio.read_hpx1(path), arr)
+
+    @pytest.mark.parametrize(
+        "raw,why",
+        [
+            (b"P5\n\n255\n", "malformed header"),  # no width or height
+            (b"P5\n4\n255\n" + b"\x00" * 4, "malformed header"),  # no height
+            (b"P5\n2 x\n255\n" + b"\x00" * 4, "malformed header"),
+            (b"P5\n2 2\n\n" + b"\x00" * 4, "malformed header"),  # no maxval
+            (b"P5\n0 2\n255\n", "empty image"),
+            (b"P5\n2 2\n0\n" + b"\x00" * 4, "maxval 0"),
+            (b"P5\n2 2\n65535\n" + b"\x00" * 8, "maxval 65535"),
+            (b"P5\n2 2\n255\n\x00\x00\x00", "truncated payload"),
+            (b"P2\n2 2\n255\n0 0 0 0\n", "only binary PGM"),
+        ],
+    )
+    def test_malformed_pgm_rejected(self, tmp_path, raw, why):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"bad.pgm: {why}"):
+            hpxio.read_pgm(path)
 
     def test_pgm_round_trip(self, tmp_path, rng):
         img = rng.normal(size=(6, 9))

@@ -5,7 +5,8 @@ from fftmix import hpxio
 from fftmix import mixers as mx
 from fftmix import model as mdl
 from fftmix import numerics as nx
-from fftmix.numerics import Tensor, grad_check
+from fftmix.filters import ImplicitFilter
+from fftmix.numerics import GradTape, Tensor, grad_check
 
 
 class TestStarRelu:
@@ -137,6 +138,38 @@ class TestBlock:
 
         assert grad_check(f, [x], max_coords=120) < 1e-4
 
+    def test_image_gradient_skips_kernel_materialization(self, rng, monkeypatch):
+        block = self._block(rng)
+        x = Tensor(rng.normal(size=(1, 5, 5, 6)), requires_grad=True)
+        upstream = rng.normal(size=x.shape)
+        materialize = ImplicitFilter.materialize
+        kernel_nodes = set()
+        tape = None
+
+        def recording(filt):
+            n0 = len(tape.nodes)
+            out = materialize(filt)
+            kernel_nodes.update(range(n0, len(tape.nodes)))
+            return out
+
+        monkeypatch.setattr(ImplicitFilter, "materialize", recording)
+
+        def image_gradient(sources):
+            nonlocal tape
+            kernel_nodes.clear()
+            with GradTape() as tape:
+                y = block(x)
+            called = set()
+            for i, node in enumerate(tape.nodes):
+                node._vjp = (lambda vjp, i: lambda g: called.add(i) or vjp(g))(node._vjp, i)
+            return tape.gradient(y, [x] + sources, upstream=upstream)[0].data, called
+
+        pruned, called = image_gradient([])
+        assert kernel_nodes and called and not called & kernel_nodes
+        full, called = image_gradient([t for _, t in block.parameters()])
+        assert kernel_nodes <= called
+        assert np.array_equal(pruned, full)
+
 
 class TestBuildModel:
     @pytest.mark.parametrize(
@@ -221,6 +254,13 @@ class TestCheckpoint:
         b = clone(x).data
         # float32 storage: parameters round-trip to ~1e-7 relative.
         assert np.abs(a - b).max() < 1e-4
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        model = mdl.build_model(mdl.micro_config(), seed=0)
+        tensors = {name: t.data.copy() for name, t in model.parameters()}
+        tensors["stage9.extra"] = np.zeros(3)
+        with pytest.raises(ValueError, match="unknown tensors: \\['stage9.extra'\\]"):
+            mdl.load_params(model, tensors)
 
     def test_missing_tensor_rejected(self, tmp_path):
         model = mdl.build_model(mdl.micro_config(), seed=0)

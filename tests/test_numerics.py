@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,81 @@ class TestTapeAndVjp:
             Tensor([1.0, np.inf])
         with pytest.raises(ValueError):
             Tensor([np.nan])
+
+
+PRUNED_OPS = {
+    "matmul": (lambda x, w: nx.matmul(x, w), [(2, 3, 4), (4, 5)]),
+    "strided_conv2d": (lambda x, w, b: nx.strided_conv2d(x, w, b, 2, 1),
+                       [(1, 6, 6, 2), (3, 3, 2, 4), (4,)]),
+    "circular_convolve": (lambda x, h: circular_convolve(x, h, dims=[0]), [(9, 2), (9, 2)]),
+    "causal_convolve": (lambda x, h: nx.causal_convolve(x, h, axis=-2), [(7, 2), (3, 2)]),
+    "shift_convolve": (lambda x, w: nx.shift_convolve(x, w, [(-1,), (0,), (2,)], (-2,)),
+                       [(6, 2), (3, 2)]),
+}
+
+
+def _log_vjp_calls(tape, log):
+    for node in tape.nodes:
+        node._vjp = (lambda vjp, op: lambda g: log.append(op) or vjp(g))(node._vjp, node.op)
+
+
+class TestSourcePruning:
+    @pytest.mark.parametrize("name", sorted(PRUNED_OPS))
+    def test_weight_partial_skipped_when_not_a_source(self, rng, name):
+        # Every input is trainable, but only x is asked for.
+        f, shapes = PRUNED_OPS[name]
+        inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        with GradTape() as tape:
+            y = f(*inputs)
+        upstream = rng.normal(size=y.shape)
+        (node,) = tape.nodes
+        returned = []
+        vjp = node._vjp
+        node._vjp = lambda g: returned.append(vjp(g)) or returned[-1]
+        (gx,) = tape.gradient(y, inputs[:1], upstream=upstream)
+        (partials,) = returned
+        assert partials[0] is not None and all(p is None for p in partials[1:])
+        with GradTape() as tape:
+            y = f(*inputs)
+        full = tape.gradient(y, inputs, upstream=upstream)
+        assert np.array_equal(gx.data, full[0].data)
+
+    def test_untracked_source_gets_zero_and_skips_its_branch(self, rng):
+        x = Tensor(rng.normal(size=4), requires_grad=True)
+        w = Tensor(rng.normal(size=4), requires_grad=True)
+        z = Tensor(rng.normal(size=4))
+        with GradTape() as tape:
+            y = nx.tensor_sum(nx.add(nx.mul(x, z), nx.exp(w)))
+        ops = []
+        _log_vjp_calls(tape, ops)
+        gx, gz = tape.gradient(y, [x, z])
+        assert np.array_equal(gx.data, z.data) and np.array_equal(gz.data, np.zeros(4))
+        assert "exp" not in ops
+
+    def test_intermediate_source_stops_the_sweep(self, rng):
+        x = Tensor(rng.normal(size=4), requires_grad=True)
+        with GradTape() as tape:
+            a = nx.square(x)
+            y = nx.tensor_sum(nx.mul(a, 3.0))
+        ops = []
+        _log_vjp_calls(tape, ops)
+        (ga,) = tape.gradient(y, [a])
+        assert np.array_equal(ga.data, np.full(4, 3.0))
+        assert ops == ["sum", "mul"]
+
+    def test_dead_gradient_freed_before_earlier_vjps(self, rng):
+        # The gradient reaching sin's output is dead once sin's VJP has run.
+        x = Tensor(rng.normal(size=4), requires_grad=True)
+        with GradTape() as tape:
+            y = nx.tensor_sum(nx.sin(nx.exp(x)))
+        exp_node, sin_node, _ = tape.nodes
+        seen, alive = [], []
+        sin_vjp, exp_vjp = sin_node._vjp, exp_node._vjp
+        sin_node._vjp = lambda g: seen.append(weakref.ref(g)) or sin_vjp(g)
+        exp_node._vjp = lambda g: alive.append(seen[0]() is not None) or exp_vjp(g)
+        (gx,) = tape.gradient(y, [x])
+        assert alive == [False]
+        assert np.array_equal(gx.data, np.cos(np.exp(x.data)) * np.exp(x.data))
 
 
 class TestGradCheck:
