@@ -24,7 +24,7 @@ from fftmix.hpxio import write_pgm
 rng = np.random.default_rng(3)
 
 # --- the 1D basis is a truncated Fourier family ----------------------------
-basis = build_basis_1d(16, 16, 4)
+basis = build_basis_1d(16, 4)
 print("basis features:", basis.features.shape, "(constant + 3 sin/cos pairs)")
 gram = basis.features.T @ basis.features
 print("columns orthogonal over one period:",

@@ -4,8 +4,7 @@ bench, and filters dump over JSON configs.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every run that
 produces files writes them under ``--out`` together with a manifest
 recording the subcommand, a hash of the effective config, the seed, and
-tool versions.  ``HPX_THREADS`` caps worker/BLAS thread counts when the
-optional threadpoolctl package is available.
+tool versions.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -371,7 +369,6 @@ _DISPATCH = {
 
 def run(config: CliConfig) -> int:
     """Dispatch a parsed CliConfig; module errors surface as exit code 1."""
-    _apply_thread_cap()
     try:
         if config.subcommand == "model":
             return _cmd_model_info(config)
@@ -381,18 +378,6 @@ def run(config: CliConfig) -> int:
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"fftmix {config.subcommand}: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("HPX_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass  # no worker pools of our own; the cap is best effort
 
 
 def main(argv=None) -> int:

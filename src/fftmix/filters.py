@@ -28,14 +28,13 @@ WINDOW_VARIANTS = ("causal", "bidirectional", "radial2d")
 
 @dataclass
 class PositionalBasis1D:
-    """Sin/cos harmonics of t over one period.
+    """Sin/cos harmonics of t over one period of the grid.
 
     ``features`` is [L_filter, 2K-1]: a constant column for the zeroth mode,
-    then (sin, cos) pairs of 2*pi*k*t/L_period for k = 1..K-1.
+    then (sin, cos) pairs of 2*pi*k*t/L_filter for k = 1..K-1.
     """
 
     L_filter: int
-    L_period: int
     K: int
     positions: np.ndarray
     features: np.ndarray
@@ -57,9 +56,7 @@ class PositionalBasis2D:
     features: np.ndarray  # [P, K]
 
 
-def build_basis_1d(
-    L_filter: int, L_period: int, K: int, centered: bool = False
-) -> PositionalBasis1D:
+def build_basis_1d(L_filter: int, K: int, centered: bool = False) -> PositionalBasis1D:
     """Basis rows for t = 0..L_filter-1, or centered offsets when requested.
 
     Centered grids require odd L_filter and index t = -(L-1)/2 .. (L-1)/2.
@@ -78,10 +75,10 @@ def build_basis_1d(
     feats = np.empty((L_filter, 2 * K - 1))
     feats[:, 0] = 1.0
     for k in range(1, K):
-        phase = 2.0 * np.pi * k * t / L_period
+        phase = 2.0 * np.pi * k * t / L_filter
         feats[:, 2 * k - 1] = np.sin(phase)
         feats[:, 2 * k] = np.cos(phase)
-    return PositionalBasis1D(L_filter, L_period, K, t, feats)
+    return PositionalBasis1D(L_filter, K, t, feats)
 
 
 def build_basis_2d(L_x: int, L_y: int, K: int) -> PositionalBasis2D:
@@ -165,13 +162,12 @@ class WindowParams:
 
     ``variant`` fixes how distance d is read off a position: the raw index
     for causal grids, |t| for centered 1D grids, and the Euclidean distance
-    from ``center`` (c_y, c_x in offset coordinates) for 2D grids.
+    from the kernel center for 2D grids.
     """
 
     alpha: Tensor
     bias: Tensor
     variant: str
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.variant not in WINDOW_VARIANTS:
@@ -221,8 +217,7 @@ def window_distances(params: WindowParams, positions: np.ndarray, scale=1.0) -> 
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError("radial2d window expects [P, 2] positions")
     sy, sx = (scale, scale) if np.ndim(scale) == 0 else (scale[0], scale[1])
-    cy, cx = params.center
-    return np.sqrt(((pos[:, 0] - cy) * sy) ** 2 + ((pos[:, 1] - cx) * sx) ** 2)
+    return np.sqrt((pos[:, 0] * sy) ** 2 + (pos[:, 1] * sx) ** 2)
 
 
 def eval_window(params: WindowParams, positions: np.ndarray, scale=1.0) -> Tensor:
@@ -258,9 +253,9 @@ def materialize_filter(basis, ffn: FilterFFN, window: WindowParams, scale: float
 
 def _rebuild_basis(window: WindowParams, K: int, size):
     if window.variant == "causal":
-        return build_basis_1d(int(size), int(size), K)
+        return build_basis_1d(int(size), K)
     if window.variant == "bidirectional":
-        return build_basis_1d(int(size), int(size), K, centered=True)
+        return build_basis_1d(int(size), K, centered=True)
     sy, sx = (int(size[0]), int(size[1])) if np.ndim(size) else (int(size), int(size))
     if sy % 2 == 0 or sx % 2 == 0:
         raise ValueError("2D kernel extents must be odd")
@@ -329,7 +324,7 @@ def make_implicit_filter_1d(
     name: str = "filter",
 ) -> ImplicitFilter:
     """1D kernel over ``length`` taps (causal grid or centered odd grid)."""
-    basis = build_basis_1d(length, length, K, centered=not causal)
+    basis = build_basis_1d(length, K, centered=not causal)
     ffn = init_filter_ffn(2 * K - 1, 2 * K, channels, length, rng)
     window = init_window_params(channels, length, "causal" if causal else "bidirectional", rng)
     return ImplicitFilter(basis, ffn, window, name)

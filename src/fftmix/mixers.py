@@ -13,10 +13,13 @@ the sequence:
 * ``local``         - pointwise expand, 7x7 depthwise, activation, contract
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
-axes.  The centered variants zero-pad every convolved axis from L to 2L-1
-and run one circular FFT convolution with the kernel as materialized, whose
-index 0 holds offset -(L-1); outputs L-1 .. 2L-2 are then exactly
-y[i] = sum_s x[s] * h[i - s], since no index of that sum wraps around.
+axes.  Only the centered variants use the FFT: they zero-pad every
+convolved axis from L to 2L-1 and run one circular FFT convolution with the
+kernel as materialized, whose index 0 holds offset -(L-1); outputs
+L-1 .. 2L-2 are then exactly y[i] = sum_s x[s] * h[i - s], since no index of
+that sum wraps around.  ``causal`` runs shift-adds over offsets 0..L-1
+through ``numerics.shift_convolve``, so its Jacobian above the diagonal is
+exactly zero rather than zero up to rounding.
 """
 
 from __future__ import annotations
@@ -117,6 +120,11 @@ class GateProjection:
         ]
 
 
+def _causal_offsets(taps: int) -> list:
+    """Offsets 0..taps-1 along one axis; positive offsets read the past."""
+    return [(t,) for t in range(taps)]
+
+
 def _short_conv_offsets(config: MixerConfig) -> tuple[list, tuple[int, ...]]:
     size = config.short_conv_size
     if config.is_2d:
@@ -124,7 +132,7 @@ def _short_conv_offsets(config: MixerConfig) -> tuple[list, tuple[int, ...]]:
         offs = [(dy, dx) for dy in range(-half, size - half) for dx in range(-half, size - half)]
         return offs, (-3, -2)
     if config.variant == "causal":
-        return [(t,) for t in range(size)], (-2,)  # positive offsets read the past
+        return _causal_offsets(size), (-2,)
     half = size // 2
     return [(t,) for t in range(-half, size - half)], (-2,)
 
@@ -192,22 +200,17 @@ class GatedConvMixer:
         self.config = config
         self.proj = init_gate_projection(config, rng)
         c, k = config.channels, config.embed_dim
-        if config.variant == "causal":
+        ext = config.filter_extent()
+        if config.variant == "global2d":
+            self.filters = [make_implicit_filter_2d(*config.extents, c, k, rng)]
+        elif config.variant == "separable2d":  # horizontal then vertical
             self.filters = [
-                make_implicit_filter_1d(int(config.extent), c, k, rng, causal=True)
+                make_implicit_filter_1d(ext[1], c, k, rng, name="filter_h"),
+                make_implicit_filter_1d(ext[0], c, k, rng, name="filter_v"),
             ]
-        elif config.variant == "bidirectional":
+        else:
             self.filters = [
-                make_implicit_filter_1d(2 * int(config.extent) - 1, c, k, rng)
-            ]
-        elif config.variant == "global2d":
-            ey, ex = config.extents
-            self.filters = [make_implicit_filter_2d(ey, ex, c, k, rng)]
-        else:  # separable2d: horizontal then vertical
-            ey, ex = config.extents
-            self.filters = [
-                make_implicit_filter_1d(2 * ex - 1, c, k, rng, name="filter_h"),
-                make_implicit_filter_1d(2 * ey - 1, c, k, rng, name="filter_v"),
+                make_implicit_filter_1d(ext, c, k, rng, causal=config.variant == "causal")
             ]
         self.out_proj = Tensor(
             rng.normal(0.0, 1.0 / np.sqrt(c), size=(c, c)), requires_grad=True
@@ -247,15 +250,18 @@ class GatedConvMixer:
         """The variant's long convolution of ``qk`` with materialized kernels."""
         cfg = self.config
         if cfg.variant == "causal":
-            return nx.causal_convolve(qk, kernels[0], axis=-2)
+            taps = kernels[0].shape[0]
+            if taps > qk.shape[-2]:
+                raise ValueError("kernel longer than sequence")
+            return nx.shift_convolve(qk, kernels[0], _causal_offsets(taps), (-2,))
         if cfg.variant == "bidirectional":
             return _centered_conv(qk, kernels[0], (-2,))
-        ey, ex = cfg.extents
+        ky, kx = cfg.filter_extent()
         if cfg.variant == "global2d":
-            kern = nx.reshape(kernels[0], (2 * ey - 1, 2 * ex - 1, cfg.channels))
+            kern = nx.reshape(kernels[0], (ky, kx, cfg.channels))
             return _centered_conv(qk, kern, (-3, -2))
         gx = _centered_conv(qk, kernels[0], (-2,))  # horizontal, then vertical
-        return _centered_conv(gx, nx.reshape(kernels[1], (2 * ey - 1, 1, cfg.channels)), (-3,))
+        return _centered_conv(gx, nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))
 
     def forward(self, x: Tensor, kernel_override=None) -> Tensor:
         self._check_input(x)

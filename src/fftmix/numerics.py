@@ -22,12 +22,10 @@ DTYPE = np.float64
 _FLOAT_KINDS = ("f",)
 
 
-def _as_array(value, dtype=None) -> np.ndarray:
+def _as_array(value) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype.kind not in _FLOAT_KINDS:
         arr = arr.astype(DTYPE)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
     return arr
 
 
@@ -38,15 +36,14 @@ class Tensor:
     differentiation source for any tape it participates in.
     """
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = _as_array(data)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor contains non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -114,18 +111,6 @@ class TapeNode:
         self.output = output
         self._vjp = vjp
         self.need = need
-
-    def vjp(self, upstream) -> tuple[np.ndarray | None, ...]:
-        """Gradients w.r.t. each input given the upstream gradient array.
-
-        An op may return ``None`` for an input whose ``need`` is false.
-        """
-        g = upstream.data if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=DTYPE)
-        if g.shape != self.output.shape:
-            raise ValueError(
-                f"upstream gradient shape {g.shape} does not match output {self.output.shape}"
-            )
-        return self._vjp(g)
 
 
 _TAPE_STATE = threading.local()
@@ -391,13 +376,6 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     return out
 
 
-def roll(a, shift: int, axis: int) -> Tensor:
-    a = _lift(a)
-    out = Tensor(np.roll(a.data, shift, axis=axis))
-    _record("roll", out, (a,), lambda g: (np.roll(g, -shift, axis=axis),))
-    return out
-
-
 def matmul(a, b) -> Tensor:
     """``a @ b`` where ``a`` is [..., K] and ``b`` is [K, M]."""
     a, b = _lift(a), _lift(b)
@@ -507,59 +485,15 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     return out
 
 
-def causal_convolve(x, h, axis: int = -2) -> Tensor:
-    """Structurally causal convolution y[i] = sum_{s<=i} h[s] * x[i-s].
-
-    Implemented as shifted accumulation, so outputs provably never read
-    future positions: zeroing x beyond position j leaves y[0..j] bit-identical,
-    and the Jacobian above the diagonal is exactly zero.  ``h`` has the tap
-    axis first ([T, ...]) and broadcasts against x on the remaining axes.
-    """
-    x, h = _lift(x), _lift(h)
-    ax = _normalize_axes(x.ndim, (axis,))[0]
-    length = x.shape[ax]
-    taps = h.shape[0]
-    if taps > length:
-        raise ValueError("kernel longer than sequence")
-    y = np.zeros_like(x.data)
-
-    def _dst(s):
-        sl = [slice(None)] * x.ndim
-        sl[ax] = slice(s, length)
-        return tuple(sl)
-
-    def _src(s):
-        sl = [slice(None)] * x.ndim
-        sl[ax] = slice(0, length - s)
-        return tuple(sl)
-
-    for s in range(taps):
-        y[_dst(s)] += h.data[s] * x.data[_src(s)]
-    out = Tensor(y)
-
-    def vjp(g):
-        gx = np.zeros_like(x.data) if need[0] else None
-        gh = np.zeros_like(h.data) if need[1] else None
-        for s in range(taps):
-            if need[0]:
-                gx[_src(s)] += h.data[s] * g[_dst(s)]
-            if need[1]:
-                contrib = g[_dst(s)] * x.data[_src(s)]
-                red = tuple(range(contrib.ndim - (h.ndim - 1)))
-                gh[s] += contrib.sum(axis=red) if red else contrib
-        return gx, gh
-
-    need = _record("causal_convolve", out, (x, h), vjp)
-    return out
-
-
 def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]) -> Tensor:
     """Small dense convolution as a sum of zero-padded shifts.
 
     y = sum_t w[t] * shift(x, offsets[t]) with zero fill outside the array.
     ``w`` is [T, C] (or [T] scalars) broadcasting on the trailing axes of x.
-    Used for the depthwise short convolutions; being pure shift-adds it keeps
-    locality exact (no spectral leakage).
+    Used for the depthwise short convolutions and the causal long
+    convolution; being pure shift-adds it keeps locality exact (no spectral
+    leakage), so with offsets 0..T-1 no output reads a later position and
+    the Jacobian above the diagonal is exactly zero.
     """
     x, w = _lift(x), _lift(w)
     ax = _normalize_axes(x.ndim, axes)

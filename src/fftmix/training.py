@@ -32,11 +32,16 @@ class TrainConfig:
     batch_size: int = 32
     label_smoothing: float = 0.1
     seed: int = 0
-    hflip: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label smoothing must lie in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.total_epochs < 1:
+            raise ValueError("total_epochs must be at least 1")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be non-negative")
         if not self.warmup_epochs < self.total_epochs:
             raise ValueError("warmup must be shorter than the run")
 
@@ -240,6 +245,9 @@ def train(model: Model, dataset: DatasetSpec, config: TrainConfig, out_dir=None)
     ``out_dir`` is given, writes history.csv plus a checkpoint directory.
     """
     train_x, train_y, val_x, val_y = load_dataset(dataset)
+    for split, images in (("training", train_x), ("validation", val_x)):
+        if len(images) == 0:
+            raise ValueError(f"the {split} split is empty")
     if train_x.shape[1] != model.config.input_size[0]:
         raise ValueError(
             f"dataset images are {train_x.shape[1]}px, model expects "
@@ -259,14 +267,9 @@ def train(model: Model, dataset: DatasetSpec, config: TrainConfig, out_dir=None)
         lr = 0.0
         for b in range(steps_per_epoch):
             idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
-            xb = train_x[idx]
-            if config.hflip:
-                flip = order_rng.random(len(idx)) < 0.5
-                xb = xb.copy()
-                xb[flip] = xb[flip, :, ::-1]
             lr = cosine_warmup_lr(step, config, steps_per_epoch)
             with GradTape() as tape:
-                logits = model(Tensor(xb))
+                logits = model(Tensor(train_x[idx]))
                 loss = cross_entropy_smoothed(logits, train_y[idx], config.label_smoothing)
             grads = tape.gradient(loss, params)
             adamw_step(params, grads, state, lr, weight_decay=config.weight_decay)

@@ -140,7 +140,7 @@ def test_criterion_3_gradient_suite():
         assert err < 1e-5, f"project_qkv {err}"
 
         # implicit filter materialization
-        basis = flt.build_basis_1d(7, 7, 2, centered=True)
+        basis = flt.build_basis_1d(7, 2, centered=True)
         ffn = flt.init_filter_ffn(3, 4, 2, 7, rng)
         win = flt.init_window_params(2, 7, "bidirectional", rng)
         probe = Tensor(rng.normal(size=(7, 2)))

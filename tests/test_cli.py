@@ -66,16 +66,29 @@ class TestParse:
         assert exc.value.code == 2
 
     def test_unknown_nested_key_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, train={"total_epochs": 1, "warmup_epochs": 0, "lr": 1.0})
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        for key in ("lr", "hflip"):
+            cfg = write_config(tmp_path, train={"total_epochs": 1, "warmup_epochs": 0, key: 1.0})
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
+            assert exc.value.code == 2, key
 
     def test_invalid_config_values_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path, train={"total_epochs": 1, "warmup_epochs": 0, "label_smoothing": 1.5})
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        for train in (
+            {"total_epochs": 1, "warmup_epochs": 0, "label_smoothing": 1.5},
+            {"total_epochs": 1, "warmup_epochs": 0, "batch_size": 0},
+            {"total_epochs": 0, "warmup_epochs": -1},
+            {"total_epochs": 2, "warmup_epochs": -1},
+        ):
+            cfg = write_config(tmp_path, train=train)
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
+            assert exc.value.code == 2, train
+
+    def test_empty_split_exits_1(self, tmp_path, capsys):
+        data = {"train_size": 32, "val_size": 0, "image_size": 32, "num_classes": 4, "seed": 1}
+        cfg = write_config(tmp_path, data=data)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "error: the validation split is empty" in capsys.readouterr().err
 
     def test_main_maps_usage_errors_to_2(self):
         assert cli.main(["bogus"]) == 2

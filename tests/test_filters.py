@@ -15,28 +15,28 @@ def window(alpha, bias, variant, channels=1):
 
 class TestBasis1D:
     def test_k1_single_ones_column(self):
-        basis = flt.build_basis_1d(6, 6, 1)
+        basis = flt.build_basis_1d(6, 1)
         assert basis.features.shape == (6, 1)
         assert np.array_equal(basis.features, np.ones((6, 1)))
 
     def test_sin_column_closed_form(self):
-        basis = flt.build_basis_1d(4, 4, 2)
+        basis = flt.build_basis_1d(4, 2)
         assert abs(basis.features[1, 1] - 1.0) < 1e-15  # sin(2*pi/4)
 
     def test_constant_column_and_zero_mean(self):
-        basis = flt.build_basis_1d(12, 12, 4)
+        basis = flt.build_basis_1d(12, 4)
         assert np.array_equal(basis.features[:, 0], np.ones(12))
         means = basis.features[:, 1:].mean(axis=0)
         assert np.abs(means).max() < 1e-9
 
     def test_gram_matrix_diagonal_over_period(self):
-        basis = flt.build_basis_1d(16, 16, 5)
+        basis = flt.build_basis_1d(16, 5)
         gram = basis.features.T @ basis.features
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 1e-9
 
     def test_centered_zero_mean_and_gram(self):
-        basis = flt.build_basis_1d(15, 15, 4, centered=True)
+        basis = flt.build_basis_1d(15, 4, centered=True)
         assert basis.positions[0] == -7 and basis.positions[-1] == 7
         assert np.abs(basis.features[:, 1:].mean(axis=0)).max() < 1e-9
         gram = basis.features.T @ basis.features
@@ -44,9 +44,9 @@ class TestBasis1D:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            flt.build_basis_1d(4, 4, 0)
+            flt.build_basis_1d(4, 0)
         with pytest.raises(ValueError):
-            flt.build_basis_1d(4, 4, 2, centered=True)  # even centered grid
+            flt.build_basis_1d(4, 2, centered=True)  # even centered grid
 
 
 class TestBasis2D:
@@ -136,7 +136,7 @@ class TestWindow:
 
 class TestMaterialize:
     def test_huge_alpha_kills_offcenter_taps(self, rng):
-        basis = flt.build_basis_1d(9, 9, 3, centered=True)
+        basis = flt.build_basis_1d(9, 3, centered=True)
         ffn = flt.init_filter_ffn(5, 6, 2, 9, rng)
         w = window(1e6, 0.0, "bidirectional", channels=2)
         kernel = flt.materialize_filter(basis, ffn, w).data
@@ -144,7 +144,7 @@ class TestMaterialize:
         assert np.abs(off_center).max() < 1e-30
 
     def test_constant_ffn_returns_window(self, rng):
-        basis = flt.build_basis_1d(7, 7, 2, centered=True)
+        basis = flt.build_basis_1d(7, 2, centered=True)
         ffn = flt.init_filter_ffn(3, 4, 2, 7, rng)
         for wt, bt in ffn.weights:
             wt.data[:] = 0.0
@@ -164,14 +164,14 @@ class TestMaterialize:
         assert kernel.shape == (111 * 111, 64)
 
     def test_channel_mismatch_rejected(self, rng):
-        basis = flt.build_basis_1d(5, 5, 2)
+        basis = flt.build_basis_1d(5, 2)
         ffn = flt.init_filter_ffn(3, 4, 3, 5, rng)
         w = window(0.5, 0.0, "causal", channels=2)
         with pytest.raises(ValueError):
             flt.materialize_filter(basis, ffn, w)
 
     def test_differentiable_end_to_end(self, rng):
-        basis = flt.build_basis_1d(7, 7, 2, centered=True)
+        basis = flt.build_basis_1d(7, 2, centered=True)
         ffn = flt.init_filter_ffn(3, 4, 2, 7, rng)
         w = flt.init_window_params(2, 7, "bidirectional", rng)
         probe = Tensor(rng.normal(size=(7, 2)))
@@ -188,7 +188,7 @@ class TestMaterialize:
 
 class TestResample:
     def _filter(self, rng, length=9):
-        basis = flt.build_basis_1d(length, length, 3, centered=True)
+        basis = flt.build_basis_1d(length, 3, centered=True)
         ffn = flt.init_filter_ffn(5, 6, 2, length, rng)
         w = flt.init_window_params(2, length, "bidirectional", rng)
         return basis, ffn, w

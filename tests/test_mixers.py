@@ -194,6 +194,17 @@ class TestCausal:
             g = tape.gradient(target, [x])[0].data
             assert np.array_equal(g[i + 1 :], np.zeros_like(g[i + 1 :]))
 
+    def test_kernel_override_length(self, rng):
+        cfg = mx.MixerConfig("causal", channels=2, extent=6, embed_dim=2)
+        mixer = mx.GatedConvMixer(cfg, rng)
+        x = Tensor(rng.normal(size=(6, 2)))
+        with pytest.raises(ValueError, match="kernel longer than sequence"):
+            mixer.forward(x, kernel_override=rng.normal(size=(7, 2)))
+        short = rng.normal(size=(3, 2))
+        padded = np.concatenate([short, np.zeros((3, 2))])
+        y_short = mixer.forward(x, kernel_override=short).data
+        assert np.abs(y_short - mixer.forward(x, kernel_override=padded).data).max() < 1e-12
+
     def test_rejects_2d_feature_maps(self, rng):
         cfg = mx.MixerConfig("causal", channels=2, extent=4, embed_dim=2)
         mixer = mx.GatedConvMixer(cfg, rng)

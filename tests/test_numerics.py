@@ -78,14 +78,6 @@ class TestCircularConvolve:
 
 
 class TestTapeAndVjp:
-    def test_scaling_vjp(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        with GradTape() as tape:
-            y = nx.mul(x, 2.0)
-        node = tape.nodes[-1]
-        grads = node.vjp(np.ones(3))
-        assert np.array_equal(grads[0], np.full(3, 2.0))
-
     def test_conv_with_impulse_passes_gradient(self, rng):
         x = Tensor(rng.normal(size=6), requires_grad=True)
         h = Tensor([1.0, 0, 0, 0, 0, 0])
@@ -142,7 +134,6 @@ PRUNED_OPS = {
     "strided_conv2d": (lambda x, w, b: nx.strided_conv2d(x, w, b, 2, 1),
                        [(1, 6, 6, 2), (3, 3, 2, 4), (4,)]),
     "circular_convolve": (lambda x, h: circular_convolve(x, h, dims=[0]), [(9, 2), (9, 2)]),
-    "causal_convolve": (lambda x, h: nx.causal_convolve(x, h, axis=-2), [(7, 2), (3, 2)]),
     "shift_convolve": (lambda x, w: nx.shift_convolve(x, w, [(-1,), (0,), (2,)], (-2,)),
                        [(6, 2), (3, 2)]),
 }
@@ -242,7 +233,6 @@ class TestGradCheck:
             ("reshape", lambda a: nx.tensor_sum(nx.square(nx.reshape(a, (6,)))), [(2, 3)]),
             ("pad", lambda a: nx.tensor_sum(nx.square(nx.pad(a, [(1, 2)]))), [(5,)]),
             ("crop", lambda a: nx.tensor_sum(nx.square(nx.crop(a, [slice(1, 4)]))), [(6,)]),
-            ("roll", lambda a: nx.tensor_sum(nx.mul(nx.roll(a, 2, 0), a)), [(5,)]),
             ("transpose", lambda a: nx.tensor_sum(nx.square(nx.transpose(a, (1, 0)))), [(3, 4)]),
         ],
     )
@@ -259,8 +249,6 @@ class TestGradCheck:
     def test_conv_gradients(self, rng):
         f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0])))
         assert grad_check(f, [Tensor(rng.normal(size=9)), Tensor(rng.normal(size=9))]) < 1e-5
-        f2 = lambda a, b: nx.tensor_sum(nx.square(nx.causal_convolve(a, b, axis=-2)))
-        assert grad_check(f2, [Tensor(rng.normal(size=(7, 2))), Tensor(rng.normal(size=(3, 2)))]) < 1e-5
         offs = [(-1,), (0,), (1,)]
         f3 = lambda a, w: nx.tensor_sum(nx.square(nx.shift_convolve(a, w, offs, (-2,))))
         assert grad_check(f3, [Tensor(rng.normal(size=(6, 2))), Tensor(rng.normal(size=(3, 2)))]) < 1e-5
