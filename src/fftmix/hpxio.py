@@ -7,6 +7,8 @@ dimension, then a float32 little-endian row-major payload.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,10 +35,11 @@ def write_hpx1(path, array: np.ndarray) -> None:
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    """``size`` bytes of ``fh``; a size beyond what the file still holds is
+    rejected before any buffer is asked for, since it comes from the file."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated {what}")
-    return data
+    return fh.read(size)
 
 
 def read_hpx1(path) -> np.ndarray:
@@ -47,7 +50,7 @@ def read_hpx1(path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "shape"))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)  # exact; np.prod wraps around in int64
         data = np.frombuffer(_read_exact(fh, 4 * count, path, "payload"), dtype="<f4")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the payload")

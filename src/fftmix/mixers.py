@@ -20,6 +20,14 @@ L-1 .. 2L-2 are then exactly y[i] = sum_s x[s] * h[i - s], since no index of
 that sum wraps around.  ``causal`` runs shift-adds over offsets 0..L-1
 through ``numerics.shift_convolve``, so its Jacobian above the diagonal is
 exactly zero rather than zero up to rounding.
+
+A centered mixer called with no ``GradTape`` active and no
+``kernel_override`` convolves with kernel spectra kept from its previous
+such call, so it neither materializes its kernels nor transforms them.  The
+spectra are keyed on values: a copy of every filter parameter and kernel
+mask, compared with ``np.array_equal`` on each call, so any change to them
+(an optimizer step, ``load_params``, a ``.data`` write, a truncation mask)
+rebuilds the spectra.  Taped passes run the uncached path unchanged.
 """
 
 from __future__ import annotations
@@ -178,9 +186,12 @@ def project_qkv(x: Tensor, params: GateProjection) -> tuple[Tensor, Tensor, Tens
 # ---------------------------------------------------------------------------
 
 
-def _centered_conv(qk: Tensor, kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
+def _centered_conv(
+    qk: Tensor, kernel: Tensor | nx.KernelSpectrum, axes: tuple[int, ...]
+) -> Tensor:
     """y[i] = sum_s qk[s] * h[i - s] along ``axes``, h indexed by offsets
-    -(L-1)..L-1 on each axis (kernel index 0 is offset -(L-1))."""
+    -(L-1)..L-1 on each axis (kernel index 0 is offset -(L-1)).  ``kernel``
+    may be its ``nx.kernel_spectrum`` over ``axes``."""
     pw = [(0, 0)] * qk.ndim
     sl = [slice(None)] * qk.ndim
     for ax in axes:
@@ -189,6 +200,12 @@ def _centered_conv(qk: Tensor, kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
         sl[ax] = slice(n - 1, 2 * n - 1)
     full = nx.circular_convolve(nx.pad(qk, pw), kernel, dims=axes)
     return nx.crop(full, sl)
+
+
+def _run_passes(qk: Tensor, passes) -> Tensor:
+    for kernel, axes in passes:
+        qk = _centered_conv(qk, kernel, axes)
+    return qk
 
 
 class GatedConvMixer:
@@ -217,6 +234,8 @@ class GatedConvMixer:
         )
         # Optional [P, 1] masks (one per filter); None means identity.
         self.kernel_masks: list[np.ndarray | None] = [None] * len(self.filters)
+        # (key, spectra) of the tape-free pass; see ``_cached_spectra``.
+        self._spectra: tuple[list, list] | None = None
 
     def _check_input(self, x: Tensor) -> None:
         cfg = self.config
@@ -248,31 +267,63 @@ class GatedConvMixer:
 
     def long_conv(self, qk: Tensor, kernels) -> Tensor:
         """The variant's long convolution of ``qk`` with materialized kernels."""
-        cfg = self.config
-        if cfg.variant == "causal":
+        if self.config.variant == "causal":
             taps = kernels[0].shape[0]
             if taps > qk.shape[-2]:
                 raise ValueError("kernel longer than sequence")
             return nx.shift_convolve(qk, kernels[0], _causal_offsets(taps), (-2,))
+        return _run_passes(qk, self._centered_passes(kernels))
+
+    def _centered_passes(self, kernels) -> list:
+        """(kernel shaped against the input, convolved axes) of each centered
+        pass, in the order they run."""
+        cfg = self.config
         if cfg.variant == "bidirectional":
-            return _centered_conv(qk, kernels[0], (-2,))
+            return [(kernels[0], (-2,))]
         ky, kx = cfg.filter_extent()
         if cfg.variant == "global2d":
-            kern = nx.reshape(kernels[0], (ky, kx, cfg.channels))
-            return _centered_conv(qk, kern, (-3, -2))
-        gx = _centered_conv(qk, kernels[0], (-2,))  # horizontal, then vertical
-        return _centered_conv(gx, nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))
+            return [(nx.reshape(kernels[0], (ky, kx, cfg.channels)), (-3, -2))]
+        # separable2d: horizontal, then vertical
+        return [(kernels[0], (-2,)), (nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))]
+
+    def _cached_spectra(self) -> list:
+        """The centered passes with each kernel replaced by its spectrum.
+
+        The spectra are kept from the last call and reused while every value
+        they are built from, each filter parameter and kernel mask, equals
+        the copy taken then; any change, however it was made, rebuilds them.
+        """
+        key = [p.data for f in self.filters for _, p in f.parameters()] + self.kernel_masks
+        if self._spectra is not None:
+            old, spectra = self._spectra
+            if all(map(np.array_equal, old, key)):
+                return spectra
+        self._spectra = None  # free the stale spectra before building new ones
+        kernels = [self.kernel(i) for i in range(len(self.filters))]
+        passes = self._centered_passes(kernels)
+        spectra = [(nx.kernel_spectrum(k, axes), axes) for k, axes in passes]
+        self._spectra = ([None if a is None else a.copy() for a in key], spectra)
+        return spectra
 
     def forward(self, x: Tensor, kernel_override=None) -> Tensor:
+        """Project, long convolution, gate, ``out_proj``.  A tape-free call
+        of a centered variant with no ``kernel_override`` convolves with
+        ``_cached_spectra``; the output is the same to the bit."""
         self._check_input(x)
         q, k, v = project_qkv(x, self.proj)
-        if kernel_override is None:
-            kernels = [self.kernel(i) for i in range(len(self.filters))]
-        else:
+        if kernel_override is not None:
             if not isinstance(kernel_override, (list, tuple)):
                 kernel_override = [kernel_override]
             kernels = [kk if isinstance(kk, Tensor) else Tensor(kk) for kk in kernel_override]
-        g = self.long_conv(nx.mul(q, k), kernels)
+        elif self.config.variant == "causal" or nx._active_tape() is not None:
+            kernels = [self.kernel(i) for i in range(len(self.filters))]
+        else:
+            kernels = None
+        qk = nx.mul(q, k)
+        if kernels is None:
+            g = _run_passes(qk, self._cached_spectra())
+        else:
+            g = self.long_conv(qk, kernels)
         return nx.matmul(nx.mul(g, v), self.out_proj)
 
     __call__ = forward

@@ -13,7 +13,7 @@ anywhere is an error, never a silent state.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -433,17 +433,41 @@ def _normalize_axes(ndim: int, dims: Iterable[int]) -> tuple[int, ...]:
     return tuple(axes)
 
 
-def _circ_conv_raw(x: np.ndarray, h: np.ndarray, x_axes: tuple[int, ...]) -> np.ndarray:
+class KernelSpectrum(NamedTuple):
+    """``rfftn`` of a real kernel of ``shape`` over its ``axes``."""
+
+    data: np.ndarray
+    shape: tuple[int, ...]
+    axes: tuple[int, ...]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+
+def kernel_spectrum(h, dims: Sequence[int]) -> KernelSpectrum:
+    """The transform ``circular_convolve`` takes of kernel ``h`` over ``dims``.
+
+    Passed to ``circular_convolve`` in place of ``h``, it saves that
+    transform on every call with the same kernel.
+    """
+    arr = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=DTYPE)
+    axes = _normalize_axes(arr.ndim, dims)
+    return KernelSpectrum(np.fft.rfftn(arr, axes=axes), arr.shape, axes)
+
+
+def _circ_conv_raw(x: np.ndarray, h, x_axes: tuple[int, ...]) -> np.ndarray:
     """Circular convolution of real arrays along ``x_axes`` via real FFTs.
 
     ``h`` aligns with ``x`` from the trailing axis; leading axes broadcast.
+    ``h`` is transformed unless it is already a ``KernelSpectrum``.
     """
     lengths = tuple(x.shape[ax] for ax in x_axes)
     xf = np.fft.rfftn(x, axes=x_axes)
-    offset = x.ndim - h.ndim
-    h_axes = tuple(ax - offset for ax in x_axes)
-    hf = np.fft.rfftn(h, axes=h_axes)
-    return np.fft.irfftn(xf * hf, s=lengths, axes=x_axes)
+    if not isinstance(h, KernelSpectrum):
+        offset = x.ndim - h.ndim
+        h = kernel_spectrum(h, [ax - offset for ax in x_axes])
+    return np.fft.irfftn(xf * h.data, s=lengths, axes=x_axes)
 
 
 def _circ_reverse(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -460,8 +484,16 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     ``x`` and ``h`` must have equal length on every convolved axis (callers
     zero-pad beforehand); other axes follow numpy broadcasting.  Computed by
     forward FFT, pointwise product, inverse FFT; the result is real.
+
+    ``h`` may instead be ``kernel_spectrum(h, dims)``, which skips the
+    kernel's transform.  That kernel is a constant with no gradient, so it
+    is for passes with no tape.
     """
-    x, h = _lift(x), _lift(h)
+    x = _lift(x)
+    spectral = isinstance(h, KernelSpectrum)
+    if spectral and _active_tape() is not None:
+        raise ValueError("a kernel spectrum cannot be recorded on a GradTape")
+    h = h if spectral else _lift(h)
     x_axes = _normalize_axes(x.ndim, dims)
     offset = x.ndim - h.ndim
     for ax in x_axes:
@@ -470,8 +502,12 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
             raise ValueError(
                 f"convolved axis {ax}: x length {x.shape[ax]} does not match h"
             )
-    out = Tensor(_circ_conv_raw(x.data, h.data, x_axes))
     h_axes = tuple(ax - offset for ax in x_axes)
+    if spectral:
+        if h.axes != h_axes:
+            raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
+        return Tensor(_circ_conv_raw(x.data, h, x_axes))
+    out = Tensor(_circ_conv_raw(x.data, h.data, x_axes))
 
     def vjp(g):
         gx = gh = None

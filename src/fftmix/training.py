@@ -229,6 +229,8 @@ def load_dataset(spec: DatasetSpec):
 
 
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
+    if len(images) == 0:
+        raise ValueError("evaluate_accuracy: the image array is empty")
     hits = 0
     for start in range(0, len(images), batch_size):
         xb = Tensor(images[start : start + batch_size])

@@ -18,6 +18,7 @@ MICRO_MODEL = {
 
 # HPX1 header of a [32, 32, 3] tensor: magic, rank 3, then the three extents.
 HPX1_32x32x3 = b"HPX1\x03\x00\x00\x00" + b"\x20\x00\x00\x00" * 2 + b"\x03\x00\x00\x00"
+HPX1_65536x65536 = b"HPX1\x02\x00\x00\x00" + b"\x00\x00\x01\x00" * 2
 
 
 def write_config(tmp_path, **overrides):
@@ -162,15 +163,17 @@ class TestSubcommands:
         assert hpxio.read_hpx1(out / "erf.hpx1").shape == (32, 32)
 
     def test_erf_truncated_image_exits_1(self, trained_run, tmp_path, capsys):
-        imgdir = tmp_path / "imgs"
-        imgdir.mkdir()
-        (imgdir / "short.hpx1").write_bytes(b"HPX1\x03\x00")
-        code = cli.main(
-            ["erf", "--model", str(trained_run / "checkpoint"), "--images", str(imgdir),
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        # A cut header, and a header alone that claims a 16 GiB payload.
+        for name, raw in [("short", b"HPX1\x03\x00"), ("huge", HPX1_65536x65536)]:
+            imgdir = tmp_path / name
+            imgdir.mkdir()
+            (imgdir / f"{name}.hpx1").write_bytes(raw)
+            code = cli.main(
+                ["erf", "--model", str(trained_run / "checkpoint"), "--images", str(imgdir),
+                 "--out", str(tmp_path / "o")]
+            )
+            assert code == 1
+            assert f"error: {imgdir / name}.hpx1: truncated" in capsys.readouterr().err
 
     def test_erf_non_finite_image_exits_1(self, trained_run, tmp_path, capsys):
         imgdir = tmp_path / "imgs"
@@ -319,6 +322,42 @@ class TestHpx1Format:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=f"bad.pgm: {why}"):
             hpxio.read_pgm(path)
+
+    def test_fuzzed_files_load_or_raise_value_error(self, tmp_path):
+        """Cut, overwritten and extended HPX1 and PGM files either load or
+        raise ``ValueError``; none asks for a buffer larger than the file."""
+        rng = np.random.default_rng(5)
+        seeds = []
+        for shape in [(), (3,), (2, 3), (4, 2, 3)]:
+            path = tmp_path / "seed.hpx1"
+            hpxio.write_hpx1(path, rng.normal(size=shape))
+            seeds.append((hpxio.read_hpx1, path.read_bytes()))
+        hpxio.write_pgm(tmp_path / "seed.pgm", rng.normal(size=(3, 5)))
+        seeds.append((hpxio.read_pgm, (tmp_path / "seed.pgm").read_bytes()))
+        seeds.append((hpxio.read_hpx1, HPX1_65536x65536))
+        seeds.append((hpxio.read_pgm, b"P5\n65536 65536\n255\n"))
+        path = tmp_path / "fuzz"
+        for case in range(3000):
+            read, raw = seeds[case % len(seeds)]
+            data = bytearray(raw)
+            kind = rng.integers(4)
+            if kind == 0:  # cut
+                data = data[: rng.integers(len(data) + 1)]
+            elif kind == 1:  # random bytes overwritten
+                for i in rng.integers(len(data), size=rng.integers(1, 4)):
+                    data[i] = rng.integers(256)
+            elif kind == 2:  # a random 32-bit word in the header
+                at = rng.integers(min(len(data), 24) - 3)
+                data[at : at + 4] = rng.integers(2**32, dtype=np.uint64).tobytes()[:4]
+            else:  # extended
+                data += rng.bytes(rng.integers(1, 9))
+            path.write_bytes(bytes(data))
+            try:
+                read(path)
+            except ValueError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the test names every other failure
+                pytest.fail(f"case {case} ({bytes(data[:24])!r}...): {type(exc).__name__}: {exc}")
 
     def test_pgm_round_trip(self, tmp_path, rng):
         img = rng.normal(size=(6, 9))

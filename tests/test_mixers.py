@@ -427,3 +427,40 @@ class TestFullContext:
         g = tape.gradient(target, [x])[0].data
         per_position = np.abs(g).max(axis=-1)
         assert np.all(per_position > 0)
+
+
+class TestKernelSpectrumCache:
+    """A tape-free call convolves with cached kernel spectra; a taped call or
+    a kernel override transforms the kernel as before."""
+
+    @pytest.mark.parametrize(
+        "variant,extent,passes",
+        [("bidirectional", 11, 1), ("global2d", (5, 6), 1), ("separable2d", (5, 6), 2)],
+    )
+    def test_warm_tape_free_call_skips_the_kernel_transform(self, rng, monkeypatch, variant, extent, passes):
+        mixer = mx.GatedConvMixer(mx.MixerConfig(variant, 3, extent, embed_dim=4), rng)
+        shape = (2,) + (extent if isinstance(extent, tuple) else (extent,)) + (3,)
+        x = Tensor(rng.normal(size=shape))
+        mixer(x)  # builds the cache
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+        y = mixer(x).data
+        assert len(calls) == 2 * passes
+        with GradTape():
+            y_taped = mixer(x).data
+        assert len(calls) == 2 * passes + 3 * passes
+        kernels = [mixer.kernel(i) for i in range(len(mixer.filters))]
+        y_override = mixer(x, kernel_override=kernels).data
+        assert len(calls) == 2 * passes + 2 * 3 * passes
+        assert np.array_equal(y, y_taped) and np.array_equal(y, y_override)
+
+    def test_kernel_override_bypasses_the_cache(self, rng):
+        mixer = mx.GatedConvMixer(mx.MixerConfig("global2d", 3, (5, 6), embed_dim=4), rng)
+        x = Tensor(rng.normal(size=(5, 6, 3)))
+        mixer(x)  # builds the cache
+        impulse = centered_impulse_kernel(mixer)
+        y = mixer(x, kernel_override=impulse).data
+        assert np.abs(y - oracle_global2d(x.data, mixer, impulse)).max() < 1e-10
+        assert np.abs(mixer(x).data - oracle_global2d(x.data, mixer)).max() < 1e-10

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fftmix import hpxio
+from fftmix import analysis, hpxio
+from fftmix import training as tr
 from fftmix import mixers as mx
 from fftmix import model as mdl
 from fftmix import numerics as nx
@@ -269,3 +270,45 @@ class TestCheckpoint:
         out = hpxio.save_checkpoint(tmp_path / "ckpt", model.config.to_dict(), model.parameters()[:-1])
         with pytest.raises(ValueError):
             mdl.load_params(model, hpxio.load_checkpoint_tensors(out))
+
+
+class TestKernelSpectrumCache:
+    """Tape-free outputs follow every change to the values a kernel is built
+    from, whichever way it is made, bit for bit."""
+
+    @staticmethod
+    def reference(m, x):
+        with GradTape():  # a taped pass materializes every kernel afresh
+            return m(x).data
+
+    def test_tape_free_output_follows_parameter_and_mask_changes(self, rng):
+        m = mdl.build_model(mdl.micro_config("global2d"), seed=0)
+        x = Tensor(rng.normal(size=(2, 32, 32, 3)))
+        params = m.parameter_tensors()
+        filt = m.stages[0][0].mixer.filters[0]
+        other = mdl.build_model(mdl.micro_config("global2d"), seed=1)
+
+        def write_ffn_weight():
+            filt.ffn.weights[0][0].data[0, 0] += 0.25
+
+        def adamw():
+            grads = [rng.normal(size=p.shape) for p in params]
+            tr.adamw_step(params, grads, tr.init_adamw_state(params), 1e-2, weight_decay=0.05)
+
+        def constrain():
+            filt.window.alpha.data[0] = -0.5
+            m.apply_constraints()
+
+        def load():
+            mdl.load_params(m, {n: t.data for n, t in other.parameters()})
+
+        for change in (write_ffn_weight, adamw, constrain, load):
+            before = m(x).data  # warm
+            change()
+            after = m(x).data
+            assert not np.array_equal(after, before), change.__name__
+            assert np.array_equal(after, self.reference(m, x)), change.__name__
+        truncated = analysis.truncate_kernels(m, 1, 0.5)
+        after = truncated(x).data
+        assert not np.array_equal(after, m(x).data)
+        assert np.array_equal(after, self.reference(truncated, x))

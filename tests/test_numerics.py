@@ -77,6 +77,21 @@ class TestCircularConvolve:
             circular_convolve(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=7)), dims=[0])
 
 
+    def test_kernel_spectrum_in_place_of_kernel(self, rng):
+        x, h = rng.normal(size=(2, 9, 13, 3)), rng.normal(size=(9, 13, 3))
+        ref = circular_convolve(Tensor(x), Tensor(h), dims=[-3, -2]).data
+        spectrum = nx.kernel_spectrum(Tensor(h), [-3, -2])
+        assert spectrum.data.shape == (9, 7, 3) and spectrum.shape == (9, 13, 3)
+        y = circular_convolve(Tensor(x), spectrum, dims=[-3, -2]).data
+        assert np.array_equal(y, ref)
+        with pytest.raises(ValueError, match="does not match h"):  # 12 // 2 + 1 == 13 // 2 + 1
+            circular_convolve(Tensor(x[:, :, :12]), spectrum, dims=[-3, -2])
+        with pytest.raises(ValueError, match="taken over axes"):
+            circular_convolve(Tensor(x), spectrum, dims=[-2])
+        with GradTape(), pytest.raises(ValueError, match="cannot be recorded"):
+            circular_convolve(Tensor(x), spectrum, dims=[-3, -2])
+
+
 class TestTapeAndVjp:
     def test_conv_with_impulse_passes_gradient(self, rng):
         x = Tensor(rng.normal(size=6), requires_grad=True)

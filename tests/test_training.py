@@ -230,6 +230,8 @@ class TestTrainLoop:
         spec = tr.DatasetSpec(train_size=8, val_size=4, image_size=64)
         with pytest.raises(ValueError):
             tr.train(model, spec, tr.TrainConfig(total_epochs=1, warmup_epochs=0))
+        with pytest.raises(ValueError, match="image array is empty"):
+            tr.evaluate_accuracy(model, np.empty((0, 32, 32, 3)), np.empty(0, dtype=np.int64))
 
     def test_writes_history_and_checkpoint(self, tmp_path):
         model, spec, conf = self.micro_setup(total_epochs=1, warmup_epochs=0)
