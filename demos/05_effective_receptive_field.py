@@ -20,7 +20,7 @@ class StemPlusBlock:
         f = input_size // 4
         extent = f * f if variant in ("causal", "bidirectional") else (f, f)
         cfg = mx.MixerConfig(variant, channels, extent, embed_dim=4)
-        self.block = mdl.Block(channels, cfg, 4, False, rng)
+        self.block = mdl.Block(channels, cfg, False, rng)
 
     def features(self, images):
         return self.block(self.stem(images))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .filters import eval_window
-from .mixers import GatedConvMixer, LocalConvMixer, MixerConfig, build_mixer
+from .mixers import LOCAL_KERNEL, GatedConvMixer, LocalConvMixer, MixerConfig, build_mixer
 from .model import Model
 from .numerics import GradTape, Tensor
 
@@ -27,7 +27,6 @@ from .numerics import GradTape, Tensor
 class ERFMap:
     grid: np.ndarray  # [H, W], max-normalized to [0, 1]
     num_images: int
-    normalization: str = "max"
 
 
 @dataclass
@@ -146,7 +145,7 @@ def coverage_report(model: Model, threshold: float = 0.05) -> CoverageReport:
         for b, block in enumerate(blocks):
             mixer = block.mixer
             if isinstance(mixer, LocalConvMixer):
-                diameter = float(mixer.config.local_kernel)
+                diameter = float(LOCAL_KERNEL)
                 extent = fx
             else:
                 has_implicit = True
@@ -191,13 +190,20 @@ def truncate_kernels(model: Model, stage: int, relative_size: float) -> Model:
 
     ``relative_size`` is the kept diameter relative to the feature extent
     (0 keeps nothing, 2 keeps everything).  Truncation applies to the
-    materialized kernels at inference; other stages are untouched.
+    materialized kernels at inference; other stages are untouched and keep
+    any kernel spectra they hold, while the truncated stage's are not
+    copied, since its new masks make them stale.
     """
     if not 0.0 <= relative_size <= 2.0:
         raise ValueError("relative_size must lie in [0, 2]")
     if not 1 <= stage <= len(model.stages):
         raise ValueError("stage out of range")
-    out = copy.deepcopy(model)
+    stale = {
+        id(block.mixer._spectra): None
+        for block in model.stages[stage - 1]
+        if isinstance(block.mixer, GatedConvMixer) and block.mixer._spectra is not None
+    }
+    out = copy.deepcopy(model, stale)
     blocks = out.stages[stage - 1]
     fy, fx = out.config.stage_extents()[stage - 1]
     touched = False
@@ -293,6 +299,8 @@ def bench_runtime(
     for v in variants:
         if v not in BENCH_VARIANTS:
             raise ValueError(f"unknown bench variant {v!r}")
+    if len({int(e) for e in extents}) < 2:
+        raise ValueError("a slope needs at least two distinct extents")
     table = BenchTable()
     for variant in variants:
         for extent in extents:
@@ -322,6 +330,4 @@ def bench_runtime(
 
 def fit_loglog_slope(xs, ys) -> float:
     lx, ly = np.log(np.asarray(xs, dtype=np.float64)), np.log(np.asarray(ys, dtype=np.float64))
-    if len(lx) < 2:
-        return float("nan")
     return float(np.polyfit(lx, ly, 1)[0])

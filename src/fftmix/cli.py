@@ -48,13 +48,25 @@ def _load_json(path) -> dict:
 TRAIN_SECTIONS = ("model", "train", "data")
 
 
+def _model_config(model_sec: dict) -> mdl.ModelConfig:
+    """The ``model`` section as a config: a ``preset`` name with optional
+    ``input_size`` and ``num_classes``, or the config's fields themselves."""
+    if "preset" not in model_sec:
+        return mdl.config_from_dict(model_sec)
+    _strict_keys(model_sec, ("preset", "input_size", "num_classes"), "config.model")
+    preset = model_sec["preset"]
+    if not isinstance(preset, str):
+        raise ValueError("config.model.preset must be a string")
+    overrides = {k: v for k, v in model_sec.items() if k != "preset"}
+    return mdl.config_from_dict({**mdl.preset_config(preset).to_dict(), **overrides})
+
+
 def _validate_train_payload(payload: dict) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError("the config must be a JSON object")
     _strict_keys(payload, TRAIN_SECTIONS, "config")
     model_sec = dict(payload.get("model", {}))
-    if "preset" in model_sec:
-        _strict_keys(model_sec, ("preset", "input_size", "num_classes"), "config.model")
-    else:
-        mdl.config_from_dict(model_sec)
+    _model_config(model_sec)
     train_sec = dict(payload.get("train", {}))
     _strict_keys(train_sec, training.TrainConfig.__dataclass_fields__, "config.train")
     training.TrainConfig(**train_sec)
@@ -164,24 +176,16 @@ def _write_manifest(out: Path, subcommand: str, effective_config, seed: int) -> 
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _model_from_args(cfg: CliConfig):
-    model_sec = cfg.payload.get("model", {})
-    if "preset" in model_sec:
-        config = mdl.preset_config(
-            model_sec["preset"],
-            input_size=tuple(model_sec.get("input_size", (224, 224))),
-            num_classes=model_sec.get("num_classes", 1000),
-        )
-    else:
-        config = mdl.config_from_dict(model_sec)
-    return mdl.build_model(config, seed=cfg.seed)
-
-
 def _load_model(ckpt_dir) -> mdl.Model:
+    """The model a checkpoint directory holds.  A fault in its manifest's
+    config, or tensors that do not fit it, raise ``ValueError`` naming the
+    manifest."""
     manifest = hpxio.load_checkpoint_manifest(ckpt_dir)
-    config = mdl.config_from_dict(manifest["config"])
-    model = mdl.build_model(config, seed=0)
-    mdl.load_params(model, hpxio.load_checkpoint_tensors(ckpt_dir))
+    try:
+        model = mdl.build_model(mdl.config_from_dict(manifest["config"]), seed=0)
+        mdl.load_params(model, hpxio.load_checkpoint_tensors(ckpt_dir))
+    except ValueError as exc:
+        raise ValueError(f"{Path(ckpt_dir) / hpxio.CHECKPOINT_MANIFEST}: {exc}") from None
     return model
 
 
@@ -200,7 +204,7 @@ def _synthetic_images(model: mdl.Model, num: int, seed: int) -> np.ndarray:
 def _cmd_train(cfg: CliConfig) -> int:
     out = Path(cfg.args["out"])
     out.mkdir(parents=True, exist_ok=True)
-    model = _model_from_args(cfg)
+    model = mdl.build_model(_model_config(cfg.payload.get("model", {})), seed=cfg.seed)
     tconf = training.TrainConfig(**cfg.payload.get("train", {}))
     dspec = training.DatasetSpec(**cfg.payload.get("data", {}))
     history = training.train(model, dspec, tconf, out_dir=out)
@@ -214,14 +218,14 @@ def _cmd_train(cfg: CliConfig) -> int:
 
 def _cmd_model_info(cfg: CliConfig) -> int:
     if cfg.args.get("checkpoint"):
-        manifest = hpxio.load_checkpoint_manifest(cfg.args["checkpoint"])
-        config = mdl.config_from_dict(manifest["config"])
+        model = _load_model(cfg.args["checkpoint"])
     else:
         size = int(cfg.args.get("input_size") or 224)
         config = mdl.preset_config(
             cfg.args["preset"], input_size=(size, size), num_classes=int(cfg.args["num_classes"])
         )
-    model = mdl.build_model(config, seed=cfg.seed)
+        model = mdl.build_model(config, seed=cfg.seed)
+    config = model.config
     echo = json.dumps(config.to_dict(), sort_keys=True)
     print(f"config: {echo}")
     for i, (fy, fx, c) in enumerate(model.shape_ladder()):

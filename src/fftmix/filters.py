@@ -35,7 +35,6 @@ class PositionalBasis1D:
     """
 
     L_filter: int
-    K: int
     positions: np.ndarray
     features: np.ndarray
 
@@ -51,7 +50,6 @@ class PositionalBasis2D:
 
     L_x: int
     L_y: int
-    K: int
     positions: np.ndarray  # [P, 2] rows of (t_y, t_x)
     features: np.ndarray  # [P, K]
 
@@ -78,7 +76,7 @@ def build_basis_1d(L_filter: int, K: int, centered: bool = False) -> PositionalB
         phase = 2.0 * np.pi * k * t / L_filter
         feats[:, 2 * k - 1] = np.sin(phase)
         feats[:, 2 * k] = np.cos(phase)
-    return PositionalBasis1D(L_filter, K, t, feats)
+    return PositionalBasis1D(L_filter, t, feats)
 
 
 def build_basis_2d(L_x: int, L_y: int, K: int) -> PositionalBasis2D:
@@ -100,7 +98,7 @@ def build_basis_2d(L_x: int, L_y: int, K: int) -> PositionalBasis2D:
         phase_x = 2.0 * np.pi * m * positions[:, 1] / kx
         feats[:, j] = np.sin(phase_y) if j % 2 == 0 else np.cos(phase_y)
         feats[:, half + j] = np.sin(phase_x) if j % 2 == 0 else np.cos(phase_x)
-    return PositionalBasis2D(L_x, L_y, K, positions, feats)
+    return PositionalBasis2D(L_x, L_y, positions, feats)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +111,10 @@ class FilterFFN:
     """Two sine-activated hidden layers and a linear per-channel output."""
 
     weights: list  # [(W, b), ...] as Tensors
-    channels: int
+
+    @property
+    def channels(self) -> int:
+        return self.weights[-1][0].shape[1]
 
     def evaluate(self, features: np.ndarray) -> Tensor:
         h = Tensor(features)
@@ -148,7 +149,7 @@ def init_filter_ffn(
             w = rng.normal(0.0, out_std, size=(fan_in, fan_out))
         b = np.zeros(fan_out)
         weights.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
-    return FilterFFN(weights, channels)
+    return FilterFFN(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +337,9 @@ def make_implicit_filter_2d(
     channels: int,
     K: int,
     rng: np.random.Generator,
-    name: str = "filter",
 ) -> ImplicitFilter:
     """Centered 2D kernel on the (2*extent_y-1) x (2*extent_x-1) grid."""
     basis = build_basis_2d(extent_x, extent_y, K)
     ffn = init_filter_ffn(K, 2 * K, channels, basis.features.shape[0], rng)
     window = init_window_params(channels, max(extent_x, extent_y), "radial2d", rng)
-    return ImplicitFilter(basis, ffn, window, name)
+    return ImplicitFilter(basis, ffn, window)

@@ -112,11 +112,27 @@ def save_checkpoint(out_dir, config_dict: dict, named_params) -> Path:
 
 
 def load_checkpoint_manifest(ckpt_dir) -> dict:
+    """The checkpoint's manifest, checked for shape: a JSON object with the
+    format tag, a ``config`` object, and ``tensors`` mapping each parameter
+    name to the name of a file that exists directly inside ``ckpt_dir``."""
     path = Path(ckpt_dir) / CHECKPOINT_MANIFEST
     with open(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "fftmix-checkpoint-v1":
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "fftmix-checkpoint-v1":
         raise ValueError(f"{path}: not a checkpoint manifest")
+    if not isinstance(manifest.get("config"), dict):
+        raise ValueError(f"{path}: 'config' must be an object")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict) or not all(
+        isinstance(f, str) and f not in ("", "..") and Path(f).name == f for f in tensors.values()
+    ):
+        raise ValueError(f"{path}: 'tensors' must map names to file names in {ckpt_dir}")
+    missing = sorted(f for f in set(tensors.values()) if not (Path(ckpt_dir) / f).is_file())
+    if missing:
+        raise ValueError(f"{path}: missing tensor files {missing[:3]}")
     return manifest
 
 

@@ -2,15 +2,16 @@
 
 All gated variants share one recipe: project the input to three chunks
 (query, key, value) with a pointwise layer and a depthwise short
-convolution, convolve q*k with a long implicitly parameterized kernel, and
-gate the result with v.  They differ only in how the long convolution reads
-the sequence:
+convolution of 3 taps (1D variants) or 5x5 taps (2D variants), convolve q*k
+with a long implicitly parameterized kernel, and gate the result with v.
+They differ only in how the long convolution reads the sequence:
 
 * ``causal``        - kernel over offsets 0..L-1, outputs never see the future
 * ``bidirectional`` - centered kernel over offsets -(L-1)..L-1, full coverage
 * ``global2d``      - centered 2D kernel spanning (2Ly-1) x (2Lx-1)
 * ``separable2d``   - horizontal then vertical centered 1D kernels
-* ``local``         - pointwise expand, 7x7 depthwise, activation, contract
+* ``local``         - pointwise expand to 2C, 7x7 depthwise, activation,
+  contract back to C (``EXPAND_RATIO``, ``LOCAL_KERNEL``)
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
 axes.  Only the centered variants use the FFT: they zero-pad every
@@ -43,6 +44,8 @@ from .numerics import Tensor
 MIXER_VARIANTS = ("causal", "bidirectional", "global2d", "separable2d", "local")
 _VARIANTS_1D = ("causal", "bidirectional")
 _VARIANTS_2D = ("global2d", "separable2d", "local")
+LOCAL_KERNEL = 7  # side of the local mixer's depthwise kernel
+EXPAND_RATIO = 2  # the local mixer's hidden width over its channel count
 
 
 @dataclass
@@ -58,9 +61,6 @@ class MixerConfig:
     channels: int
     extent: int | tuple[int, int]
     embed_dim: int = 8
-    short_conv_size: int = 0  # 0 picks the default: 3 for 1D, 5 for 2D
-    local_kernel: int = 7
-    expand_ratio: int = 2
 
     def __post_init__(self):
         if self.variant not in MIXER_VARIANTS:
@@ -73,8 +73,6 @@ class MixerConfig:
                 raise ValueError("extent smaller than 1")
         elif int(self.extent) < 1:
             raise ValueError("extent smaller than 1")
-        if self.short_conv_size == 0:
-            self.short_conv_size = 5 if self.is_2d else 3
 
     @property
     def is_2d(self) -> bool:
@@ -94,7 +92,7 @@ class MixerConfig:
         if self.variant == "bidirectional":
             return 2 * int(self.extent) - 1
         if self.variant == "local":
-            return (self.local_kernel, self.local_kernel)
+            return (LOCAL_KERNEL, LOCAL_KERNEL)
         ey, ex = self.extents
         return (2 * ey - 1, 2 * ex - 1)
 
@@ -134,15 +132,13 @@ def _causal_offsets(taps: int) -> list:
 
 
 def _short_conv_offsets(config: MixerConfig) -> tuple[list, tuple[int, ...]]:
-    size = config.short_conv_size
+    """Taps of the depthwise short convolution: 5x5 centered for 2D
+    variants, 3 centered for bidirectional, the last 3 for causal."""
     if config.is_2d:
-        half = size // 2
-        offs = [(dy, dx) for dy in range(-half, size - half) for dx in range(-half, size - half)]
-        return offs, (-3, -2)
+        return [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)], (-3, -2)
     if config.variant == "causal":
-        return _causal_offsets(size), (-2,)
-    half = size // 2
-    return [(t,) for t in range(-half, size - half)], (-2,)
+        return _causal_offsets(3), (-2,)
+    return [(t,) for t in range(-1, 2)], (-2,)
 
 
 def init_gate_projection(config: MixerConfig, rng: np.random.Generator) -> GateProjection:
@@ -372,8 +368,8 @@ class LocalConvMixer:
             raise ValueError("LocalConvMixer requires the local variant")
         self.config = config
         c = config.channels
-        wide = config.expand_ratio * c
-        kk = config.local_kernel
+        wide = EXPAND_RATIO * c
+        kk = LOCAL_KERNEL
         half = kk // 2
         self.offsets = [
             (dy, dx) for dy in range(-half, kk - half) for dx in range(-half, kk - half)

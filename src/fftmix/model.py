@@ -3,8 +3,9 @@
 The layout follows the MetaFormer template: an overlapping patch stem
 (kernel 7, stride 4), four stages of [norm -> mixer -> residual,
 norm -> FFN -> residual] blocks with overlapping downsampling between
-stages (kernel 3, stride 2), StarReLU activations, learnable residual
-branch scales in the last two stages, and a mean-pooled MLP head.
+stages (kernel 3, stride 2), StarReLU activations, an FFN of expansion 4,
+learnable residual branch scales in the last two stages, and a mean-pooled
+MLP head of hidden ratio 4.  These are fixed constants, not config fields.
 
 1D mixers see the feature map flattened row-major to a length F*F
 sequence; 2D mixers see it as is.
@@ -23,6 +24,9 @@ from .numerics import Tensor
 STEM_KERNEL, STEM_STRIDE, STEM_PAD = 7, 4, 2
 DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD = 3, 2, 1
 LN_EPS = 1e-6
+FFN_EXPANSION = 4
+RES_SCALE_STAGES = (3, 4)  # 1-indexed stages whose blocks scale their residual branches
+HEAD_HIDDEN_RATIO = 4
 
 SIZE_PRESETS = {
     "s4": (1, 1, 1, 1),
@@ -44,11 +48,8 @@ class ModelConfig:
     stage_blocks: tuple = (3, 3, 9, 3)
     mixer_layout: tuple = LAYOUT_PRESETS["hpx"]
     embed_dims: tuple = DEFAULT_EMBED_DIMS
-    ffn_expansion: int = 4
     num_classes: int = 1000
-    res_scale_stages: tuple = (3, 4)  # 1-indexed
     input_size: tuple = (224, 224)
-    head_hidden_ratio: int = 4  # 0 selects a single linear head
 
     def __post_init__(self):
         n = len(self.stage_channels)
@@ -80,12 +81,44 @@ class ModelConfig:
         return asdict(self)
 
 
+# Keys that configs once held; a manifest may still hold them at these values.
+_RETIRED_KEYS = {
+    "ffn_expansion": FFN_EXPANSION,
+    "res_scale_stages": RES_SCALE_STAGES,
+    "head_hidden_ratio": HEAD_HIDDEN_RATIO,
+}
+
+
+def _typed_value(key: str, value, like):
+    """``value`` checked against ``like``, the key's default: the same
+    scalar type, or a list or tuple of that many items of its item type."""
+    if isinstance(like, tuple):
+        kind = type(like[0])
+        if not (
+            isinstance(value, (list, tuple))
+            and len(value) == len(like)
+            and all(type(v) is kind for v in value)
+        ):
+            raise ValueError(f"config key {key!r} must hold {len(like)} values of type {kind.__name__}")
+        return tuple(value)
+    if type(value) is not type(like):
+        raise ValueError(f"config key {key!r} must be of type {type(like).__name__}")
+    return value
+
+
 def config_from_dict(d: dict) -> ModelConfig:
-    known = {f for f in ModelConfig.__dataclass_fields__}
-    unknown = set(d) - known
+    """Config from a dict such as ``to_dict`` writes; a missing key takes its
+    default, and an unknown or wrongly typed one raises ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError("a model config must be a JSON object")
+    fields = ModelConfig.__dataclass_fields__
+    unknown = set(d) - set(fields) - set(_RETIRED_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    for key, fixed in _RETIRED_KEYS.items():
+        if key in d and _typed_value(key, d[key], fixed) != fixed:
+            raise ValueError(f"config key {key!r} is fixed at {fixed}, got {d[key]}")
+    kwargs = {k: _typed_value(k, v, fields[k].default) for k, v in d.items() if k in fields}
     return ModelConfig(**kwargs)
 
 
@@ -128,7 +161,6 @@ def micro_config(variant: str = "global2d", num_classes: int = 4) -> ModelConfig
 class LayerNormParams:
     gamma: Tensor
     beta: Tensor
-    eps: float = LN_EPS
 
     def parameters(self):
         return [("g", self.gamma), ("b", self.beta)]
@@ -141,14 +173,12 @@ def init_layer_norm(channels: int) -> LayerNormParams:
     )
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-position channel normalization to zero mean/unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     mu = nx.mean(x, axis=-1, keepdims=True)
     centered = nx.sub(x, mu)
     var = nx.mean(nx.square(centered), axis=-1, keepdims=True)
-    inv = nx.div(1.0, nx.sqrt(nx.add(var, eps)))
+    inv = nx.div(1.0, nx.sqrt(nx.add(var, LN_EPS)))
     return nx.add(nx.mul(nx.mul(centered, inv), gamma), beta)
 
 
@@ -167,7 +197,7 @@ class ConvNormLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         y = nx.strided_conv2d(x, self.weight, self.bias, self.stride, self.padding)
-        return layer_norm(y, self.norm.gamma, self.norm.beta, self.norm.eps)
+        return layer_norm(y, self.norm.gamma, self.norm.beta)
 
     __call__ = forward
 
@@ -195,8 +225,8 @@ def downsample(x: Tensor, layer: ConvNormLayer) -> Tensor:
 
 
 class FeedForward:
-    def __init__(self, channels: int, expansion: int, rng):
-        wide = channels * expansion
+    def __init__(self, channels: int, rng):
+        wide = channels * FFN_EXPANSION
         self.w1 = Tensor(rng.normal(0, 1 / np.sqrt(channels), (channels, wide)), requires_grad=True)
         self.b1 = Tensor(np.zeros(wide), requires_grad=True)
         self.act = init_star_relu()
@@ -222,11 +252,11 @@ class FeedForward:
 class Block:
     """norm -> mixer -> scaled residual, norm -> FFN -> scaled residual."""
 
-    def __init__(self, channels, mixer_cfg: MixerConfig, ffn_expansion, use_res_scale, rng):
+    def __init__(self, channels, mixer_cfg: MixerConfig, use_res_scale, rng):
         self.norm1 = init_layer_norm(channels)
         self.mixer = build_mixer(mixer_cfg, rng)
         self.norm2 = init_layer_norm(channels)
-        self.ffn = FeedForward(channels, ffn_expansion, rng)
+        self.ffn = FeedForward(channels, rng)
         self.mixer_is_1d = not mixer_cfg.is_2d
         if use_res_scale:
             self.res_scale1 = Tensor(np.ones(channels), requires_grad=True)
@@ -244,11 +274,11 @@ class Block:
         return nx.reshape(self.mixer(flat), x.shape)
 
     def forward(self, x: Tensor) -> Tensor:
-        branch = self._mix(layer_norm(x, self.norm1.gamma, self.norm1.beta, self.norm1.eps))
+        branch = self._mix(layer_norm(x, self.norm1.gamma, self.norm1.beta))
         if self.res_scale1 is not None:
             branch = nx.mul(branch, self.res_scale1)
         u = nx.add(x, branch)
-        branch = self.ffn(layer_norm(u, self.norm2.gamma, self.norm2.beta, self.norm2.eps))
+        branch = self.ffn(layer_norm(u, self.norm2.gamma, self.norm2.beta))
         if self.res_scale2 is not None:
             branch = nx.mul(branch, self.res_scale2)
         return nx.add(u, branch)
@@ -280,32 +310,22 @@ class Model:
         self.downsamples: list[ConvNormLayer] = []
         for s in range(4):
             mixer_cfg = config.mixer_config(s)
-            use_rs = (s + 1) in config.res_scale_stages
-            blocks = [
-                Block(chans[s], mixer_cfg, config.ffn_expansion, use_rs, rng)
-                for _ in range(config.stage_blocks[s])
-            ]
+            use_rs = (s + 1) in RES_SCALE_STAGES
+            blocks = [Block(chans[s], mixer_cfg, use_rs, rng) for _ in range(config.stage_blocks[s])]
             self.stages.append(blocks)
             if s < 3:
                 self.downsamples.append(
                     ConvNormLayer(chans[s], chans[s + 1], DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, rng)
                 )
         self.final_norm = init_layer_norm(chans[-1])
-        self.head_hidden = config.head_hidden_ratio * chans[-1] if config.head_hidden_ratio else 0
-        if self.head_hidden:
-            self.head_w1 = Tensor(
-                rng.normal(0, 1 / np.sqrt(chans[-1]), (chans[-1], self.head_hidden)),
-                requires_grad=True,
-            )
-            self.head_b1 = Tensor(np.zeros(self.head_hidden), requires_grad=True)
-            self.head_act = init_star_relu()
-            self.head_norm = init_layer_norm(self.head_hidden)
-            fc_in = self.head_hidden
-        else:
-            fc_in = chans[-1]
-        self.head_w2 = Tensor(
-            rng.normal(0, 0.02, (fc_in, config.num_classes)), requires_grad=True
+        hidden = HEAD_HIDDEN_RATIO * chans[-1]
+        self.head_w1 = Tensor(
+            rng.normal(0, 1 / np.sqrt(chans[-1]), (chans[-1], hidden)), requires_grad=True
         )
+        self.head_b1 = Tensor(np.zeros(hidden), requires_grad=True)
+        self.head_act = init_star_relu()
+        self.head_norm = init_layer_norm(hidden)
+        self.head_w2 = Tensor(rng.normal(0, 0.02, (hidden, config.num_classes)), requires_grad=True)
         self.head_b2 = Tensor(np.zeros(config.num_classes), requires_grad=True)
 
     # -- forward ------------------------------------------------------------
@@ -328,11 +348,10 @@ class Model:
         return x
 
     def head(self, feats: Tensor) -> Tensor:
-        x = layer_norm(feats, self.final_norm.gamma, self.final_norm.beta, self.final_norm.eps)
+        x = layer_norm(feats, self.final_norm.gamma, self.final_norm.beta)
         x = nx.mean(x, axis=(-3, -2))
-        if self.head_hidden:
-            x = star_relu(nx.linear(x, self.head_w1, self.head_b1), self.head_act)
-            x = layer_norm(x, self.head_norm.gamma, self.head_norm.beta, self.head_norm.eps)
+        x = star_relu(nx.linear(x, self.head_w1, self.head_b1), self.head_act)
+        x = layer_norm(x, self.head_norm.gamma, self.head_norm.beta)
         return nx.linear(x, self.head_w2, self.head_b2)
 
     def forward(self, images: Tensor) -> Tensor:
@@ -350,14 +369,14 @@ class Model:
             if s < 3:
                 out += [(f"down{s + 1}.{n}", t) for n, t in self.downsamples[s].parameters()]
         out += [(f"final_norm.{n}", t) for n, t in self.final_norm.parameters()]
-        if self.head_hidden:
-            out += [
-                ("head.w1", self.head_w1),
-                ("head.b1", self.head_b1),
-                *[(f"head.{n}", t) for n, t in self.head_act.parameters()],
-                *[(f"head.norm.{n}", t) for n, t in self.head_norm.parameters()],
-            ]
-        out += [("head.w2", self.head_w2), ("head.b2", self.head_b2)]
+        out += [
+            ("head.w1", self.head_w1),
+            ("head.b1", self.head_b1),
+            *[(f"head.{n}", t) for n, t in self.head_act.parameters()],
+            *[(f"head.norm.{n}", t) for n, t in self.head_norm.parameters()],
+            ("head.w2", self.head_w2),
+            ("head.b2", self.head_b2),
+        ]
         return out
 
     def parameter_tensors(self) -> list[Tensor]:

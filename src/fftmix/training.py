@@ -21,6 +21,9 @@ from . import numerics as nx
 from .model import Model
 from .numerics import GradTape, Tensor
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -130,16 +133,15 @@ def adamw_step(
     grads: list[np.ndarray],
     state: dict,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> dict:
-    """One decoupled-weight-decay Adam update with bias correction.
+    """One decoupled-weight-decay Adam update with bias correction, with
+    ``ADAM_BETAS`` and ``ADAM_EPS``.
 
     Decay multiplies parameters by (1 - lr*wd) before the moment update, so
     with wd = 0 the trajectory is exactly plain Adam.
     """
-    beta1, beta2 = betas
+    beta1, beta2 = ADAM_BETAS
     state["step"] += 1
     t = state["step"]
     c1 = 1.0 - beta1**t
@@ -154,7 +156,7 @@ def adamw_step(
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.data -= lr * update
     return state
 
@@ -199,14 +201,24 @@ def synthetic_quadrant_dataset(spec: DatasetSpec):
 
 
 def directory_dataset(spec: DatasetSpec):
-    """Load HPX1 images from <path>/{train,val}/<class>/*.hpx1."""
+    """Load HPX1 images from <path>/{train,val}/<class>/*.hpx1.
+
+    Labels index the sorted class folders of ``train``; ``val`` must hold
+    the same folders, so that a label means the same class in both splits.
+    """
     root = Path(spec.path)
     splits = []
     for split in ("train", "val"):
         base = root / split
-        classes = sorted(p.name for p in base.iterdir() if p.is_dir())
-        if not classes:
+        found = sorted(p.name for p in base.iterdir() if p.is_dir())
+        if not found:
             raise ValueError(f"no class directories under {base}")
+        if split == "train":
+            classes = found
+        elif found != classes:
+            raise ValueError(
+                f"class directories under {base} {found} differ from train's {classes}"
+            )
         xs, ys = [], []
         for ci, cname in enumerate(classes):
             for f in sorted((base / cname).glob("*.hpx1")):

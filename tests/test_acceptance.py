@@ -146,7 +146,7 @@ def test_criterion_3_gradient_suite():
         probe = Tensor(rng.normal(size=(7, 2)))
 
         def f_filter(w0, b0, w1, b1, w2, b2, alpha, bias):
-            f2 = flt.FilterFFN([(w0, b0), (w1, b1), (w2, b2)], 2)
+            f2 = flt.FilterFFN([(w0, b0), (w1, b1), (w2, b2)])
             win2 = flt.WindowParams(alpha, bias, "bidirectional")
             return nx.tensor_sum(nx.mul(nx.square(flt.materialize_filter(basis, f2, win2)), probe))
 
@@ -180,7 +180,7 @@ def test_criterion_3_gradient_suite():
 
         # one full block at 6x6x8
         bcfg = mx.MixerConfig("global2d", 8, (6, 6), embed_dim=4)
-        block = mdl.Block(8, bcfg, 4, True, np.random.default_rng(5))
+        block = mdl.Block(8, bcfg, True, np.random.default_rng(5))
         xb = Tensor(rng.normal(size=(6, 6, 8)))
         err = grad_check(lambda xx: nx.tensor_sum(nx.square(block(xx))), [xb])
         assert err < 1e-4, f"block {err}"

@@ -30,7 +30,7 @@ class StemPlusBlock:
         f = input_size // 4
         extent = f * f if variant in ("causal", "bidirectional") else (f, f)
         cfg = mx.MixerConfig(variant, channels, extent, embed_dim=4)
-        self.block = mdl.Block(channels, cfg, 4, False, rng)
+        self.block = mdl.Block(channels, cfg, False, rng)
 
     def features(self, images):
         return self.block(self.stem(images))
@@ -177,7 +177,7 @@ class TestTruncate:
         expected = block(x).data
         # With the mixer silenced the block is x + FFN(LN(x)).
         u = x
-        branch = block.ffn(mdl.layer_norm(u, block.norm2.gamma, block.norm2.beta, block.norm2.eps))
+        branch = block.ffn(mdl.layer_norm(u, block.norm2.gamma, block.norm2.beta))
         manual = (u.data + branch.data)
         assert np.abs(expected - manual).max() < 1e-12
 
@@ -186,6 +186,18 @@ class TestTruncate:
         truncated = an.truncate_kernels(model, 3, 0.5)
         for s in (0, 1, 3):
             assert truncated.stages[s][0].mixer.kernel_masks == [None]
+
+    def test_copy_drops_only_the_truncated_stage_spectra(self, rng):
+        model = mdl.build_model(mdl.micro_config("global2d"), seed=0)
+        cold = an.truncate_kernels(model, 2, 0.5)
+        x = Tensor(rng.normal(size=(1, 32, 32, 3)))
+        model(x)  # a tape-free pass fills every mixer's kernel spectra
+        warm = an.truncate_kernels(model, 2, 0.5)
+        assert warm.stages[1][0].mixer._spectra is None
+        for s in (0, 2, 3):
+            kept = warm.stages[s][0].mixer._spectra
+            assert kept is not None and kept is not model.stages[s][0].mixer._spectra
+        assert np.array_equal(warm(x).data, cold(x).data)
 
     def test_validation(self):
         model = mdl.build_model(mdl.micro_config("global2d"), seed=0)
@@ -246,6 +258,9 @@ class TestBench:
             an.bench_runtime(["global2d"], [8], repeats=3)
         with pytest.raises(ValueError):
             an.bench_runtime(["attention"], [8], repeats=5)
+        for extents in ([8], [8, 8]):  # a slope needs two distinct points
+            with pytest.raises(ValueError, match="two distinct extents"):
+                an.bench_runtime(["global2d"], extents, repeats=5)
 
     def test_dense_reference_matches_fft_conv(self, rng):
         f, c = 6, 3

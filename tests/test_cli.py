@@ -1,9 +1,12 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from fftmix import cli, hpxio
+from fftmix import model as mdl
 
 
 MICRO_MODEL = {
@@ -84,6 +87,26 @@ class TestParse:
             with pytest.raises(SystemExit) as exc:
                 cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
             assert exc.value.code == 2, train
+
+    def test_invalid_model_sections_exit_2(self, tmp_path):
+        for model in (
+            {"preset": "hpx-s4", "input_size": 33},
+            {"preset": "hpx-s4", "input_size": [48, 48]},
+            {"preset": "nope-s4"},
+            {"preset": 5},
+            {**MICRO_MODEL, "stage_channels": 5},
+        ):
+            cfg = write_config(tmp_path, model=model)
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
+            assert exc.value.code == 2, model
+
+    def test_non_object_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_empty_split_exits_1(self, tmp_path, capsys):
         data = {"train_size": 32, "val_size": 0, "image_size": 32, "num_classes": 4, "seed": 1}
@@ -219,6 +242,14 @@ class TestSubcommands:
         slopes = json.loads((out / "slopes.json").read_text())
         assert set(slopes) == {"global2d", "local"}
 
+    def test_bench_needs_two_distinct_extents(self, tmp_path, capsys):
+        for extents in ("8", "8,8"):
+            out = tmp_path / f"bench{extents}"
+            code = cli.main(["bench", "--variants", "global2d", "--extents", extents, "--out", str(out)])
+            assert code == 1, extents
+            assert "two distinct extents" in capsys.readouterr().err
+            assert not (out / "slopes.json").exists()
+
     def test_filters_dump(self, trained_run, tmp_path):
         out = tmp_path / "filt"
         code = cli.main(["filters", "dump", "--model", str(trained_run / "checkpoint"), "--out", str(out)])
@@ -239,6 +270,95 @@ class TestSubcommands:
         out = tmp_path / "cov2"
         cli.main(["coverage", "--model", str(trained_run / "checkpoint"), "--out", str(out)])
         assert list(workdir.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    model = mdl.build_model(mdl.config_from_dict(MICRO_MODEL), seed=0)
+    return hpxio.save_checkpoint(
+        tmp_path_factory.mktemp("ckpt") / "checkpoint", model.config.to_dict(), model.parameters()
+    )
+
+
+def copy_checkpoint(src, dst, manifest_text):
+    """``src`` with its manifest replaced by ``manifest_text``."""
+    shutil.copytree(src, dst)
+    (dst / hpxio.CHECKPOINT_MANIFEST).write_text(manifest_text)
+    return dst
+
+
+class TestCheckpointManifest:
+    def test_retired_config_keys_load_at_their_fixed_values(self, micro_checkpoint, tmp_path, capsys):
+        manifest = json.loads((micro_checkpoint / hpxio.CHECKPOINT_MANIFEST).read_text())
+        manifest["config"].update(ffn_expansion=4, res_scale_stages=[3, 4], head_hidden_ratio=4)
+        ckpt = copy_checkpoint(micro_checkpoint, tmp_path / "old", json.dumps(manifest))
+        assert cli.main(["model", "info", "--checkpoint", str(ckpt)]) == 0
+        code = cli.main(["erf", "--model", str(ckpt), "--num", "1", "--out", str(tmp_path / "erf")])
+        assert code == 0
+        manifest["config"]["head_hidden_ratio"] = 0
+        ckpt = copy_checkpoint(micro_checkpoint, tmp_path / "linear", json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["model", "info", "--checkpoint", str(ckpt)]) == 1
+        assert "head_hidden_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: [m],
+            lambda m: {**m, "config": {"stage_channels": 5}},
+            lambda m: {**m, "config": {"input_size": "ab"}},
+            lambda m: {k: v for k, v in m.items() if k != "config"},
+            lambda m: {k: v for k, v in m.items() if k != "tensors"},
+            lambda m: {**m, "tensors": 5},
+            lambda m: {**m, "tensors": {**m["tensors"], "head.w2": "../t0000.hpx1"}},
+        ],
+        ids=[
+            "array", "channels-int", "input-size-str", "no-config", "no-tensors",
+            "tensors-int", "tensor-outside-dir",
+        ],
+    )
+    def test_malformed_manifest_exits_1_naming_it(self, micro_checkpoint, tmp_path, capsys, edit):
+        manifest = json.loads((micro_checkpoint / hpxio.CHECKPOINT_MANIFEST).read_text())
+        ckpt = copy_checkpoint(micro_checkpoint, tmp_path / "ckpt", json.dumps(edit(manifest)))
+        for argv in (
+            ["model", "info", "--checkpoint", str(ckpt)],
+            ["erf", "--model", str(ckpt), "--num", "1", "--out", str(tmp_path / "erf")],
+        ):
+            assert cli.main(argv) == 1, argv
+            assert f"error: {ckpt / hpxio.CHECKPOINT_MANIFEST}: " in capsys.readouterr().err
+
+    def test_fuzzed_manifests_raise_value_error_naming_the_file(self, micro_checkpoint, tmp_path):
+        """Random, truncated and wrongly typed manifests each raise a
+        ``ValueError`` that names the manifest, and the CLI exits 1."""
+        rng = np.random.default_rng(17)
+        text = (micro_checkpoint / hpxio.CHECKPOINT_MANIFEST).read_text()
+        good = json.loads(text)
+        tag = good["format"]
+        wrong = [None, True, 0, 1.5, "ab", [], ["x"], [1.5, 2.5], {"a": 1}]
+        documents = wrong + [{}, {"format": tag}, {"format": tag, "config": good["config"]}]
+        bad_names = ["", "..", "../t0000.hpx1", "sub/t0000.hpx1", "/t0000.hpx1"]
+        ckpt = copy_checkpoint(micro_checkpoint, tmp_path / "ckpt", text)
+        path = ckpt / hpxio.CHECKPOINT_MANIFEST
+        for case in range(300):
+            kind = case % 3
+            if kind == 0:  # a random JSON document
+                raw = json.dumps(documents[rng.integers(len(documents))])
+            elif kind == 1:  # truncated
+                raw = text[: rng.integers(len(text))]
+            else:  # one value replaced by a value of the wrong type, or dropped
+                manifest = json.loads(text)
+                where = [manifest, manifest["config"], manifest["tensors"]][rng.integers(3)]
+                key = list(where)[rng.integers(len(where))]
+                pool = wrong + bad_names if where is manifest["tensors"] else wrong
+                if where is manifest and rng.integers(4) == 0:
+                    del manifest[key]
+                else:
+                    where[key] = pool[rng.integers(len(pool))]
+                raw = json.dumps(manifest)
+            path.write_text(raw)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                cli._load_model(ckpt)
+            assert cli.main(["model", "info", "--checkpoint", str(ckpt)]) == 1, raw[:80]
 
 
 class TestHpx1Format:

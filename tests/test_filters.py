@@ -177,7 +177,7 @@ class TestMaterialize:
         probe = Tensor(rng.normal(size=(7, 2)))
 
         def f(w0, b0, w1, b1, w2, b2, alpha, bias):
-            ffn2 = flt.FilterFFN([(w0, b0), (w1, b1), (w2, b2)], 2)
+            ffn2 = flt.FilterFFN([(w0, b0), (w1, b1), (w2, b2)])
             win2 = flt.WindowParams(alpha, bias, "bidirectional")
             k = flt.materialize_filter(basis, ffn2, win2)
             return nx.tensor_sum(nx.mul(nx.square(k), probe))

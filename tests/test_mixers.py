@@ -320,11 +320,11 @@ class TestSeparable:
 
 class TestLocal:
     def test_impulse_depthwise_is_pointwise_activation(self, rng):
-        cfg = mx.MixerConfig("local", channels=3, extent=(5, 5), embed_dim=2, expand_ratio=1)
+        cfg = mx.MixerConfig("local", channels=3, extent=(5, 5), embed_dim=2)
         mixer = mx.LocalConvMixer(cfg, rng)
-        mixer.expand_w.data[:] = np.eye(3)
+        mixer.expand_w.data[:] = np.eye(3, 6)
         mixer.expand_b.data[:] = 0.0
-        mixer.contract_w.data[:] = np.eye(3)
+        mixer.contract_w.data[:] = np.eye(6, 3)
         mixer.contract_b.data[:] = 0.0
         mixer.depthwise_w.data[:] = 0.0
         mixer.depthwise_w.data[mixer.offsets.index((0, 0))] = 1.0

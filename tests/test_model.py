@@ -57,10 +57,6 @@ class TestLayerNorm:
         inputs = [Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))]
         assert grad_check(f, inputs) < 1e-5
 
-    def test_eps_validation(self, rng):
-        with pytest.raises(ValueError):
-            mdl.layer_norm(Tensor(rng.normal(size=(2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0)
-
 
 class TestStemAndMerge:
     def test_stem_224_gives_56(self, rng):
@@ -106,7 +102,7 @@ class TestStemAndMerge:
 class TestBlock:
     def _block(self, rng, channels=6, extent=5, use_rs=True):
         cfg = mx.MixerConfig("global2d", channels, (extent, extent), embed_dim=4)
-        return mdl.Block(channels, cfg, 4, use_rs, rng)
+        return mdl.Block(channels, cfg, use_rs, rng)
 
     def test_zeroed_branches_identity(self, rng):
         block = self._block(rng)
@@ -131,7 +127,7 @@ class TestBlock:
 
     def test_gradient_through_block(self, rng):
         cfg = mx.MixerConfig("global2d", 8, (6, 6), embed_dim=4)
-        block = mdl.Block(8, cfg, 4, True, rng)
+        block = mdl.Block(8, cfg, True, rng)
         x = Tensor(rng.normal(size=(6, 6, 8)))
 
         def f(xx):
@@ -206,6 +202,40 @@ class TestBuildModel:
         d["dropout"] = 0.5
         with pytest.raises(ValueError):
             mdl.config_from_dict(d)
+
+    def test_retired_keys_load_only_at_their_fixed_values(self):
+        legacy = {
+            **mdl.micro_config().to_dict(),
+            "ffn_expansion": 4,
+            "res_scale_stages": [3, 4],
+            "head_hidden_ratio": 4,
+        }
+        assert mdl.config_from_dict(legacy) == mdl.micro_config()
+        for key, value in [
+            ("ffn_expansion", 2),
+            ("res_scale_stages", [4]),
+            ("res_scale_stages", [3.0, 4.0]),
+            ("head_hidden_ratio", 0),
+            ("head_hidden_ratio", True),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                mdl.config_from_dict({**legacy, key: value})
+
+    def test_wrongly_typed_values_rejected(self):
+        for key, value in [
+            ("stage_channels", 5),
+            ("stage_channels", [8, 8, 8]),
+            ("stage_blocks", [1, 1, 1, 1.5]),
+            ("mixer_layout", [1, 2, 3, 4]),
+            ("input_size", "ab"),
+            ("input_size", [32, 32, 32]),
+            ("num_classes", "4"),
+            ("num_classes", None),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                mdl.config_from_dict({**mdl.micro_config().to_dict(), key: value})
+        with pytest.raises(ValueError):
+            mdl.config_from_dict([["num_classes", 4]])
 
 
 class TestForward:

@@ -1,9 +1,11 @@
 import gc
+import shutil
 import weakref
 
 import numpy as np
 import pytest
 
+from fftmix import hpxio
 from fftmix import model as mdl
 from fftmix import training as tr
 from fftmix.numerics import GradTape, Tensor
@@ -101,7 +103,7 @@ class TestAdamW:
         g = 0.37
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = tr.init_adamw_state([p])
-        tr.adamw_step([p], [np.array([g])], state, lr=0.01, eps=1e-8, weight_decay=0.0)
+        tr.adamw_step([p], [np.array([g])], state, lr=0.01, weight_decay=0.0)
         expected = 1.0 - 0.01 * g / (abs(g) + 1e-8)
         assert abs(p.data[0] - expected) < 1e-14
 
@@ -172,6 +174,23 @@ class TestSyntheticData:
     def test_directory_source_requires_path(self):
         with pytest.raises(ValueError):
             tr.DatasetSpec(source="directory")
+
+    def test_directory_labels_follow_train_classes(self, tmp_path):
+        def write_split(split, classes):
+            for c in classes:
+                (tmp_path / split / c).mkdir(parents=True)
+                # Each image is filled with its class's index in "abcd".
+                hpxio.write_hpx1(tmp_path / split / c / "0.hpx1", np.full((4, 4, 3), "abcd".index(c), float))
+
+        write_split("train", "abcd")
+        write_split("val", "abcd")
+        spec = tr.DatasetSpec(source="directory", path=str(tmp_path))
+        _, ty, vx, vy = tr.load_dataset(spec)
+        assert list(ty) == [0, 1, 2, 3]
+        assert np.array_equal(vx[:, 0, 0, 0], vy)
+        shutil.rmtree(tmp_path / "val" / "b")  # val's c must not take b's label
+        with pytest.raises(ValueError, match="differ from train"):
+            tr.load_dataset(spec)
 
 
 class TestTrainLoop:
