@@ -68,7 +68,9 @@ def erf_map(model, images) -> ERFMap:
     For every image, backpropagates from the channel sum at the center
     position of the final pre-pool feature map and accumulates the absolute
     input gradients summed over color channels; the average is then
-    max-normalized to [0, 1].
+    max-normalized to [0, 1].  The tape tracks the image alone, so the
+    parameters are constants and the long-convolution mixers convolve with
+    their cached kernel spectra.
     """
     arr = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
     if arr.ndim != 4:
@@ -78,8 +80,8 @@ def erf_map(model, images) -> ERFMap:
         raise ValueError("need at least one image")
     acc = np.zeros(arr.shape[1:3])
     for i in range(n):
-        img = Tensor(arr[i : i + 1], requires_grad=True)
-        with GradTape() as tape:
+        img = Tensor(arr[i : i + 1])
+        with GradTape([img]) as tape:
             feats = model.features(img)
             if feats.ndim != 4 or feats.shape[1] < 1 or feats.shape[2] < 1:
                 raise ValueError("model has no spatial output")

@@ -176,14 +176,23 @@ def _write_manifest(out: Path, subcommand: str, effective_config, seed: int) -> 
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _out_dir(cfg: CliConfig) -> Path:
+    """The ``--out`` directory, created.  Commands call this once their
+    inputs are checked, so a run that fails on them leaves no directory."""
+    out = Path(cfg.args["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load_model(ckpt_dir) -> mdl.Model:
-    """The model a checkpoint directory holds.  A fault in its manifest's
-    config, or tensors that do not fit it, raise ``ValueError`` naming the
-    manifest."""
+    """The model a checkpoint directory holds, its manifest read once.  A
+    fault in the manifest's config, or tensors that do not fit it, raise
+    ``ValueError`` naming the manifest."""
     manifest = hpxio.load_checkpoint_manifest(ckpt_dir)
     try:
         model = mdl.build_model(mdl.config_from_dict(manifest["config"]), seed=0)
-        mdl.load_params(model, hpxio.load_checkpoint_tensors(ckpt_dir))
+        tensors = {n: hpxio.read_hpx1(Path(ckpt_dir) / f) for n, f in manifest["tensors"].items()}
+        mdl.load_params(model, tensors)
     except ValueError as exc:
         raise ValueError(f"{Path(ckpt_dir) / hpxio.CHECKPOINT_MANIFEST}: {exc}") from None
     return model
@@ -202,8 +211,7 @@ def _synthetic_images(model: mdl.Model, num: int, seed: int) -> np.ndarray:
 
 
 def _cmd_train(cfg: CliConfig) -> int:
-    out = Path(cfg.args["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.args["out"])  # ``train`` creates it when training is done
     model = mdl.build_model(_model_config(cfg.payload.get("model", {})), seed=cfg.seed)
     tconf = training.TrainConfig(**cfg.payload.get("train", {}))
     dspec = training.DatasetSpec(**cfg.payload.get("data", {}))
@@ -233,15 +241,11 @@ def _cmd_model_info(cfg: CliConfig) -> int:
         print(f"stage {i + 1}: {fy}x{fx} x{c} ({variant}, {config.stage_blocks[i]} blocks)")
     print(f"params: {mdl.count_params(model)}")
     if cfg.args.get("out"):
-        out = Path(cfg.args["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out, "model info", config.to_dict(), cfg.seed)
+        _write_manifest(_out_dir(cfg), "model info", config.to_dict(), cfg.seed)
     return 0
 
 
 def _cmd_erf(cfg: CliConfig) -> int:
-    out = Path(cfg.args["out"])
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg.args["model"])
     source = cfg.args["images"]
     if source == "synthetic":
@@ -252,6 +256,7 @@ def _cmd_erf(cfg: CliConfig) -> int:
             raise FileNotFoundError(f"no .hpx1 images under {source}")
         images = np.stack([hpxio.read_hpx1(f) for f in files])
     emap = analysis.erf_map(model, images)
+    out = _out_dir(cfg)
     hpxio.write_hpx1(out / "erf.hpx1", emap.grid)
     hpxio.write_pgm(out / "erf.pgm", emap.grid)
     _write_manifest(out, "erf", {"model": str(cfg.args["model"]), "num": emap.num_images}, cfg.seed)
@@ -260,10 +265,9 @@ def _cmd_erf(cfg: CliConfig) -> int:
 
 
 def _cmd_coverage(cfg: CliConfig) -> int:
-    out = Path(cfg.args["out"])
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg.args["model"])
     report = analysis.coverage_report(model, threshold=float(cfg.args["threshold"]))
+    out = _out_dir(cfg)
     with open(out / "coverage.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "block", "diameter", "coverage"])
@@ -277,8 +281,6 @@ def _cmd_coverage(cfg: CliConfig) -> int:
 
 
 def _cmd_truncate(cfg: CliConfig) -> int:
-    out = Path(cfg.args["out"])
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg.args["model"])
     stage, rel = int(cfg.args["stage"]), float(cfg.args["rel"])
     truncated = analysis.truncate_kernels(model, stage, rel)
@@ -294,6 +296,7 @@ def _cmd_truncate(cfg: CliConfig) -> int:
         _, _, val_x, val_y = training.synthetic_quadrant_dataset(spec)
         result["val_acc"] = training.evaluate_accuracy(truncated, val_x, val_y)
         result["val_acc_untruncated"] = training.evaluate_accuracy(model, val_x, val_y)
+    out = _out_dir(cfg)
     with open(out / "results.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     _write_manifest(out, "truncate", result, cfg.seed)
@@ -302,14 +305,13 @@ def _cmd_truncate(cfg: CliConfig) -> int:
 
 
 def _cmd_bench(cfg: CliConfig) -> int:
-    out = Path(cfg.args["out"])
-    out.mkdir(parents=True, exist_ok=True)
     variants = [v.strip() for v in cfg.args["variants"].split(",") if v.strip()]
     extents = [int(e) for e in cfg.args["extents"].split(",") if e.strip()]
     table = analysis.bench_runtime(
         variants, extents, channels=int(cfg.args["channels"]), repeats=int(cfg.args["repeats"]),
         seed=cfg.seed,
     )
+    out = _out_dir(cfg)
     with open(out / "bench.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "extent", "channels", "median_seconds", "pixels"])
@@ -331,10 +333,8 @@ def _cmd_bench(cfg: CliConfig) -> int:
 
 
 def _cmd_filters_dump(cfg: CliConfig) -> int:
-    out = Path(cfg.args["out"])
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg.args["model"])
-    count = 0
+    kernels = []  # (tag, kernel shaped [*grid, C])
     for s, blocks in enumerate(model.stages):
         for b, block in enumerate(blocks):
             mixer = block.mixer
@@ -342,21 +342,20 @@ def _cmd_filters_dump(cfg: CliConfig) -> int:
                 continue
             for i, f in enumerate(mixer.filters):
                 kernel = mixer.kernel(i).data  # [P, C]
-                grid = f.grid_shape()
-                shaped = kernel.reshape(*grid, kernel.shape[-1])
                 tag = f"s{s + 1}b{b + 1}" + (f"f{i}" if len(mixer.filters) > 1 else "")
-                hpxio.write_hpx1(out / f"kernel_{tag}.hpx1", shaped)
-                mean = shaped.mean(axis=-1)
-                hpxio.write_hpx1(out / f"kernel_{tag}_mean.hpx1", mean)
-                hpxio.write_pgm(out / f"kernel_{tag}_mean.pgm", np.atleast_2d(mean))
-                if cfg.args.get("per_channel"):
-                    for c in range(shaped.shape[-1]):
-                        hpxio.write_pgm(
-                            out / f"kernel_{tag}_c{c:03d}.pgm", np.atleast_2d(shaped[..., c])
-                        )
-                count += 1
-    if count == 0:
+                kernels.append((tag, kernel.reshape(*f.grid_shape(), kernel.shape[-1])))
+    if not kernels:
         raise ValueError("model contains no implicit-filter mixers")
+    out = _out_dir(cfg)
+    for tag, shaped in kernels:
+        hpxio.write_hpx1(out / f"kernel_{tag}.hpx1", shaped)
+        mean = shaped.mean(axis=-1)
+        hpxio.write_hpx1(out / f"kernel_{tag}_mean.hpx1", mean)
+        hpxio.write_pgm(out / f"kernel_{tag}_mean.pgm", np.atleast_2d(mean))
+        if cfg.args.get("per_channel"):
+            for c in range(shaped.shape[-1]):
+                hpxio.write_pgm(out / f"kernel_{tag}_c{c:03d}.pgm", np.atleast_2d(shaped[..., c]))
+    count = len(kernels)
     _write_manifest(out, "filters dump", {"model": str(cfg.args["model"]), "kernels": count}, cfg.seed)
     print(f"dumped {count} kernels -> {out}")
     return 0

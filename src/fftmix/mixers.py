@@ -22,13 +22,15 @@ that sum wraps around.  ``causal`` runs shift-adds over offsets 0..L-1
 through ``numerics.shift_convolve``, so its Jacobian above the diagonal is
 exactly zero rather than zero up to rounding.
 
-A centered mixer called with no ``GradTape`` active and no
-``kernel_override`` convolves with kernel spectra kept from its previous
-such call, so it neither materializes its kernels nor transforms them.  The
-spectra are keyed on values: a copy of every filter parameter and kernel
-mask, compared with ``np.array_equal`` on each call, so any change to them
-(an optimizer step, ``load_params``, a ``.data`` write, a truncation mask)
-rebuilds the spectra.  Taped passes run the uncached path unchanged.
+A centered mixer called with no ``kernel_override``, and with no active
+``GradTape`` or one that does not track its filter parameters, convolves
+with kernel spectra kept from its previous such call, so it neither
+materializes its kernels nor transforms them.  The spectra are keyed on
+values: a copy of every filter parameter and kernel mask, compared with
+``np.array_equal`` on each call, so any change to them (an optimizer step,
+``load_params``, a ``.data`` write, a truncation mask) rebuilds the
+spectra.  Passes whose tape tracks the filter parameters materialize the
+kernels and record their graph.
 """
 
 from __future__ import annotations
@@ -230,7 +232,8 @@ class GatedConvMixer:
         )
         # Optional [P, 1] masks (one per filter); None means identity.
         self.kernel_masks: list[np.ndarray | None] = [None] * len(self.filters)
-        # (key, spectra) of the tape-free pass; see ``_cached_spectra``.
+        # (key, spectra) of the passes that leave the filters constant; see
+        # ``_cached_spectra``.
         self._spectra: tuple[list, list] | None = None
 
     def _check_input(self, x: Tensor) -> None:
@@ -301,17 +304,25 @@ class GatedConvMixer:
         self._spectra = ([None if a is None else a.copy() for a in key], spectra)
         return spectra
 
+    def _tracked_filters(self) -> bool:
+        """Whether the active tape, if any, tracks a filter parameter."""
+        tape = nx._active_tape()
+        return tape is not None and any(
+            tape.tracks(p) for f in self.filters for _, p in f.parameters()
+        )
+
     def forward(self, x: Tensor, kernel_override=None) -> Tensor:
-        """Project, long convolution, gate, ``out_proj``.  A tape-free call
-        of a centered variant with no ``kernel_override`` convolves with
-        ``_cached_spectra``; the output is the same to the bit."""
+        """Project, long convolution, gate, ``out_proj``.  A centered variant
+        with no ``kernel_override``, whose filter parameters no active tape
+        tracks, convolves with ``_cached_spectra``; the output is the same to
+        the bit."""
         self._check_input(x)
         q, k, v = project_qkv(x, self.proj)
         if kernel_override is not None:
             if not isinstance(kernel_override, (list, tuple)):
                 kernel_override = [kernel_override]
             kernels = [kk if isinstance(kk, Tensor) else Tensor(kk) for kk in kernel_override]
-        elif self.config.variant == "causal" or nx._active_tape() is not None:
+        elif self.config.variant == "causal" or self._tracked_filters():
             kernels = [self.kernel(i) for i in range(len(self.filters))]
         else:
             kernels = None

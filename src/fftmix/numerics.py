@@ -5,6 +5,13 @@ around a float ndarray.  Operations are plain functions; when a
 :class:`GradTape` is active they record vector-Jacobian products so that
 ``tape.gradient`` can replay the computation in exact reverse order.
 
+A tape records only operations on the tensors it tracks.
+``GradTape(sources)`` tracks the tensors in ``sources`` and everything
+computed from them; ``GradTape()`` tracks every tensor with
+``requires_grad`` set and everything computed from those.  Operations on
+untracked tensors record nothing, so a tape told its sources keeps no
+graph of the values it treats as constants.
+
 Values are float64 throughout; float32 is only the storage format of HPX1
 files.  Every operation validates that its output is finite: NaN/Inf
 anywhere is an error, never a silent state.
@@ -33,7 +40,7 @@ class Tensor:
     """Dense N-dimensional real array with optional gradient tracking.
 
     ``data`` is stored row-major; ``requires_grad`` marks the tensor as a
-    differentiation source for any tape it participates in.
+    differentiation source for a ``GradTape()`` with no sources given.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -123,15 +130,21 @@ def _active_tape():
 class GradTape:
     """Records operations of one forward pass for a single backward replay.
 
+    ``sources`` names the tensors to differentiate with respect to: the tape
+    tracks them and every output computed from them, and records only the
+    operations with a tracked input.  ``GradTape()`` tracks every tensor
+    whose ``requires_grad`` is set instead.
+
     Single-writer: one tape per forward pass.  ``gradient`` may be called
-    once; a second call without re-recording raises.  ``_outputs`` holds the
-    ids of recorded outputs; the nodes keep those tensors alive, so an id
-    cannot be reused while the tape exists.
+    once; a second call without re-recording raises.  ``_tracked`` holds the
+    ids of the sources and of recorded outputs; the tape keeps those tensors
+    alive, so an id cannot be reused while the tape exists.
     """
 
-    def __init__(self):
+    def __init__(self, sources: Sequence[Tensor] | None = None):
         self._nodes: list[TapeNode] = []
-        self._outputs: set[int] = set()
+        self._sources = None if sources is None else list(sources)
+        self._tracked: set[int] = {id(s) for s in self._sources or ()}
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -148,6 +161,10 @@ class GradTape:
     def nodes(self) -> list[TapeNode]:
         return self._nodes
 
+    def tracks(self, t: Tensor) -> bool:
+        """Whether ``t`` is a source of this tape or was computed from one."""
+        return id(t) in self._tracked or (self._sources is None and t.requires_grad)
+
     def gradient(
         self,
         target: Tensor,
@@ -157,14 +174,13 @@ class GradTape:
         """Backpropagate from ``target``, returning one gradient per source.
 
         Sources that do not influence the target get exact-zero gradients,
-        as do sources that are neither ``requires_grad`` nor recorded
-        outputs.  A forward sweep first marks the tensors that depend on a
-        source and narrows each node's ``need`` to those inputs; the node
-        list is then replayed back-to-front, a reverse topological order of
-        the recorded graph, calling only nodes with a needed input.  VJPs
-        compute only the partials their ``need`` asks for, and the gradient
-        of a node's output is dropped once its VJP has run unless that
-        output is a source.
+        as do sources the tape does not track.  A forward sweep first marks
+        the tensors that depend on a source and narrows each node's ``need``
+        to those inputs; the node list is then replayed back-to-front, a
+        reverse topological order of the recorded graph, calling only nodes
+        with a needed input.  VJPs compute only the partials their ``need``
+        asks for, and the gradient of a node's output is dropped once its
+        VJP has run unless that output is a source.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed; re-record the forward pass")
@@ -177,7 +193,7 @@ class GradTape:
             seed = upstream.data if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=DTYPE)
             if seed.shape != target.shape:
                 raise ValueError("upstream gradient shape must match target shape")
-        live = {id(s) for s in sources if s.requires_grad or id(s) in self._outputs}
+        live = {id(s) for s in sources if self.tracks(s)}
         for node in self._nodes:
             node.need[:] = [id(inp) in live for inp in node.inputs]
             if any(node.need):
@@ -206,20 +222,21 @@ class GradTape:
 
 
 def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> list[bool] | None:
-    """Record ``op`` on the active tape if any input is tracked.
+    """Record ``op`` on the active tape if the tape tracks any input.
 
-    Returns the node's ``need`` list (``None`` when nothing is recorded).  A
-    VJP may read it from its closure and return ``None`` for inputs whose
-    partial is not needed; ``GradTape.gradient`` narrows it to the inputs
-    that depend on the requested sources before any VJP runs.
+    Returns the node's ``need`` list (``None`` when nothing is recorded):
+    which inputs the tape tracks.  A VJP may read it from its closure and
+    return ``None`` for inputs whose partial is not needed;
+    ``GradTape.gradient`` narrows it to the inputs that depend on the
+    requested sources before any VJP runs.
     """
     tape = _active_tape()
     if tape is None:
         return None
-    need = [i.requires_grad or id(i) in tape._outputs for i in inputs]
+    need = [tape.tracks(i) for i in inputs]
     if not any(need):
         return None
-    tape._outputs.add(id(output))
+    tape._tracked.add(id(output))
     tape._nodes.append(TapeNode(op, inputs, output, vjp, need))
     return need
 
@@ -486,13 +503,12 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     forward FFT, pointwise product, inverse FFT; the result is real.
 
     ``h`` may instead be ``kernel_spectrum(h, dims)``, which skips the
-    kernel's transform.  That kernel is a constant with no gradient, so it
-    is for passes with no tape.
+    kernel's transform.  That kernel is a constant: a tape records only the
+    partial of ``x``, correlation with the kernel taken as
+    ``irfftn(rfftn(g) * conj(H))``.
     """
     x = _lift(x)
     spectral = isinstance(h, KernelSpectrum)
-    if spectral and _active_tape() is not None:
-        raise ValueError("a kernel spectrum cannot be recorded on a GradTape")
     h = h if spectral else _lift(h)
     x_axes = _normalize_axes(x.ndim, dims)
     offset = x.ndim - h.ndim
@@ -506,7 +522,19 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     if spectral:
         if h.axes != h_axes:
             raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
-        return Tensor(_circ_conv_raw(x.data, h, x_axes))
+        out = Tensor(_circ_conv_raw(x.data, h, x_axes))
+        lengths = [x.shape[ax] for ax in x_axes]
+
+        def vjp_x(g):
+            # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
+            # needs no conjugate copy of H; the products are the same.
+            gf = np.fft.rfftn(g, axes=x_axes)
+            gf = np.conjugate(gf, out=gf) * h.data
+            gx = np.fft.irfftn(np.conjugate(gf, out=gf), s=lengths, axes=x_axes)
+            return (_unbroadcast(gx, x.shape),)
+
+        _record("circular_convolve", out, (x,), vjp_x)
+        return out
     out = Tensor(_circ_conv_raw(x.data, h.data, x_axes))
 
     def vjp(g):
@@ -645,41 +673,35 @@ def grad_check(
 
     Differentiates with respect to the passed tensors themselves, so ``f``
     may use them positionally or through a closure (e.g. parameters living
-    inside a model).  Checks every coordinate, or a fixed seeded subsample
-    when an input has more than ``max_coords`` of them.  Returns the max
-    relative error |analytic - numeric| / max(|analytic|, |numeric|, 1).
-    Input data is restored exactly afterwards.
+    inside a model), whether or not their ``requires_grad`` is set.  Checks
+    every coordinate, or a fixed seeded subsample when an input has more
+    than ``max_coords`` of them.  Returns the max relative error
+    |analytic - numeric| / max(|analytic|, |numeric|, 1).  Input data is
+    restored exactly afterwards.
     """
     if not 0.0 < eps <= 1e-2:
         raise ValueError("eps must lie in (0, 1e-2]")
     tensors = [_lift(x) for x in inputs]
-    saved_flags = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = True
-    try:
-        with GradTape() as tape:
-            out = f(*tensors)
-        if out.size != 1:
-            raise ValueError("grad_check requires a scalar-valued objective")
-        analytic = tape.gradient(out, tensors)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for x, a in zip(tensors, analytic):
-            flat = x.data.reshape(-1)
-            n = flat.size
-            idx = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
-            a_flat = a.data.reshape(-1)
-            for i in idx:
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = float(f(*tensors).data.reshape(-1)[0])
-                flat[i] = orig - eps
-                f_minus = float(f(*tensors).data.reshape(-1)[0])
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1.0)
-                worst = max(worst, err)
-    finally:
-        for t, flag in zip(tensors, saved_flags):
-            t.requires_grad = flag
+    with GradTape(tensors) as tape:
+        out = f(*tensors)
+    if out.size != 1:
+        raise ValueError("grad_check requires a scalar-valued objective")
+    analytic = tape.gradient(out, tensors)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for x, a in zip(tensors, analytic):
+        flat = x.data.reshape(-1)
+        n = flat.size
+        idx = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
+        a_flat = a.data.reshape(-1)
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(f(*tensors).data.reshape(-1)[0])
+            flat[i] = orig - eps
+            f_minus = float(f(*tensors).data.reshape(-1)[0])
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1.0)
+            worst = max(worst, err)
     return worst

@@ -282,7 +282,7 @@ def train(model: Model, dataset: DatasetSpec, config: TrainConfig, out_dir=None)
         for b in range(steps_per_epoch):
             idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
             lr = cosine_warmup_lr(step, config, steps_per_epoch)
-            with GradTape() as tape:
+            with GradTape(params) as tape:
                 logits = model(Tensor(train_x[idx]))
                 loss = cross_entropy_smoothed(logits, train_y[idx], config.label_smoothing)
             grads = tape.gradient(loss, params)

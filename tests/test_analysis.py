@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fftmix import analysis as an
+from fftmix import filters
 from fftmix import mixers as mx
 from fftmix import model as mdl
+from fftmix import numerics as nx
 from fftmix import training as tr
-from fftmix.numerics import Tensor
+from fftmix.numerics import GradTape, Tensor
 
 from conftest import TRAIN_SPEC
 
@@ -73,6 +75,46 @@ class TestERF:
     def test_input_validation(self, rng):
         with pytest.raises(ValueError):
             an.erf_map(StemOnly(), rng.normal(size=(64, 64, 3)))
+
+    def test_warm_global2d_convolves_with_cached_spectra(self, rng, monkeypatch):
+        model = mdl.build_model(mdl.micro_config("global2d"), seed=0)
+        images = rng.normal(size=(1, 32, 32, 3))
+        model(Tensor(images))  # a tape-free pass caches every kernel spectrum
+        # Reference: a tape tracking every requires_grad tensor, which
+        # materializes each kernel and records its graph.
+        img = Tensor(images, requires_grad=True)
+        with GradTape() as tape:
+            feats = model.features(img)
+            c = slice(feats.shape[1] // 2, feats.shape[1] // 2 + 1)
+            scalar = nx.tensor_sum(nx.crop(feats, [slice(None), c, c, slice(None)]))
+        ref = np.abs(tape.gradient(scalar, [img])[0].data[0]).sum(axis=-1)
+        ref /= ref.max()
+
+        log, phase = [], ["forward"]  # (phase, name) of each counted call
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, **k: log.append((phase[0], name)) or original(*a, **k)
+            )
+
+        gradient = GradTape.gradient
+
+        def backward(*a, **k):
+            phase[0] = "backward"
+            return gradient(*a, **k)
+
+        monkeypatch.setattr(GradTape, "gradient", backward)
+        for owner, name in [(filters.ImplicitFilter, "materialize"), (nx, "circular_convolve"),
+                            (np.fft, "rfftn"), (np.fft, "irfftn")]:
+            count(owner, name)
+        emap = an.erf_map(model, images)
+        monkeypatch.undo()
+        n = log.count(("forward", "circular_convolve"))
+        assert n == 4 and not any(name == "materialize" for _, name in log)
+        for side in ("forward", "backward"):
+            assert log.count((side, "rfftn")) == n and log.count((side, "irfftn")) == n, side
+        assert np.abs(emap.grid - ref).max() < 1e-12
 
 
 class TestDiameter:

@@ -248,7 +248,7 @@ class TestSubcommands:
             code = cli.main(["bench", "--variants", "global2d", "--extents", extents, "--out", str(out)])
             assert code == 1, extents
             assert "two distinct extents" in capsys.readouterr().err
-            assert not (out / "slopes.json").exists()
+            assert not out.exists()
 
     def test_filters_dump(self, trained_run, tmp_path):
         out = tmp_path / "filt"
@@ -262,6 +262,32 @@ class TestSubcommands:
 
     def test_runtime_failure_exits_1(self, tmp_path):
         assert cli.main(["erf", "--model", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]) == 1
+
+    def test_failed_run_leaves_no_out_dir(self, tmp_path):
+        model = mdl.build_model(mdl.micro_config("local"), seed=0)
+        local = hpxio.save_checkpoint(tmp_path / "local", model.config.to_dict(), model.parameters())
+        missing = str(tmp_path / "missing")
+        runs = [
+            ["erf", "--model", missing],
+            ["coverage", "--model", missing],
+            ["truncate", "--model", missing, "--stage", "1", "--rel", "0.5"],
+            ["filters", "dump", "--model", missing],
+            ["filters", "dump", "--model", str(local)],  # no implicit filters
+            ["bench", "--variants", "global2d", "--extents", "8"],
+        ]
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"o{i}"
+            assert cli.main(argv + ["--out", str(out)]) == 1, argv
+            assert not out.exists(), argv
+
+    def test_load_model_reads_manifest_once(self, trained_run, monkeypatch):
+        calls = []
+        read = hpxio.load_checkpoint_manifest
+        monkeypatch.setattr(hpxio, "load_checkpoint_manifest", lambda d: calls.append(d) or read(d))
+        model = cli._load_model(trained_run / "checkpoint")
+        assert len(calls) == 1
+        saved = hpxio.load_checkpoint_tensors(trained_run / "checkpoint")
+        assert all(np.array_equal(t.data, saved[n]) for n, t in model.parameters())
 
     def test_writes_stay_under_out(self, trained_run, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"

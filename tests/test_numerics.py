@@ -88,8 +88,19 @@ class TestCircularConvolve:
             circular_convolve(Tensor(x[:, :, :12]), spectrum, dims=[-3, -2])
         with pytest.raises(ValueError, match="taken over axes"):
             circular_convolve(Tensor(x), spectrum, dims=[-2])
-        with GradTape(), pytest.raises(ValueError, match="cannot be recorded"):
-            circular_convolve(Tensor(x), spectrum, dims=[-3, -2])
+        # On a tape the spectrum is a constant: one node, x its only input.
+        g = rng.normal(size=x.shape)
+        xt = Tensor(x)
+        with GradTape([xt]) as tape:
+            y = circular_convolve(xt, spectrum, dims=[-3, -2])
+        (node,) = tape.nodes
+        assert len(node.inputs) == 1 and node.inputs[0] is xt
+        (gx,) = tape.gradient(y, [xt], upstream=g)
+        xt, ht = Tensor(x), Tensor(h)
+        with GradTape([xt, ht]) as tape:
+            y = circular_convolve(xt, ht, dims=[-3, -2])
+        ref_gx, _ = tape.gradient(y, [xt, ht], upstream=g)
+        assert np.abs(gx.data - ref_gx.data).max() < 1e-12
 
 
 class TestTapeAndVjp:
@@ -218,7 +229,39 @@ class TestSourcePruning:
         assert np.array_equal(gx.data, np.cos(np.exp(x.data)) * np.exp(x.data))
 
 
+class TestSourcedTape:
+    def test_trainable_tensor_outside_sources_records_nothing(self, rng):
+        x = Tensor(rng.normal(size=4))
+        w = Tensor(rng.normal(size=4), requires_grad=True)
+        with GradTape([x]) as tape:
+            e = nx.exp(w)  # w alone: untracked, so not recorded
+            y = nx.tensor_sum(nx.mul(x, e))
+        assert [n.op for n in tape.nodes] == ["mul", "sum"]
+        assert all(w is not inp for n in tape.nodes for inp in n.inputs)
+        gx, gw = tape.gradient(y, [x, w])
+        assert np.array_equal(gx.data, e.data)
+        assert np.array_equal(gw.data, np.zeros(4))
+
+    def test_matches_requires_grad_tape(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        f = lambda: nx.tensor_sum(nx.square(nx.matmul(nx.sin(x), w)))
+        with GradTape() as tape:
+            y = f()
+        ref = tape.gradient(y, [x])
+        with GradTape([x]) as tape:
+            y = f()
+        assert [n.op for n in tape.nodes] == ["sin", "matmul", "square", "sum"]
+        assert np.array_equal(tape.gradient(y, [x])[0].data, ref[0].data)
+
+
 class TestGradCheck:
+    def test_leaves_requires_grad_flags(self, rng):
+        a = Tensor(rng.normal(size=3))
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        assert grad_check(lambda p, q: nx.tensor_sum(nx.mul(p, q)), [a, b]) < 1e-8
+        assert (a.requires_grad, b.requires_grad) == (False, True)
+
     def test_quadratic_is_machine_exact(self, rng):
         err = grad_check(lambda x: nx.tensor_sum(nx.square(x)), [Tensor(rng.normal(size=20))])
         assert err < 1e-8
