@@ -15,10 +15,14 @@ They differ only in how the long convolution reads the sequence:
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
 axes.  Only the centered variants use the FFT: they zero-pad every
-convolved axis from L to 2L-1 and run one circular FFT convolution with the
-kernel as materialized, whose index 0 holds offset -(L-1); outputs
-L-1 .. 2L-2 are then exactly y[i] = sum_s x[s] * h[i - s], since no index of
-that sum wraps around.  ``causal`` runs shift-adds over offsets 0..L-1
+convolved axis, the input from L and the kernel from 2L-1, to the same
+length M, the smallest 2^a 3^b 5^c 7^d >= 2L-1 (``_fft_length``), and run
+one circular FFT convolution with the kernel, whose index 0 holds offset
+-(L-1); outputs L-1 .. 2L-2 are then exactly y[i] = sum_s x[s] * h[i - s],
+since no index of that sum wraps around.  A smooth M keeps the transform on
+pocketfft's radix kernels, where lengths with a larger prime factor, such as
+``hb-s4``'s 6271, 1567, 391 = 17 * 23 and 97 at 224 px, go through
+Bluestein's algorithm.  ``causal`` runs shift-adds over offsets 0..L-1
 through ``numerics.shift_convolve``, so its Jacobian above the diagonal is
 exactly zero rather than zero up to rounding.
 
@@ -184,20 +188,49 @@ def project_qkv(x: Tensor, params: GateProjection) -> tuple[Tensor, Tensor, Tens
 # ---------------------------------------------------------------------------
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d >= ``n``."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def _centered_conv(
     qk: Tensor, kernel: Tensor | nx.KernelSpectrum, axes: tuple[int, ...]
 ) -> Tensor:
     """y[i] = sum_s qk[s] * h[i - s] along ``axes``, h indexed by offsets
-    -(L-1)..L-1 on each axis (kernel index 0 is offset -(L-1)).  ``kernel``
-    may be its ``nx.kernel_spectrum`` over ``axes``."""
+    -(L-1)..L-1 on each axis (kernel index 0 is offset -(L-1)).
+
+    ``kernel`` aligns with ``qk`` from the trailing axis and may be its
+    ``nx.kernel_spectrum`` over ``axes``.  Each convolved axis of the kernel
+    has some length M >= 2L-1, zeros past index 2L-2 (``_centered_passes``
+    pads it to ``_fft_length(2L-1)``); ``qk`` is zero-padded to M, and
+    outputs L-1 .. 2L-2 of the circular convolution read no wrapped index.
+    """
     pw = [(0, 0)] * qk.ndim
     sl = [slice(None)] * qk.ndim
     for ax in axes:
         n = qk.shape[ax]
-        pw[ax] = (0, n - 1)
+        pw[ax] = (0, kernel.shape[ax % qk.ndim - qk.ndim] - n)
         sl[ax] = slice(n - 1, 2 * n - 1)
     full = nx.circular_convolve(nx.pad(qk, pw), kernel, dims=axes)
     return nx.crop(full, sl)
+
+
+def _pad_to_fft_length(kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """``kernel`` zero-padded at the end of each of ``axes`` to its
+    ``_fft_length``; ``kernel`` itself when every such length is already
+    smooth."""
+    pw = [(0, 0)] * kernel.ndim
+    for ax in axes:
+        pw[ax] = (0, _fft_length(kernel.shape[ax]) - kernel.shape[ax])
+    return nx.pad(kernel, pw) if any(hi for _, hi in pw) else kernel
 
 
 def _run_passes(qk: Tensor, passes) -> Tensor:
@@ -275,15 +308,18 @@ class GatedConvMixer:
 
     def _centered_passes(self, kernels) -> list:
         """(kernel shaped against the input, convolved axes) of each centered
-        pass, in the order they run."""
+        pass, in the order they run.  Each convolved axis is zero-padded at
+        its end from 2L-1 to ``_fft_length(2L-1)``."""
         cfg = self.config
         if cfg.variant == "bidirectional":
-            return [(kernels[0], (-2,))]
-        ky, kx = cfg.filter_extent()
-        if cfg.variant == "global2d":
-            return [(nx.reshape(kernels[0], (ky, kx, cfg.channels)), (-3, -2))]
-        # separable2d: horizontal, then vertical
-        return [(kernels[0], (-2,)), (nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))]
+            passes = [(kernels[0], (-2,))]
+        elif cfg.variant == "global2d":
+            ky, kx = cfg.filter_extent()
+            passes = [(nx.reshape(kernels[0], (ky, kx, cfg.channels)), (-3, -2))]
+        else:  # separable2d: horizontal, then vertical
+            ky, _ = cfg.filter_extent()
+            passes = [(kernels[0], (-2,)), (nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))]
+        return [(_pad_to_fft_length(k, axes), axes) for k, axes in passes]
 
     def _cached_spectra(self) -> list:
         """The centered passes with each kernel replaced by its spectrum.

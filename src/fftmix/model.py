@@ -60,6 +60,12 @@ class ModelConfig:
         h, w = self.input_size
         if h % 32 or w % 32:
             raise ValueError("input extents must be divisible by 32")
+        if min(self.stage_blocks) < 1:
+            raise ValueError(
+                f"config key 'stage_blocks' must be at least 1 per stage, got {list(self.stage_blocks)}"
+            )
+        if self.num_classes < 1:
+            raise ValueError(f"config key 'num_classes' must be at least 1, got {self.num_classes}")
 
     def stage_extents(self) -> list[tuple[int, int]]:
         h, w = self.input_size

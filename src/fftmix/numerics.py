@@ -384,15 +384,6 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _lift(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes))
-    _record("transpose", out, (a,), lambda g: (g.transpose(inv),))
-    return out
-
-
 def matmul(a, b) -> Tensor:
     """``a @ b`` where ``a`` is [..., K] and ``b`` is [K, M]."""
     a, b = _lift(a), _lift(b)

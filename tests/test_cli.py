@@ -95,6 +95,8 @@ class TestParse:
             {"preset": "nope-s4"},
             {"preset": 5},
             {**MICRO_MODEL, "stage_channels": 5},
+            {**MICRO_MODEL, "stage_blocks": [-1, 1, 1, 1]},
+            {**MICRO_MODEL, "num_classes": 0},
         ):
             cfg = write_config(tmp_path, model=model)
             with pytest.raises(SystemExit) as exc:
@@ -352,6 +354,15 @@ class TestCheckpointManifest:
         ):
             assert cli.main(argv) == 1, argv
             assert f"error: {ckpt / hpxio.CHECKPOINT_MANIFEST}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("stage_blocks", [-1, 1, 1, 1]), ("num_classes", 0)])
+    def test_degenerate_counts_exit_1_naming_the_key(self, micro_checkpoint, tmp_path, capsys, key, value):
+        manifest = json.loads((micro_checkpoint / hpxio.CHECKPOINT_MANIFEST).read_text())
+        manifest["config"][key] = value
+        ckpt = copy_checkpoint(micro_checkpoint, tmp_path / "ckpt", json.dumps(manifest))
+        assert cli.main(["model", "info", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt / hpxio.CHECKPOINT_MANIFEST}: config key '{key}'" in err
 
     def test_fuzzed_manifests_raise_value_error_naming_the_file(self, micro_checkpoint, tmp_path):
         """Random, truncated and wrongly typed manifests each raise a

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fftmix import mixers as mx
+from fftmix import model as mdl
 from fftmix import numerics as nx
 from fftmix.numerics import GradTape, Tensor, grad_check
 
@@ -464,3 +465,83 @@ class TestKernelSpectrumCache:
         y = mixer(x, kernel_override=impulse).data
         assert np.abs(y - oracle_global2d(x.data, mixer, impulse)).max() < 1e-10
         assert np.abs(mixer(x).data - oracle_global2d(x.data, mixer)).max() < 1e-10
+
+
+def is_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestSmoothFFTLength:
+    """Centered convolutions transform at the smallest 7-smooth length
+    >= 2L-1 on every convolved axis, with the kernel zero-padded to it."""
+
+    def test_length_is_the_next_smooth_number(self):
+        smooth = [m for m in range(1, 2100) if is_smooth(m)]
+        for n in range(1, 2001):
+            assert mx._fft_length(n) == min(m for m in smooth if m >= n), n
+
+    @pytest.mark.parametrize(
+        "variant,extent",
+        [
+            ("bidirectional", 49),  # 97, prime
+            ("bidirectional", 64),  # 127, prime
+            ("bidirectional", 196),  # 391 = 17 * 23
+            ("global2d", (7, 7)),  # 13 x 13
+            ("global2d", (14, 14)),  # 27 x 27, already smooth
+            ("global2d", (7, 28)),  # 13 x 55
+        ],
+    )
+    def test_taped_and_cached_paths_match_the_oracle(self, rng, variant, extent):
+        mixer = mx.GatedConvMixer(mx.MixerConfig(variant, 3, extent, embed_dim=4), rng)
+        shape = (extent, 3) if variant == "bidirectional" else extent + (3,)
+        x = Tensor(rng.normal(size=shape))
+        with GradTape([p for f in mixer.filters for _, p in f.parameters()]):
+            y_taped = mixer(x).data
+        mixer(x)  # builds the cache
+        y_cached = mixer(x).data
+        oracle = oracle_bidirectional if variant == "bidirectional" else oracle_global2d
+        assert np.abs(y_taped - oracle(x.data, mixer)).max() < 1e-10
+        assert np.array_equal(y_taped, y_cached)
+        spectrum, axes = mixer._cached_spectra()[0]
+        lengths = [spectrum.shape[ax] for ax in axes]
+        ext = mixer.config.filter_extent()
+        assert lengths == [mx._fft_length(n) for n in (ext if np.ndim(ext) else [ext])]
+
+    @pytest.mark.parametrize("variant,extent", [("bidirectional", 12), ("global2d", (4, 6))])
+    def test_gradient_through_padded_kernel(self, rng, variant, extent):
+        # 23 -> 24 and 7 x 11 -> 7 x 12
+        mixer = mx.GatedConvMixer(mx.MixerConfig(variant, 2, extent, embed_dim=2), rng)
+        shape = (extent, 2) if variant == "bidirectional" else extent + (2,)
+        x = Tensor(rng.normal(size=shape))
+        params = [p for f in mixer.filters for _, p in f.parameters()]
+        err = grad_check(lambda *ps: nx.tensor_sum(nx.square(mixer(x))), params)
+        assert err < 1e-5
+
+    @pytest.mark.parametrize(
+        "preset,lengths",
+        [
+            ("hb-s4", {(6272,), (1568,), (392,), (98,)}),
+            ("hpx-s4", {(112, 112), (56, 56), (27, 27), (14, 14)}),
+        ],
+    )
+    def test_224px_forward_transforms_only_smooth_lengths(self, rng, monkeypatch, preset, lengths):
+        model = mdl.build_model(mdl.preset_config(preset), seed=0)
+        np_rfftn, np_irfftn = np.fft.rfftn, np.fft.irfftn
+        seen = []
+
+        def rfftn(a, s=None, axes=None, **kw):
+            seen.append(tuple(a.shape[ax] for ax in axes))
+            return np_rfftn(a, s=s, axes=axes, **kw)
+
+        def irfftn(a, s=None, axes=None, **kw):
+            seen.append(tuple(s))
+            return np_irfftn(a, s=s, axes=axes, **kw)
+
+        monkeypatch.setattr(np.fft, "rfftn", rfftn)
+        monkeypatch.setattr(np.fft, "irfftn", irfftn)
+        model(Tensor(rng.normal(size=(1, 224, 224, 3))))
+        assert set(seen) == lengths
+        assert all(is_smooth(n) for shape in seen for n in shape)

@@ -237,6 +237,18 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             mdl.config_from_dict([["num_classes", 4]])
 
+    def test_degenerate_counts_rejected(self):
+        # Once: [-1, 1, 1, 1] built an empty stage, 0 classes gave (1, 0)
+        # logits, and -3 failed inside numpy.
+        for key, value in [
+            ("stage_blocks", [-1, 1, 1, 1]),
+            ("stage_blocks", [1, 1, 0, 1]),
+            ("num_classes", 0),
+            ("num_classes", -3),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                mdl.config_from_dict({**mdl.micro_config().to_dict(), key: value})
+
 
 class TestForward:
     def test_identical_images_identical_logits(self, rng):

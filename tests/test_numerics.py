@@ -291,7 +291,6 @@ class TestGradCheck:
             ("reshape", lambda a: nx.tensor_sum(nx.square(nx.reshape(a, (6,)))), [(2, 3)]),
             ("pad", lambda a: nx.tensor_sum(nx.square(nx.pad(a, [(1, 2)]))), [(5,)]),
             ("crop", lambda a: nx.tensor_sum(nx.square(nx.crop(a, [slice(1, 4)]))), [(6,)]),
-            ("transpose", lambda a: nx.tensor_sum(nx.square(nx.transpose(a, (1, 0)))), [(3, 4)]),
         ],
     )
     def test_primitive_gradients(self, rng, name, f, shapes):
