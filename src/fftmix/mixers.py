@@ -22,9 +22,10 @@ one circular FFT convolution with the kernel, whose index 0 holds offset
 since no index of that sum wraps around.  A smooth M keeps the transform on
 pocketfft's radix kernels, where lengths with a larger prime factor, such as
 ``hb-s4``'s 6271, 1567, 391 = 17 * 23 and 97 at 224 px, go through
-Bluestein's algorithm.  ``causal`` runs shift-adds over offsets 0..L-1
-through ``numerics.shift_convolve``, so its Jacobian above the diagonal is
-exactly zero rather than zero up to rounding.
+Bluestein's algorithm.  ``causal`` runs the direct sum over offsets
+0..L-1, one windowed contraction in ``numerics.shift_convolve``; no output
+reads a later position, so its Jacobian above the diagonal is exactly zero
+rather than zero up to rounding.
 
 A centered mixer called with no ``kernel_override``, and with no active
 ``GradTape`` or one that does not track its filter parameters, convolves

@@ -385,13 +385,23 @@ def reshape(a, shape) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """``a @ b`` where ``a`` is [..., K] and ``b`` is [K, M]."""
+    """``a @ b`` where ``a`` is [..., K] and ``b`` is [K, M].
+
+    The leading axes of ``a`` are flattened so that the product, and each
+    partial of the VJP, is one [rows, K] x [K, M] GEMM.
+    """
     a, b = _lift(a), _lift(b)
-    out = Tensor(a.data @ b.data)
+    if b.ndim != 2:
+        raise ValueError(f"matmul expects b of shape [K, M], got {b.shape}")
+    k, m = b.shape
+    if a.ndim == 0 or a.shape[-1] != k:
+        raise ValueError(f"matmul: a of shape {a.shape} does not end in b's K = {k}")
+    out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,)))
 
     def vjp(g):
-        ga = g @ b.data.T if need[0] else None
-        gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if need[1] else None
+        g2 = g.reshape(-1, m)
+        ga = (g2 @ b.data.T).reshape(a.shape) if need[0] else None
+        gb = a.data.reshape(-1, k).T @ g2 if need[1] else None
         return ga, gb
 
     need = _record("matmul", out, (a, b), vjp)
@@ -540,102 +550,130 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     return out
 
 
-def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]) -> Tensor:
-    """Small dense convolution as a sum of zero-padded shifts.
+def _tap_grid(w: np.ndarray, index: np.ndarray, live: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
+    """The live taps of ``w`` scattered onto their box, zero at missing offsets."""
+    grid = np.zeros(box + w.shape[1:], dtype=w.dtype)
+    np.add.at(grid, tuple(index[live].T), w[live])
+    return grid
 
-    y = sum_t w[t] * shift(x, offsets[t]) with zero fill outside the array.
-    ``w`` is [T, C] (or [T] scalars) broadcasting on the trailing axes of x.
-    Used for the depthwise short convolutions and the causal long
-    convolution; being pure shift-adds it keeps locality exact (no spectral
-    leakage), so with offsets 0..T-1 no output reads a later position and
-    the Jacobian above the diagonal is exactly zero.
+
+def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]) -> Tensor:
+    """Small dense convolution y = sum_t w[t] * shift(x, offsets[t]).
+
+    Shifts fill with zeros outside the array; ``offsets[t]`` holds one shift
+    per axis in ``axes``.  ``w`` is [T, C] (or [T] scalars) broadcasting on
+    the axes of x after the convolved ones.  The taps are scattered onto
+    their bounding box, stretched to hold offset 0, as a dense grid with
+    zero taps at missing offsets; y is one ``np.einsum`` of that grid with a
+    sliding-window view of x zero-padded once, and the VJP contracts window
+    views the same way.  Used for the depthwise short convolutions and the
+    causal long convolution.  Each output sums only the positions its taps
+    reach, so with offsets 0..T-1 no output reads a later position and the
+    Jacobian above the diagonal is exactly zero.
     """
     x, w = _lift(x), _lift(w)
     ax = _normalize_axes(x.ndim, axes)
-    offs = [tuple(int(o) for o in off) for off in offsets]
+    for off in offsets:
+        if len(off) != len(ax):
+            raise ValueError(f"offset {tuple(off)} has {len(off)} entries for {len(ax)} axes")
+    offs = np.array(offsets, dtype=np.int64).reshape(-1, len(ax))
     if len(offs) != w.shape[0]:
         raise ValueError("offset count must match tap count")
+    tail = w.ndim - 1
+    if tail > x.ndim - 1 - max(ax):
+        raise ValueError(f"tap weights of shape {w.shape[1:]} reach into the convolved axes")
+    # A tap shifted by a whole axis length or more reads only zeros.
+    live = np.all(np.abs(offs) < [x.shape[a] for a in ax], axis=1)
+    lo = np.minimum(offs[live].min(axis=0, initial=0), 0)
+    hi = np.maximum(offs[live].max(axis=0, initial=0), 0)
+    box, index = tuple(int(k) for k in hi - lo + 1), offs - lo
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    xs, ws = letters[: x.ndim], letters[x.ndim : x.ndim + len(ax)]
+    cs = xs[x.ndim - tail :]  # the axes of x that w's trailing axes cover
+    conv = f"{xs}{ws},{ws}{cs}->{xs}"
+    flip = (slice(None, None, -1),) * len(ax)
 
-    def _pair(offset):
-        src = [slice(None)] * x.ndim
-        dst = [slice(None)] * x.ndim
-        for a, o in zip(ax, offset):
-            n = x.shape[a]
-            if abs(o) >= n:
-                return None, None
-            if o >= 0:
-                dst[a] = slice(o, n)
-                src[a] = slice(0, n - o)
-            else:
-                dst[a] = slice(0, n + o)
-                src[a] = slice(-o, n)
-        return tuple(src), tuple(dst)
+    def windows(a, before, after):
+        pw = [(0, 0)] * a.ndim
+        for d, a_d in enumerate(ax):
+            pw[a_d] = (int(before[d]), int(after[d]))
+        return np.lib.stride_tricks.sliding_window_view(np.pad(a, pw), box, axis=ax)
 
-    y = np.zeros_like(x.data)
-    for t, off in enumerate(offs):
-        src, dst = _pair(off)
-        if src is None:
-            continue
-        y[dst] += w.data[t] * x.data[src]
-    out = Tensor(y)
+    # y[i] = sum_k grid[k] x[i - lo - k].  With x padded by (hi, -lo), window
+    # entry j at i reads x[i - hi + j], which tap k = box - 1 - j multiplies.
+    grid = _tap_grid(w.data, index, live, box)
+    out = Tensor(np.einsum(conv, windows(x.data, hi, -lo), grid[flip]))
 
     def vjp(g):
-        gx = np.zeros_like(x.data) if need[0] else None
-        gw = np.zeros_like(w.data) if need[1] else None
-        for t, off in enumerate(offs):
-            src, dst = _pair(off)
-            if src is None:
-                continue
-            if need[0]:
-                gx[src] += w.data[t] * g[dst]
-            if need[1]:
-                contrib = g[dst] * x.data[src]
-                red = tuple(range(contrib.ndim - (w.ndim - 1)))
-                gw[t] += contrib.sum(axis=red) if red else contrib
+        gx = gw = None
+        if need[0]:
+            # gx[i] = sum_k grid[k] g[i + lo + k]: g padded by (-lo, hi).
+            gx = np.einsum(conv, windows(g, -lo, hi), _tap_grid(w.data, index, live, box))
+        if need[1]:
+            ggrid = np.einsum(f"{xs}{ws},{xs}->{ws}{cs}", windows(x.data, hi, -lo), g)[flip]
+            gw = np.zeros((len(offs),) + ggrid.shape[len(ax) :])
+            gw[live] = ggrid[tuple(index[live].T)]
+            gw = _unbroadcast(gw, w.shape)
         return gx, gw
 
     need = _record("shift_convolve", out, (x, w), vjp)
     return out
 
 
+def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The k x k windows of ``xp`` at ``stride`` as [N*Ho*Wo, k*k*Cin] rows,
+    ordered (dy, dx, cin) like a [k, k, Cin, Cout] weight's leading axes."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # [N, Ho, Wo, Cin, k, k]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * xp.shape[3])
+
+
 def strided_conv2d(x, weight, bias, stride: int, padding: int) -> Tensor:
     """Strided dense 2D convolution for the patch stem and merging layers.
 
     x: [N, H, W, Cin]; weight: [k, k, Cin, Cout]; bias: [Cout].
-    Zero padding; output extent (H + 2p - k)//stride + 1.
+    Zero padding; output extent (H + 2p - k)//stride + 1.  Runs as one GEMM
+    of the im2col rows of the padded input with the flattened weight.
     """
     x, weight, bias = _lift(x), _lift(weight), _lift(bias)
     if x.ndim != 4:
         raise ValueError("strided_conv2d expects [N, H, W, C] input")
-    k = weight.shape[0]
-    n, hh, ww, cin = x.shape
-    if weight.shape[2] != cin:
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must not be negative, got {padding}")
+    if weight.ndim != 4 or weight.shape[0] != weight.shape[1]:
+        raise ValueError(f"weight must be square [k, k, Cin, Cout], got shape {weight.shape}")
+    k, _, cin, cout = weight.shape
+    n, hh, ww, _ = x.shape
+    if x.shape[3] != cin:
         raise ValueError("channel mismatch between input and weight")
+    if bias.shape != (cout,):
+        raise ValueError(f"bias must have shape ({cout},), got {bias.shape}")
     ho = (hh + 2 * padding - k) // stride + 1
     wo = (ww + 2 * padding - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError("input too small for kernel/stride")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    y = np.tile(bias.data, (n, ho, wo, 1)).astype(x.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            sl = xp[:, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride, :]
-            y += sl @ weight.data[dy, dx]
+    pw = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+    y = (_im2col(np.pad(x.data, pw), k, stride) @ weight.data.reshape(-1, cout)).reshape(n, ho, wo, cout)
+    y += bias.data
     out = Tensor(y)
 
     def vjp(g):
-        gxp = np.zeros_like(xp) if need[0] else None
-        gw = np.zeros_like(weight.data) if need[1] else None
-        for dy in range(k):
-            for dx in range(k):
-                win = (slice(None), slice(dy, dy + stride * ho, stride),
-                       slice(dx, dx + stride * wo, stride), slice(None))
-                if need[0]:
-                    gxp[win] += g @ weight.data[dy, dx].T
-                if need[1]:
-                    gw[dy, dx] = xp[win].reshape(-1, cin).T @ g.reshape(-1, g.shape[-1])
-        gx = gxp[:, padding : padding + hh, padding : padding + ww, :] if need[0] else None
-        gb = g.sum(axis=(0, 1, 2)) if need[2] else None
+        gx = gw = gb = None
+        g2 = g.reshape(-1, cout)
+        if need[0]:
+            gcols = (g2 @ weight.data.reshape(-1, cout).T).reshape(n, ho, wo, k, k, cin)
+            gxp = np.zeros((n, hh + 2 * padding, ww + 2 * padding, cin))
+            for dy in range(k):
+                for dx in range(k):
+                    win = (slice(None), slice(dy, dy + stride * ho, stride), slice(dx, dx + stride * wo, stride))
+                    gxp[win] += gcols[:, :, :, dy, dx]
+            gx = gxp[:, padding : padding + hh, padding : padding + ww]
+        if need[1]:
+            gw = (_im2col(np.pad(x.data, pw), k, stride).T @ g2).reshape(weight.shape)
+        if need[2]:
+            gb = g.sum(axis=(0, 1, 2))
         return gx, gw, gb
 
     need = _record("strided_conv2d", out, (x, weight, bias), vjp)

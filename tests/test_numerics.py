@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -101,6 +102,206 @@ class TestCircularConvolve:
             y = circular_convolve(xt, ht, dims=[-3, -2])
         ref_gx, _ = tape.gradient(y, [xt, ht], upstream=g)
         assert np.abs(gx.data - ref_gx.data).max() < 1e-12
+
+
+def shift_direct(x: np.ndarray, w: np.ndarray, offsets, axes) -> np.ndarray:
+    """y = sum_t w[t] * shift(x, offsets[t]) as one shifted add per tap."""
+    y = np.zeros_like(x)
+    for t, off in enumerate(offsets):
+        src, dst = [slice(None)] * x.ndim, [slice(None)] * x.ndim
+        for a, o in zip(axes, off):
+            n = x.shape[a]
+            if abs(o) >= n:
+                break
+            dst[a], src[a] = (slice(o, n), slice(0, n - o)) if o >= 0 else (slice(0, n + o), slice(-o, n))
+        else:
+            y[tuple(dst)] += w[t] * x[tuple(src)]
+    return y
+
+
+def strided_direct(x, w, b, stride, padding) -> np.ndarray:
+    """Each output pixel as the sum over its window, one pixel at a time."""
+    k, n = w.shape[0], x.shape[0]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho = (xp.shape[1] - k) // stride + 1
+    wo = (xp.shape[2] - k) // stride + 1
+    y = np.zeros((n, ho, wo, w.shape[3]))
+    for i in range(ho):
+        for j in range(wo):
+            patch = xp[:, i * stride : i * stride + k, j * stride : j * stride + k, :]
+            y[:, i, j] = np.einsum("nyxc,yxco->no", patch, w) + b
+    return y
+
+
+SHIFT_CASES = {
+    "contiguous": ([(-1,), (0,), (1,)], (-2,)),
+    "gapped": ([(-1,), (0,), (2,)], (-2,)),
+    "all-positive": ([(1,), (3,), (4,)], (-2,)),
+    "all-negative": ([(-4,), (-2,), (-1,)], (-2,)),
+    "beyond-length": ([(-9,), (0,), (7,), (12,)], (-2,)),
+    "2d-box": ([(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)], (-3, -2)),
+    "2d-sparse": ([(1, 1), (0, 2), (2, -1), (-3, 0), (0, 8)], (-3, -2)),
+    "causal": ([(t,) for t in range(6)], (-2,)),
+}
+
+
+class TestShiftConvolve:
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    @pytest.mark.parametrize("per_channel", [True, False])
+    def test_matches_shift_add_reference(self, rng, name, per_channel):
+        offsets, axes = SHIFT_CASES[name]
+        shape = (2, 3, 6, 7, 4) if len(axes) == 2 else (2, 3, 7, 4)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(len(offsets), 4) if per_channel else (len(offsets),))
+        y = nx.shift_convolve(Tensor(x), Tensor(w), offsets, axes).data
+        assert np.abs(y - shift_direct(x, w, offsets, axes)).max() < 1e-12
+        # The VJP against the reference's own transpose: <g, y(x)> = <gx, x>.
+        g = rng.normal(size=shape)
+        xt, wt = Tensor(x), Tensor(w)
+        with GradTape([xt, wt]) as tape:
+            yt = nx.shift_convolve(xt, wt, offsets, axes)
+        gx, gw = tape.gradient(yt, [xt, wt], upstream=g)
+        for t in range(len(offsets)):
+            one = np.zeros_like(w)
+            one[t] = 1.0
+            ref = (g * shift_direct(x, one, offsets, axes)).sum(axis=tuple(range(x.ndim - w.ndim + 1)))
+            assert np.abs(gw.data[t] - ref).max() < 1e-12
+        ref_gx = np.zeros_like(x)
+        for i in np.ndindex(*x.shape[:-1]):
+            e = np.zeros_like(x)
+            e[i] = 1.0
+            ref_gx[i] = (g * shift_direct(e, w, offsets, axes)).sum(axis=tuple(range(x.ndim - 1)))
+        assert np.abs(gx.data - ref_gx).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["gapped", "all-negative", "2d-sparse"])
+    def test_gradients(self, rng, name):
+        offsets, axes = SHIFT_CASES[name]
+        shape = (6, 7, 2) if len(axes) == 2 else (7, 2)
+        f = lambda a, w: nx.tensor_sum(nx.square(nx.shift_convolve(a, w, offsets, axes)))
+        inputs = [Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=(len(offsets), 2)))]
+        assert grad_check(f, inputs) < 1e-5
+
+    def test_one_dimensional_input(self, rng):
+        x, w = rng.normal(size=9), rng.normal(size=3)
+        y = nx.shift_convolve(Tensor(x), Tensor(w), [(-1,), (0,), (2,)], (0,)).data
+        assert np.abs(y - shift_direct(x, w, [(-1,), (0,), (2,)], (0,))).max() < 1e-12
+
+    def test_offset_length_must_match_axes(self, rng):
+        x, w = Tensor(rng.normal(size=(8, 2))), Tensor(rng.normal(size=(2, 2)))
+        with pytest.raises(ValueError, match=r"offset \(0, 1\) has 2 entries for 1 axes"):
+            nx.shift_convolve(x, w, [(0, 1), (1, 5)], (-2,))
+        with pytest.raises(ValueError, match="offset count"):
+            nx.shift_convolve(x, w, [(0,)], (-2,))
+
+    def test_tap_weights_stay_off_the_convolved_axes(self, rng):
+        x, w = Tensor(rng.normal(size=(8, 2))), Tensor(rng.normal(size=(2, 8, 2)))
+        with pytest.raises(ValueError, match="reach into the convolved axes"):
+            nx.shift_convolve(x, w, [(0,), (1,)], (-2,))
+
+
+class TestStridedConv2d:
+    @pytest.mark.parametrize(
+        "shape,k,stride,padding",
+        [
+            ((2, 32, 32, 3), 7, 4, 2),  # the patch stem
+            ((1, 8, 8, 4), 3, 2, 1),  # downsampling
+            ((2, 9, 13, 3), 3, 2, 1),  # odd sides
+            ((1, 11, 7, 2), 7, 4, 2),
+        ],
+    )
+    def test_matches_direct_loop(self, rng, shape, k, stride, padding):
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(k, k, shape[3], 5))
+        b = rng.normal(size=5)
+        y = nx.strided_conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        assert np.abs(y - strided_direct(x, w, b, stride, padding)).max() < 1e-12
+
+    def test_stem_gradient(self, rng):
+        x = Tensor(rng.normal(size=(1, 11, 9, 2)))
+        w = Tensor(rng.normal(size=(7, 7, 2, 3)))
+        b = Tensor(rng.normal(size=3))
+        f = lambda xx, ww, bb: nx.tensor_sum(nx.square(nx.strided_conv2d(xx, ww, bb, 4, 2)))
+        assert grad_check(f, [x, w, b]) < 1e-5
+
+    @pytest.mark.parametrize(
+        "w_shape,b_shape,stride,padding,match",
+        [
+            ((3, 3, 2, 4), (4,), 0, 1, "stride"),
+            ((3, 3, 2, 4), (4,), -1, 1, "stride"),
+            ((3, 3, 2, 4), (4,), 2, -1, "padding"),
+            ((3, 5, 2, 4), (4,), 2, 1, "weight"),
+            ((3, 3, 2), (4,), 2, 1, "weight"),
+            ((3, 3, 2, 4), (3,), 2, 1, "bias"),
+            ((3, 3, 2, 4), (1, 4), 2, 1, "bias"),
+        ],
+    )
+    def test_named_errors(self, rng, w_shape, b_shape, stride, padding, match):
+        x = Tensor(rng.normal(size=(1, 8, 8, 2)))
+        w, b = Tensor(rng.normal(size=w_shape)), Tensor(rng.normal(size=b_shape))
+        with pytest.raises(ValueError, match=match):
+            nx.strided_conv2d(x, w, b, stride, padding)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("a_shape", [(4,), (3, 4), (2, 3, 5, 4)])
+    def test_leading_axes(self, rng, a_shape):
+        a, b = rng.normal(size=a_shape), rng.normal(size=(4, 6))
+        y = nx.matmul(Tensor(a), Tensor(b)).data
+        assert y.shape == a_shape[:-1] + (6,)
+        assert np.abs(y - np.einsum("...k,km->...m", a, b)).max() < 1e-12
+        f = lambda p, q: nx.tensor_sum(nx.square(nx.matmul(p, q)))
+        assert grad_check(f, [Tensor(a), Tensor(b)]) < 1e-5
+
+    def test_b_must_be_two_dimensional(self, rng):
+        with pytest.raises(ValueError, match="b of shape"):
+            nx.matmul(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(2, 4, 6))))
+        with pytest.raises(ValueError, match="b of shape"):
+            nx.matmul(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4)))
+
+    def test_inner_lengths_must_match(self, rng):
+        # [4, 6] would reshape to [8, 3] without the check.
+        with pytest.raises(ValueError, match="does not end in"):
+            nx.matmul(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(3, 2))))
+
+
+def _retained_bytes(op, x):
+    """Bytes still allocated after recording ``op(x)`` on a ``GradTape([x])``,
+    beyond the output itself."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with GradTape([x]) as tape:
+            y = op(x)
+        retained = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == 1
+    return retained
+
+
+class TestRecordedMemory:
+    """A recorded VJP keeps its inputs, not the padded or unfolded copies it
+    builds from them."""
+
+    def test_shift_convolve_keeps_no_padded_copy_or_grid(self, rng):
+        x = Tensor(rng.normal(size=(1, 32, 32, 64)))
+        w = Tensor(rng.normal(size=(49, 64)))
+        offsets = [(dy, dx) for dy in range(-3, 4) for dx in range(-3, 4)]
+        retained = _retained_bytes(lambda t: nx.shift_convolve(t, w, offsets, (-3, -2)), x)
+        # A padded x is 38 * 38 * 64 * 8 bytes, the 7x7 tap grid 25 KB.
+        assert retained < 8_000
+
+    def test_strided_conv2d_keeps_no_padded_copy_or_columns(self, rng):
+        x = Tensor(rng.normal(size=(1, 64, 64, 8)))
+        w, b = Tensor(rng.normal(size=(7, 7, 8, 4))), Tensor(rng.normal(size=4))
+        retained = _retained_bytes(lambda t: nx.strided_conv2d(t, w, b, 4, 2), x)
+        # A padded x is 68 * 68 * 8 * 8 bytes; the im2col matrix 256 * 392 * 8.
+        assert retained < 8_000
+
+    def test_matmul_keeps_nothing_but_its_output(self, rng):
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        w = Tensor(rng.normal(size=(32, 64)))
+        assert _retained_bytes(lambda t: nx.matmul(t, w), x) < 8_000
 
 
 class TestTapeAndVjp:
