@@ -405,7 +405,7 @@ def init_star_relu() -> StarReLUParams:
 
 
 def star_relu(x: Tensor, params: StarReLUParams) -> Tensor:
-    return nx.add(nx.mul(params.scale, nx.square(nx.relu(x))), params.shift)
+    return nx.star_relu(x, params.scale, params.shift)
 
 
 class LocalConvMixer:

@@ -181,11 +181,7 @@ def init_layer_norm(channels: int) -> LayerNormParams:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-position channel normalization to zero mean/unit variance, then affine."""
-    mu = nx.mean(x, axis=-1, keepdims=True)
-    centered = nx.sub(x, mu)
-    var = nx.mean(nx.square(centered), axis=-1, keepdims=True)
-    inv = nx.div(1.0, nx.sqrt(nx.add(var, LN_EPS)))
-    return nx.add(nx.mul(nx.mul(centered, inv), gamma), beta)
+    return nx.layer_norm(x, gamma, beta, LN_EPS)
 
 
 class ConvNormLayer:

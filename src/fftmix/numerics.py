@@ -12,6 +12,16 @@ computed from them; ``GradTape()`` tracks every tensor with
 untracked tensors record nothing, so a tape told its sources keeps no
 graph of the values it treats as constants.
 
+The primitives are the elementwise and reduction ops (``add``, ``mul``,
+``neg``, ``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape
+ops (``reshape``, ``pad``, ``crop``), ``matmul``/``linear``, the
+convolutions (``circular_convolve`` with ``kernel_spectrum``,
+``shift_convolve``, ``strided_conv2d``) and three fused layers:
+``layer_norm``, ``star_relu`` and ``cross_entropy`` each record one op with
+a closed-form VJP, where composing them from the elementary ops would take
+12, 4 and 10.  Every public function has a caller in the package, except
+``grad_check`` and ``square``, which the gradient suite uses.
+
 Values are float64 throughout; float32 is only the storage format of HPX1
 files.  Every operation validates that its output is finite: NaN/Inf
 anywhere is an error, never a silent state.
@@ -79,20 +89,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -266,13 +267,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.data - b.data)
-    _record("sub", out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = Tensor(a.data * b.data)
@@ -281,19 +275,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     _record("mul", out, (a, b), vjp)
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.data / b.data)
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    _record("div", out, (a, b), vjp)
     return out
 
 
@@ -312,33 +293,10 @@ def exp(a) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = _lift(a)
-    out = Tensor(np.log(a.data))
-    _record("log", out, (a,), lambda g: (g / a.data,))
-    return out
-
-
 def sin(a) -> Tensor:
     a = _lift(a)
     out = Tensor(np.sin(a.data))
     _record("sin", out, (a,), lambda g: (g * np.cos(a.data),))
-    return out
-
-
-def sqrt(a) -> Tensor:
-    a = _lift(a)
-    val = np.sqrt(a.data)
-    out = Tensor(val)
-    _record("sqrt", out, (a,), lambda g: (g * (0.5 / val),))
-    return out
-
-
-def relu(a) -> Tensor:
-    a = _lift(a)
-    mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0))
-    _record("relu", out, (a,), lambda g: (g * mask,))
     return out
 
 
@@ -429,6 +387,97 @@ def crop(a, slices: Sequence[slice]) -> Tensor:
         return (full,)
 
     _record("crop", out, (a,), vjp)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fused layers: one recorded op each, with a closed-form VJP
+# ---------------------------------------------------------------------------
+
+
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """Normalise over the last axis, then scale by ``gamma`` and shift by ``beta``.
+
+    ``x`` is [..., C]; ``gamma`` and ``beta`` are [C].  With
+    ``inv = 1 / sqrt(var + eps)`` and ``xh = (x - mean) * inv`` per position,
+    the output is ``xh * gamma + beta``.  The VJP is closed-form:
+    ``gx = inv * (gh - mean(gh) - xh * mean(gh * xh))`` with
+    ``gh = g * gamma``, ``g_gamma = sum(g * xh)`` and ``g_beta = sum(g)``,
+    and the node keeps only ``xh`` and ``inv`` beside its inputs.
+    """
+    x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
+    if x.ndim == 0:
+        raise ValueError("layer_norm expects x with a channel axis")
+    c = x.shape[-1]
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        if t.shape != (c,):
+            raise ValueError(f"layer_norm: {name} must have shape ({c},) for C = {c}, got {t.shape}")
+    xh = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(xh * xh, axis=-1, keepdims=True) + eps)
+    xh *= inv
+    y = xh * gamma.data
+    y += beta.data
+    out = Tensor(y)
+
+    def vjp(g):
+        gx = gg = gb = None
+        if need[0]:
+            gh = g * gamma.data
+            gx = gh - gh.mean(axis=-1, keepdims=True)
+            gx -= xh * np.mean(gh * xh, axis=-1, keepdims=True)
+            gx *= inv
+        if need[1]:
+            gg = (g * xh).reshape(-1, c).sum(axis=0)
+        if need[2]:
+            gb = g.reshape(-1, c).sum(axis=0)
+        return gx, gg, gb
+
+    need = _record("layer_norm", out, (x, gamma, beta), vjp)
+    return out
+
+
+def star_relu(x, scale, shift) -> Tensor:
+    """StarReLU, ``scale * relu(x)**2 + shift``, as one op.
+
+    The VJP recomputes ``relu(x)`` from ``x``, so the node keeps nothing
+    beside its inputs; the x-partial ``2 * scale * relu(x) * g`` is exactly
+    zero wherever ``x <= 0``.
+    """
+    x, scale, shift = _lift(x), _lift(scale), _lift(shift)
+    r = np.maximum(x.data, 0.0)
+    out = Tensor(scale.data * (r * r) + shift.data)
+
+    def vjp(g):
+        r = np.maximum(x.data, 0.0)
+        gx = _unbroadcast(g * scale.data * (2.0 * r), x.shape) if need[0] else None
+        gs = _unbroadcast(g * (r * r), scale.shape) if need[1] else None
+        gb = _unbroadcast(g, shift.shape) if need[2] else None
+        return gx, gs, gb
+
+    need = _record("star_relu", out, (x, scale, shift), vjp)
+    return out
+
+
+def cross_entropy(logits, targets) -> Tensor:
+    """Batch-mean cross-entropy of ``softmax(logits)`` against ``targets``.
+
+    Both are [N, K]; each row of ``targets`` is a distribution over the K
+    classes (it sums to one) and is a constant.  With ``z = logits - max``
+    per row (the max detached), the loss is
+    ``mean(logsumexp(z) - sum(targets * z))`` and the VJP is
+    ``g * (softmax(z) - targets) / N``.
+    """
+    logits = _lift(logits)
+    t = np.asarray(targets, dtype=DTYPE)
+    if logits.ndim != 2 or t.shape != logits.shape:
+        raise ValueError(
+            f"cross_entropy expects [N, K] logits and targets alike, got {logits.shape} and {t.shape}"
+        )
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    total = ez.sum(axis=-1, keepdims=True)
+    out = Tensor(np.mean(np.log(total[:, 0]) - np.sum(t * z, axis=-1)))
+    _record("cross_entropy", out, (logits,), lambda g: (g * (ez / total - t) / len(z),))
     return out
 
 

@@ -102,17 +102,15 @@ def cross_entropy_smoothed(logits: Tensor, labels: np.ndarray, smoothing: float)
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError("labels must be a vector matching the batch")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class indices, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError("label out of range")
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("non-finite logits")
     targets = np.full((n, k), smoothing / k)
     targets[np.arange(n), labels] += 1.0 - smoothing
-    shift = logits.data.max(axis=-1, keepdims=True)  # detached stabilizer
-    z = nx.sub(logits, shift)
-    log_probs = nx.sub(z, nx.log(nx.tensor_sum(nx.exp(z), axis=-1, keepdims=True)))
-    per_example = nx.neg(nx.tensor_sum(nx.mul(log_probs, Tensor(targets)), axis=-1))
-    return nx.mean(per_example)
+    return nx.cross_entropy(logits, targets)
 
 
 # ---------------------------------------------------------------------------

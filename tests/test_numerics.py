@@ -1,5 +1,8 @@
+import ast
+import inspect
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +306,18 @@ class TestRecordedMemory:
         w = Tensor(rng.normal(size=(32, 64)))
         assert _retained_bytes(lambda t: nx.matmul(t, w), x) < 8_000
 
+    def test_layer_norm_keeps_only_the_normalised_input(self, rng):
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        g, b = Tensor(rng.normal(size=32)), Tensor(rng.normal(size=32))
+        retained = _retained_bytes(lambda t: nx.layer_norm(t, g, b, 1e-6), x)
+        # The normalised x and one inverse deviation per position (4 KB).
+        assert retained < x.data.nbytes + 8_000
+
+    def test_star_relu_keeps_nothing_but_its_output(self, rng):
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        s, b = Tensor(1.3), Tensor(-0.2)
+        assert _retained_bytes(lambda t: nx.star_relu(t, s, b), x) < 8_000
+
 
 class TestTapeAndVjp:
     def test_conv_with_impulse_passes_gradient(self, rng):
@@ -356,6 +371,10 @@ class TestTapeAndVjp:
             Tensor([np.nan])
 
 
+# Smoothed one-hot targets (smoothing 0.2) of labels 1, 3 and 0 over 4 classes.
+SMOOTHED_TARGETS = np.full((3, 4), 0.05) + 0.8 * np.eye(4)[[1, 3, 0]]
+
+
 PRUNED_OPS = {
     "matmul": (lambda x, w: nx.matmul(x, w), [(2, 3, 4), (4, 5)]),
     "strided_conv2d": (lambda x, w, b: nx.strided_conv2d(x, w, b, 2, 1),
@@ -363,7 +382,115 @@ PRUNED_OPS = {
     "circular_convolve": (lambda x, h: circular_convolve(x, h, dims=[0]), [(9, 2), (9, 2)]),
     "shift_convolve": (lambda x, w: nx.shift_convolve(x, w, [(-1,), (0,), (2,)], (-2,)),
                        [(6, 2), (3, 2)]),
+    "layer_norm": (lambda x, g, b: nx.layer_norm(x, g, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
+    "star_relu": (lambda x, s, b: nx.star_relu(x, s, b), [(2, 3, 5), (), ()]),
 }
+
+
+def _layer_norm_reference(x, gamma, beta, eps, g):
+    """Output and partials of the layer norm composed of elementary steps,
+    the partials taken by back-propagating through each step in turn."""
+    c = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / c
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / c
+    root = np.sqrt(var + eps)
+    normed = centered / root
+    y = normed * gamma + beta
+    lead = tuple(range(x.ndim - 1))
+    g_gamma, g_beta = (g * normed).sum(axis=lead), g.sum(axis=lead)
+    g_normed = g * gamma
+    g_centered = g_normed / root
+    g_root = -(g_normed * centered).sum(axis=-1, keepdims=True) / root**2
+    g_var = g_root / (2.0 * root)
+    g_centered = g_centered + g_var * 2.0 * centered / c
+    gx = g_centered - g_centered.sum(axis=-1, keepdims=True) / c
+    return y, gx, g_gamma, g_beta
+
+
+def _fused_partials(op, inputs, g):
+    """Output of ``op(*inputs)`` and its VJP at upstream ``g``, checking that
+    the call records exactly one node."""
+    with GradTape(inputs) as tape:
+        y = op(*inputs)
+    (node,) = tape.nodes
+    return y.data, node._vjp(g)
+
+
+class TestFusedOps:
+    """layer_norm, star_relu and cross_entropy each record one node whose
+    closed-form VJP matches the composed maths."""
+
+    def test_layer_norm_matches_reference(self, rng):
+        x = rng.normal(size=(2, 3, 4, 6)) * 2.0 + 0.5
+        gamma, beta, g = rng.normal(size=6), rng.normal(size=6), rng.normal(size=(2, 3, 4, 6))
+        inputs = [Tensor(x), Tensor(gamma), Tensor(beta)]
+        y, partials = _fused_partials(lambda a, b, c: nx.layer_norm(a, b, c, 1e-6), inputs, g)
+        ref = _layer_norm_reference(x, gamma, beta, 1e-6, g)
+        for got, want in zip((y,) + partials, ref):
+            assert got.shape == want.shape and np.abs(got - want).max() < 1e-12
+
+    def test_star_relu_matches_reference(self, rng):
+        x, g = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        s, b = 1.3, -0.4
+        y, (gx, gs, gb) = _fused_partials(nx.star_relu, [Tensor(x), Tensor(s), Tensor(b)], g)
+        pos = np.where(x > 0, x, 0.0)
+        assert np.abs(y - (s * pos**2 + b)).max() < 1e-12
+        assert np.abs(gx - np.where(x > 0, 2.0 * s * x * g, 0.0)).max() < 1e-12
+        assert gs.shape == () and abs(gs - (g * pos**2).sum()) < 1e-12
+        assert gb.shape == () and abs(gb - g.sum()) < 1e-12
+
+    def test_cross_entropy_matches_reference(self, rng):
+        logits = rng.normal(size=(3, 4)) * 3.0
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        f = lambda z: nx.cross_entropy(z, SMOOTHED_TARGETS)
+        loss, (gl,) = _fused_partials(f, [Tensor(logits)], 0.7)
+        assert abs(loss + (SMOOTHED_TARGETS * log_probs).sum(axis=1).mean()) < 1e-12
+        assert np.abs(gl - 0.7 * (np.exp(log_probs) - SMOOTHED_TARGETS) / 3).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["layer_norm", "star_relu"])
+    def test_parameters_outside_the_sources_get_no_partial(self, rng, name):
+        f, shapes = PRUNED_OPS[name]
+        x, *params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        with GradTape([x]) as tape:
+            f(x, *params)
+        (node,) = tape.nodes
+        assert node.need == [True, False, False]
+        gx, *rest = node._vjp(rng.normal(size=x.shape))
+        assert gx.shape == x.shape and rest == [None, None]
+
+    def test_layer_norm_constant_row_gives_beta(self, rng):
+        x = rng.normal(size=(3, 5))
+        x[1] = 1.75  # zero variance; its mean is exact
+        gamma, beta = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+        src = Tensor(x)
+        with GradTape([src, gamma, beta]) as tape:
+            y = nx.layer_norm(src, gamma, beta, 1e-6)
+        assert np.array_equal(y.data[1], beta.data)
+        grads = tape.gradient(y, [src, gamma, beta], upstream=rng.normal(size=(3, 5)))
+        assert all(np.all(np.isfinite(t.data)) for t in grads)
+
+    def test_star_relu_x_gradient_is_zero_at_zero(self):
+        x = Tensor([-1.0, 0.0, 0.0, 2.0])
+        with GradTape([x]) as tape:
+            y = nx.star_relu(x, Tensor(1.3), Tensor(0.2))
+        (gx,) = tape.gradient(y, [x], upstream=np.ones(4))
+        assert np.array_equal(gx.data, [0.0, 0.0, 0.0, 2.0 * 1.3 * 2.0])
+
+    @pytest.mark.parametrize("gamma_shape,beta_shape,match", [
+        ((5,), (5,), r"gamma must have shape \(4,\) for C = 4"),
+        ((), (4,), r"gamma must have shape \(4,\) for C = 4"),
+        ((4,), (1, 4), r"beta must have shape \(4,\) for C = 4"),
+    ])
+    def test_layer_norm_parameter_shapes_named(self, rng, gamma_shape, beta_shape, match):
+        x = Tensor(rng.normal(size=(2, 4)))
+        gamma, beta = Tensor(rng.normal(size=gamma_shape)), Tensor(rng.normal(size=beta_shape))
+        with pytest.raises(ValueError, match=match):
+            nx.layer_norm(x, gamma, beta, 1e-6)
+
+    def test_cross_entropy_shapes_must_agree(self, rng):
+        with pytest.raises(ValueError, match="logits and targets alike"):
+            nx.cross_entropy(Tensor(rng.normal(size=(3, 4))), SMOOTHED_TARGETS[:2])
 
 
 def _log_vjp_calls(tape, log):
@@ -456,6 +583,12 @@ class TestSourcedTape:
         assert np.array_equal(tape.gradient(y, [x])[0].data, ref[0].data)
 
 
+def _star_relu_off_kink(a, s, b):
+    # Every input lies within 0.1 * |a| of -1 or +1, far from the kink at 0.
+    x = nx.add(nx.mul(a, 0.1), np.repeat([-1.0, 1.0], 3))
+    return nx.tensor_sum(nx.square(nx.star_relu(x, s, b)))
+
+
 class TestGradCheck:
     def test_leaves_requires_grad_flags(self, rng):
         a = Tensor(rng.normal(size=3))
@@ -479,13 +612,15 @@ class TestGradCheck:
         "name,f,shapes",
         [
             ("add", lambda a, b: nx.tensor_sum(nx.square(nx.add(a, b))), [(4, 3), (3,)]),
-            ("sub", lambda a, b: nx.tensor_sum(nx.square(nx.sub(a, b))), [(4,), (4,)]),
+            ("layer_norm", lambda a, g, b: nx.tensor_sum(nx.square(nx.layer_norm(a, g, b, 1e-6))),
+             [(4, 6), (6,), (6,)]),
             ("mul", lambda a, b: nx.tensor_sum(nx.mul(a, b)), [(5,), (5,)]),
-            ("div", lambda a, b: nx.tensor_sum(nx.div(a, b)), [(4,), (4,)]),
+            ("layer_norm_nhwc", lambda a, g, b: nx.tensor_sum(nx.square(nx.layer_norm(a, g, b, 1e-6))),
+             [(1, 3, 2, 5), (5,), (5,)]),
             ("exp", lambda a: nx.tensor_sum(nx.exp(a)), [(6,)]),
-            ("log", lambda a: nx.tensor_sum(nx.log(nx.add(nx.square(a), 1.0))), [(6,)]),
+            ("cross_entropy", lambda a: nx.cross_entropy(a, SMOOTHED_TARGETS), [(3, 4)]),
             ("sin", lambda a: nx.tensor_sum(nx.sin(a)), [(6,)]),
-            ("sqrt", lambda a: nx.tensor_sum(nx.sqrt(nx.add(nx.square(a), 0.5))), [(6,)]),
+            ("star_relu", lambda a, s, b: _star_relu_off_kink(a, s, b), [(6,), (), ()]),
             ("matmul", lambda a, b: nx.tensor_sum(nx.square(nx.matmul(a, b))), [(3, 4), (4, 2)]),
             ("mean", lambda a: nx.mean(nx.square(a)), [(4, 5)]),
             ("sum_axis", lambda a: nx.tensor_sum(nx.square(nx.tensor_sum(a, axis=0))), [(3, 4)]),
@@ -497,12 +632,6 @@ class TestGradCheck:
     def test_primitive_gradients(self, rng, name, f, shapes):
         inputs = [Tensor(rng.normal(size=s)) for s in shapes]
         assert grad_check(f, inputs) < 1e-5, name
-
-    def test_relu_gradient_away_from_kink(self, rng):
-        x = rng.normal(size=12)
-        x[np.abs(x) < 0.1] += 0.3
-        err = grad_check(lambda a: nx.tensor_sum(nx.square(nx.relu(a))), [Tensor(x)])
-        assert err < 1e-5
 
     def test_conv_gradients(self, rng):
         f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0])))
@@ -524,3 +653,43 @@ class TestGradCheck:
         e1 = grad_check(f, [x], max_coords=10)
         e2 = grad_check(f, [x], max_coords=10)
         assert e1 == e2
+
+
+# Public functions of ``numerics`` that the package itself never calls.
+UNCALLED_BY_PACKAGE = {
+    "grad_check": "the gradient checker of the test suite and of criterion 3",
+    "square": "the objective of criterion 3 and of about 40 other gradient checks",
+}
+
+
+def _numerics_names_the_package_uses() -> set[str]:
+    """Names of ``numerics`` read by the package's other modules, through a
+    module alias (``nx.add``) or a name imported from it and then used; a
+    re-export in ``__init__`` alone is not a use."""
+    used = set()
+    for path in Path(nx.__file__).parent.glob("*.py"):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases, imported = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "numerics"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "numerics":
+                imported |= {a.asname or a.name: a.name for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                used.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
+                used.add(imported[node.id])
+    return used
+
+
+def test_every_public_primitive_has_a_caller_in_the_package():
+    public = {
+        name for name, f in vars(nx).items()
+        if inspect.isfunction(f) and f.__module__ == nx.__name__ and not name.startswith("_")
+    }
+    assert set(UNCALLED_BY_PACKAGE) <= public
+    uncalled = public - _numerics_names_the_package_uses() - set(UNCALLED_BY_PACKAGE)
+    assert not uncalled, f"public numerics functions without a caller in src/fftmix: {sorted(uncalled)}"

@@ -90,6 +90,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             tr.cross_entropy_smoothed(Tensor(rng.normal(size=(2, 3))), np.array([0, 3]), 0.0)
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])])
+    def test_non_integer_labels_named(self, rng, labels):
+        with pytest.raises(ValueError, match=f"got dtype {labels.dtype}"):
+            tr.cross_entropy_smoothed(Tensor(rng.normal(size=(2, 3))), labels, 0.0)
+
 
 class TestAdamW:
     def test_zero_gradients_pure_decay(self, rng):
