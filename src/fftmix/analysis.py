@@ -5,7 +5,8 @@ The effective receptive field (ERF) is the input-gradient footprint of the
 center-most position of the final pre-pool feature map, summed over
 channels and averaged over images.  Kernel coverage thresholds the decay
 window at 0.05 and reports the surviving diameter relative to the feature
-extent; with kernels spanning 2F-1 taps the coverage can reach 2.
+extent a filter spans, reach + 1 along its longest axis; with kernels
+spanning 2F-1 taps the coverage approaches 2.
 """
 
 from __future__ import annotations
@@ -102,13 +103,14 @@ def erf_map(model, images) -> ERFMap:
 # ---------------------------------------------------------------------------
 
 
-def kernel_effective_diameter(window_values, threshold: float, center=None) -> float:
+def kernel_effective_diameter(window_values, reach, threshold: float) -> float:
     """Diameter (in kernel elements) of the surviving window support.
 
-    Measured axis-aligned: 2 * max per-axis index distance from the center
-    among positions with value >= threshold, plus one element.  A fully
-    surviving odd grid therefore reports its own extent.  Returns 0 when
-    nothing survives.
+    ``reach`` holds each value's largest offset from the kernel origin along
+    any axis (``ImplicitFilter.reach``), in the shape of ``window_values``.
+    The diameter is 2 * the largest reach among positions with value >=
+    threshold, plus one element, so a fully surviving centred grid reports
+    its own side.  Returns 0 when nothing survives.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -116,53 +118,42 @@ def kernel_effective_diameter(window_values, threshold: float, center=None) -> f
     mask = vals >= threshold
     if not mask.any():
         return 0.0
-    if center is None:
-        center = tuple((n - 1) / 2 for n in vals.shape)
-    idx = np.argwhere(mask)
-    dist = np.abs(idx - np.asarray(center)).max(axis=1)
-    return float(2.0 * dist.max() + 1.0)
-
-
-def _mixer_window_grids(mixer: GatedConvMixer):
-    """Per-filter (grid_shape, window values [P, C], center) triples."""
-    out = []
-    for f in mixer.filters:
-        vals = eval_window(f.window, f.basis.positions).data
-        grid = f.grid_shape()
-        center = (0.0,) if f.window.variant == "causal" else None
-        out.append((grid, vals, center))
-    return out
+    return float(2.0 * np.asarray(reach)[mask].max() + 1.0)
 
 
 def coverage_report(model: Model, threshold: float = 0.05) -> CoverageReport:
     """Per-block effective diameter and feature-map coverage.
 
     Long-convolution blocks threshold their decay windows; local-convolution
-    blocks report their actual kernel size.  One row per block.
+    blocks report their actual kernel size.  One row per block.  A filter's
+    coverage is its diameter over the feature extent it spans, reach + 1
+    along its longest axis (``ImplicitFilter.reach``), so a fully surviving
+    centred kernel of 2F-1 taps covers (2F-1)/F < 2; a block's coverage is
+    the mean over its filters and its diameter the mean of theirs.
     """
     report = CoverageReport()
     has_implicit = False
     for s, blocks in enumerate(model.stages):
-        fy, fx = model.config.stage_extents()[s]
         for b, block in enumerate(blocks):
             mixer = block.mixer
             if isinstance(mixer, LocalConvMixer):
                 diameter = float(LOCAL_KERNEL)
-                extent = fx
+                coverage = diameter / max(model.config.stage_extents()[s])
             else:
                 has_implicit = True
-                cfg = mixer.config
-                extent = fy * fx if cfg.variant in ("causal", "bidirectional") else fx
-                diams = []
-                for grid, vals, center in _mixer_window_grids(mixer):
-                    per_channel = [
-                        kernel_effective_diameter(vals[:, c].reshape(grid), threshold, center)
+                diams, covs = [], []
+                for f in mixer.filters:
+                    vals = eval_window(f.window, f.basis.positions).data
+                    reach = f.reach()
+                    diam = float(np.mean([
+                        kernel_effective_diameter(vals[:, c], reach, threshold)
                         for c in range(vals.shape[1])
-                    ]
-                    diams.append(float(np.mean(per_channel)))
-                diameter = float(np.mean(diams))
+                    ]))
+                    diams.append(diam)
+                    covs.append(diam / (reach.max() + 1))
+                diameter, coverage = float(np.mean(diams)), float(np.mean(covs))
             report.rows.append(
-                CoverageRow(stage=s + 1, block=b + 1, diameter=diameter, coverage=diameter / extent)
+                CoverageRow(stage=s + 1, block=b + 1, diameter=diameter, coverage=coverage)
             )
     if not has_implicit:
         raise ValueError("model contains no implicit-filter mixers")
@@ -174,27 +165,16 @@ def coverage_report(model: Model, threshold: float = 0.05) -> CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def _truncation_mask(positions: np.ndarray, variant: str, extent: int, relative_size: float):
-    """Keep positions whose axis-aligned diameter fits relative_size * extent."""
-    pos = np.asarray(positions)
-    if variant == "radial2d":
-        dist = np.abs(pos).max(axis=1)
-    else:
-        dist = np.abs(pos)
-    keep = (2.0 * dist + 1.0) <= relative_size * extent
-    if keep.all():
-        return None
-    return keep.astype(np.float64)[:, None]
-
-
 def truncate_kernels(model: Model, stage: int, relative_size: float) -> Model:
-    """Copy of ``model`` with stage kernels zeroed outside the centered disk.
+    """Copy of ``model`` with stage kernels zeroed outside the centered box.
 
-    ``relative_size`` is the kept diameter relative to the feature extent
-    (0 keeps nothing, 2 keeps everything).  Truncation applies to the
-    materialized kernels at inference; other stages are untouched and keep
-    any kernel spectra they hold, while the truncated stage's are not
-    copied, since its new masks make them stale.
+    A tap is kept when its axis-aligned diameter, 2 * reach + 1, is at most
+    ``relative_size`` times the feature extent its filter spans, reach + 1
+    along the filter's longest axis (``ImplicitFilter.reach``); 0 keeps
+    nothing and 2 keeps everything.  Truncation applies to the materialized
+    kernels at inference; other stages are untouched and keep any kernel
+    spectra they hold, while the truncated stage's are not copied, since its
+    new masks make them stale.
     """
     if not 0.0 <= relative_size <= 2.0:
         raise ValueError("relative_size must lie in [0, 2]")
@@ -206,25 +186,16 @@ def truncate_kernels(model: Model, stage: int, relative_size: float) -> Model:
         if isinstance(block.mixer, GatedConvMixer) and block.mixer._spectra is not None
     }
     out = copy.deepcopy(model, stale)
-    blocks = out.stages[stage - 1]
-    fy, fx = out.config.stage_extents()[stage - 1]
     touched = False
-    for block in blocks:
+    for block in out.stages[stage - 1]:
         mixer = block.mixer
         if not isinstance(mixer, GatedConvMixer):
             continue
         touched = True
-        cfg = mixer.config
         for i, f in enumerate(mixer.filters):
-            if cfg.variant in ("causal", "bidirectional"):
-                extent = fy * fx
-            elif cfg.variant == "separable2d":
-                extent = fx if i == 0 else fy
-            else:
-                extent = fx
-            mixer.kernel_masks[i] = _truncation_mask(
-                f.basis.positions, f.window.variant, extent, relative_size
-            )
+            reach = f.reach()
+            keep = (2.0 * reach + 1.0) <= relative_size * (reach.max() + 1)
+            mixer.kernel_masks[i] = None if keep.all() else keep.astype(np.float64)[:, None]
     if not touched:
         raise ValueError(f"stage {stage} has no long-convolution mixers")
     return out

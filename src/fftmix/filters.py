@@ -2,16 +2,19 @@
 
 A kernel is never stored tap-by-tap.  Instead a fixed sinusoidal positional
 basis is pushed through a small sine-activated FFN (one output per channel)
-and multiplied by an exponential-decay window.  Because the basis frequencies
-and the window are expressed relative to the grid extent, re-evaluating on a
-larger grid resamples the same continuous filter, which is how kernels are
-enlarged for higher-resolution inputs.
+and multiplied by an exponential-decay window.  The basis follows the grid:
+its harmonics have one period over the kernel grid, whatever its size.  The
+window reads each tap's offset from the kernel origin, in taps, from the
+basis positions.  So a filter built for one grid and evaluated on another,
+as a model loaded at another input size is, keeps its decay length in taps.
+Only ``resample_filter`` rescales the offsets, by old/new extent, so that
+the enlarged kernel is the trained continuous filter resampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,32 +203,27 @@ def init_window_params(
     )
 
 
-def window_distances(params: WindowParams, positions: np.ndarray, scale=1.0) -> np.ndarray:
-    """Distance of each position from the window origin, optionally rescaled.
-
-    ``scale`` is a scalar for 1D grids, or a (scale_y, scale_x) pair applied
-    per axis before the Euclidean norm for 2D grids (used by resampling).
-    """
+def window_distances(params: WindowParams, positions: np.ndarray) -> np.ndarray:
+    """Distance of each position from the window origin."""
     pos = np.asarray(positions, dtype=np.float64)
     if params.variant == "causal":
         if pos.ndim != 1:
             raise ValueError("causal window expects 1D positions")
-        return pos * float(np.asarray(scale).reshape(-1)[0])
+        return pos
     if params.variant == "bidirectional":
         if pos.ndim != 1:
             raise ValueError("bidirectional window expects 1D positions")
-        return np.abs(pos) * float(np.asarray(scale).reshape(-1)[0])
+        return np.abs(pos)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError("radial2d window expects [P, 2] positions")
-    sy, sx = (scale, scale) if np.ndim(scale) == 0 else (scale[0], scale[1])
-    return np.sqrt((pos[:, 0] * sy) ** 2 + (pos[:, 1] * sx) ** 2)
+    return np.sqrt(pos[:, 0] ** 2 + pos[:, 1] ** 2)
 
 
-def eval_window(params: WindowParams, positions: np.ndarray, scale=1.0) -> Tensor:
-    """Window values [P, C]; ``scale`` rescales distances for resampling."""
+def eval_window(params: WindowParams, positions: np.ndarray) -> Tensor:
+    """Window values [P, C]."""
     if np.any(params.alpha.data < 0):
         raise ValueError("alpha must be non-negative")
-    d = window_distances(params, positions, scale)
+    d = window_distances(params, positions)
     d_col = Tensor(d[:, None])
     decay = nx.exp(nx.neg(nx.mul(params.alpha, d_col)))
     return nx.add(decay, params.bias)
@@ -236,7 +234,7 @@ def eval_window(params: WindowParams, positions: np.ndarray, scale=1.0) -> Tenso
 # ---------------------------------------------------------------------------
 
 
-def materialize_filter(basis, ffn: FilterFFN, window: WindowParams, scale: float = 1.0) -> Tensor:
+def materialize_filter(basis, ffn: FilterFFN, window: WindowParams) -> Tensor:
     """Kernel [positions, C] = FFN(basis) * window, evaluated on the basis grid."""
     if ffn.channels != window.channels:
         raise ValueError(
@@ -248,7 +246,7 @@ def materialize_filter(basis, ffn: FilterFFN, window: WindowParams, scale: float
     elif window.variant == "radial2d":
         raise ValueError("radial2d window requires a 2D basis")
     response = ffn.evaluate(basis.features)
-    envelope = eval_window(window, basis.positions, scale=scale)
+    envelope = eval_window(window, basis.positions)
     return nx.mul(response, envelope)
 
 
@@ -272,20 +270,17 @@ def resample_filter(ffn: FilterFFN, window: WindowParams, old_size, new_size) ->
     """Re-evaluate the implicit filter on a ``new_size`` kernel grid.
 
     Sizes are kernel grid extents (an int for 1D, (ext_y, ext_x) for 2D).
-    The basis period follows the new grid and window distances shrink by
-    old/new, so the kernel is the trained continuous filter resampled; with
-    ``new_size == old_size`` the result is bit-identical to materialization.
+    The basis period follows the new grid and the positions the window reads
+    shrink by old/new, so the kernel is the trained continuous filter
+    resampled; with ``new_size == old_size`` the result is bit-identical to
+    materialization.
     """
-    if np.ndim(new_size):
-        if any(int(s) < 1 for s in new_size):
-            raise ValueError("new_size must be at least 1 per axis")
-        scale = (float(old_size[0]) / float(new_size[0]), float(old_size[1]) / float(new_size[1]))
-    else:
-        if int(new_size) < 1:
-            raise ValueError("new_size must be at least 1")
-        scale = float(old_size) / float(new_size)
+    if any(int(s) < 1 for s in np.atleast_1d(new_size)):
+        raise ValueError("new_size must be at least 1 per axis")
     basis = _rebuild_basis(window, _ffn_embed_dim(ffn, window.variant), new_size)
-    return materialize_filter(basis, ffn, window, scale=scale)
+    scale = np.asarray(old_size, dtype=np.float64) / np.asarray(new_size, dtype=np.float64)
+    basis = replace(basis, positions=basis.positions * scale)
+    return materialize_filter(basis, ffn, window)
 
 
 @dataclass
@@ -303,6 +298,16 @@ class ImplicitFilter:
 
     def materialize(self) -> Tensor:
         return materialize_filter(self.basis, self.ffn, self.window)
+
+    def reach(self) -> np.ndarray:
+        """Each tap's largest offset from the kernel origin along any axis.
+
+        A filter spans ``reach().max() + 1`` feature positions along its
+        longest axis: L for a 1D filter over an L-long sequence, and
+        max(Ly, Lx) for a 2D filter over an Ly x Lx map.
+        """
+        pos = self.basis.positions
+        return np.abs(pos).reshape(pos.shape[0], -1).max(axis=1)
 
     def grid_shape(self) -> tuple[int, ...]:
         if isinstance(self.basis, PositionalBasis2D):

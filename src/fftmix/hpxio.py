@@ -1,4 +1,4 @@
-"""File formats: HPX1 tensors, 8-bit PGM images, and checkpoint directories.
+"""File formats: HPX1 tensors, written 8-bit PGM images, and checkpoint directories.
 
 HPX1 layout: magic bytes ``HPX1``, u32 little-endian rank, one u32 per
 dimension, then a float32 little-endian row-major payload.
@@ -70,26 +70,6 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(quant.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM (as ``write_pgm`` writes it) scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise ValueError(f"{path}: only binary PGM (P5) supported")
-        dims = fh.readline().split()
-        line = fh.readline().strip()
-        try:
-            width, height = (int(d) for d in dims)
-            maxval = int(line)
-        except ValueError:
-            raise ValueError(f"{path}: malformed header") from None
-        if width < 1 or height < 1:
-            raise ValueError(f"{path}: empty image {width}x{height}")
-        if not 1 <= maxval <= 255:
-            raise ValueError(f"{path}: maxval {maxval} outside 1..255")
-        data = np.frombuffer(_read_exact(fh, width * height, path, "payload"), dtype=np.uint8)
-    return data.reshape(height, width).astype(np.float64) / maxval
 
 
 def save_checkpoint(out_dir, config_dict: dict, named_params) -> Path:

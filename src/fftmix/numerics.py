@@ -82,22 +82,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Operator sugar; all routed through the recorded ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def _lift(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -307,32 +291,28 @@ def square(a) -> Tensor:
     return out
 
 
+def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """Broadcast the gradient of a sum over ``axis`` back to ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    _record("sum", out, (a,), vjp)
+    _record("sum", out, (a,), lambda g: (_expand_reduced(g, a.shape, axis, keepdims),))
     return out
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis``, one recorded node: the sum times 1/count."""
     a = _lift(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    count = a.size if axis is None else int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
+    inv = 1.0 / count
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) * inv)
+    _record("mean", out, (a,), lambda g: (_expand_reduced(g * inv, a.shape, axis, keepdims),))
+    return out
 
 
 def reshape(a, shape) -> Tensor:

@@ -137,7 +137,9 @@ def adamw_step(
     ``ADAM_BETAS`` and ``ADAM_EPS``.
 
     Decay multiplies parameters by (1 - lr*wd) before the moment update, so
-    with wd = 0 the trajectory is exactly plain Adam.
+    with wd = 0 the trajectory is exactly plain Adam.  Raw ndarray gradients
+    are scanned for non-finite values; ``Tensor`` gradients were scanned when
+    they were built.
     """
     beta1, beta2 = ADAM_BETAS
     state["step"] += 1
@@ -145,9 +147,12 @@ def adamw_step(
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        g = g.data if isinstance(g, Tensor) else np.asarray(g)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+        if isinstance(g, Tensor):
+            g = g.data
+        else:
+            g = np.asarray(g)
+            if not np.all(np.isfinite(g)):
+                raise ValueError("non-finite gradient")
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
         m *= beta1

@@ -117,42 +117,47 @@ class TestERF:
         assert np.abs(emap.grid - ref).max() < 1e-12
 
 
+def _reach(n):
+    """Per-axis offsets from the centre of an n x n grid, as ImplicitFilter.reach gives."""
+    grid = np.abs(np.indices((n, n)) - (n - 1) / 2)
+    return grid.max(axis=0), np.sqrt((grid**2).sum(axis=0))
+
+
 class TestDiameter:
     def test_flat_window_full_extent(self):
-        vals = np.ones((13, 13))
-        assert an.kernel_effective_diameter(vals, 0.05) == 13.0
+        reach, _ = _reach(13)
+        assert an.kernel_effective_diameter(np.ones((13, 13)), reach, 0.05) == 13.0
 
     def test_spike_only_center_survives(self):
-        grid = np.indices((13, 13))
-        dist = np.sqrt((grid[0] - 6.0) ** 2 + (grid[1] - 6.0) ** 2)
+        reach, dist = _reach(13)
         vals = np.exp(-1e6 * dist)
-        assert an.kernel_effective_diameter(vals, 0.05) == 1.0
+        assert an.kernel_effective_diameter(vals, reach, 0.05) == 1.0
 
     def test_unit_distance_threshold_closed_form(self):
-        grid = np.indices((13, 13))
-        dist = np.sqrt((grid[0] - 6.0) ** 2 + (grid[1] - 6.0) ** 2)
+        reach, dist = _reach(13)
         vals = np.exp(-np.log(1 / 0.05) * dist)
         # Survivors are exactly the positions within Euclidean distance 1.
-        assert an.kernel_effective_diameter(vals, 0.05) == 3.0
+        assert an.kernel_effective_diameter(vals, reach, 0.05) == 3.0
 
     def test_nothing_survives_gives_zero(self):
-        assert an.kernel_effective_diameter(np.full((5, 5), 0.01), 0.05) == 0.0
+        reach, _ = _reach(5)
+        assert an.kernel_effective_diameter(np.full((5, 5), 0.01), reach, 0.05) == 0.0
 
     def test_monotone_in_threshold_and_alpha(self):
-        grid = np.indices((9, 9))
-        dist = np.sqrt((grid[0] - 4.0) ** 2 + (grid[1] - 4.0) ** 2)
+        reach, dist = _reach(9)
         for alpha_lo, alpha_hi in [(0.2, 0.8)]:
-            lo = an.kernel_effective_diameter(np.exp(-alpha_lo * dist), 0.05)
-            hi = an.kernel_effective_diameter(np.exp(-alpha_hi * dist), 0.05)
+            lo = an.kernel_effective_diameter(np.exp(-alpha_lo * dist), reach, 0.05)
+            hi = an.kernel_effective_diameter(np.exp(-alpha_hi * dist), reach, 0.05)
             assert hi <= lo
         vals = np.exp(-0.5 * dist)
-        d1 = an.kernel_effective_diameter(vals, 0.02)
-        d2 = an.kernel_effective_diameter(vals, 0.2)
+        d1 = an.kernel_effective_diameter(vals, reach, 0.02)
+        d2 = an.kernel_effective_diameter(vals, reach, 0.2)
         assert d2 <= d1
 
     def test_threshold_validation(self):
+        reach, _ = _reach(3)
         with pytest.raises(ValueError):
-            an.kernel_effective_diameter(np.ones((3, 3)), 0.0)
+            an.kernel_effective_diameter(np.ones((3, 3)), reach, 0.0)
 
 
 class TestCoverage:
@@ -193,6 +198,56 @@ class TestCoverage:
         model = mdl.build_model(mdl.micro_config("local"), seed=0)
         with pytest.raises(ValueError):
             an.coverage_report(model)
+
+
+NON_SQUARE_VARIANTS = ("global2d", "separable2d", "bidirectional")
+
+
+def _non_square_model(variant):
+    config = mdl.ModelConfig(
+        stage_channels=(8, 8, 8, 8),
+        stage_blocks=(1, 1, 1, 1),
+        mixer_layout=(variant,) * 4,
+        embed_dims=(4, 4, 4, 4),
+        num_classes=4,
+        input_size=(64, 32),
+    )
+    return mdl.build_model(config, seed=0)
+
+
+class TestNonSquareMaps:
+    """A 64 x 32 input gives 16 x 8 ... 2 x 1 maps: every extent comes from
+    the filters' own positions, never from one axis of the map."""
+
+    @pytest.mark.parametrize("variant", NON_SQUARE_VARIANTS)
+    def test_full_truncation_is_bitwise_identity(self, variant, rng):
+        model = _non_square_model(variant)
+        x = Tensor(rng.normal(size=(1, 64, 32, 3)))
+        base = model(x).data
+        for stage in range(1, 5):
+            truncated = an.truncate_kernels(model, stage, 2.0)
+            assert np.array_equal(truncated(x).data, base)
+            assert all(m is None for b in truncated.stages[stage - 1] for m in b.mixer.kernel_masks)
+
+    @pytest.mark.parametrize("variant", NON_SQUARE_VARIANTS)
+    def test_flat_window_coverage_stays_below_two(self, variant):
+        model = _non_square_model(variant)
+        for blocks in model.stages:
+            for block in blocks:
+                for f in block.mixer.filters:
+                    f.window.alpha.data[:] = 0.0
+        report = an.coverage_report(model)
+        for row, (fy, fx) in zip(report.rows, model.config.stage_extents()):
+            assert row.coverage <= 2.0
+            if variant == "global2d":  # the longest axis spans 2 * max(fy, fx) - 1 taps
+                assert row.diameter == 2 * max(fy, fx) - 1
+
+    def test_half_truncation_keeps_the_central_box(self):
+        model = _non_square_model("global2d")
+        truncated = an.truncate_kernels(model, 1, 1.0)  # a 16 x 8 map
+        f = truncated.stages[0][0].mixer.filters[0]
+        kept = truncated.stages[0][0].mixer.kernel_masks[0][:, 0] > 0
+        assert np.abs(f.basis.positions[kept]).max() == 7  # 2 * 7 + 1 <= 16
 
 
 class TestTruncate:

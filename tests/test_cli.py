@@ -460,39 +460,16 @@ class TestHpx1Format:
         hpxio.write_hpx1(path, arr)
         assert np.array_equal(hpxio.read_hpx1(path), arr)
 
-    @pytest.mark.parametrize(
-        "raw,why",
-        [
-            (b"P5\n\n255\n", "malformed header"),  # no width or height
-            (b"P5\n4\n255\n" + b"\x00" * 4, "malformed header"),  # no height
-            (b"P5\n2 x\n255\n" + b"\x00" * 4, "malformed header"),
-            (b"P5\n2 2\n\n" + b"\x00" * 4, "malformed header"),  # no maxval
-            (b"P5\n0 2\n255\n", "empty image"),
-            (b"P5\n2 2\n0\n" + b"\x00" * 4, "maxval 0"),
-            (b"P5\n2 2\n65535\n" + b"\x00" * 8, "maxval 65535"),
-            (b"P5\n2 2\n255\n\x00\x00\x00", "truncated payload"),
-            (b"P2\n2 2\n255\n0 0 0 0\n", "only binary PGM"),
-        ],
-    )
-    def test_malformed_pgm_rejected(self, tmp_path, raw, why):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(raw)
-        with pytest.raises(ValueError, match=f"bad.pgm: {why}"):
-            hpxio.read_pgm(path)
-
     def test_fuzzed_files_load_or_raise_value_error(self, tmp_path):
-        """Cut, overwritten and extended HPX1 and PGM files either load or
-        raise ``ValueError``; none asks for a buffer larger than the file."""
+        """Cut, overwritten and extended HPX1 files either load or raise
+        ``ValueError``; none asks for a buffer larger than the file."""
         rng = np.random.default_rng(5)
         seeds = []
         for shape in [(), (3,), (2, 3), (4, 2, 3)]:
             path = tmp_path / "seed.hpx1"
             hpxio.write_hpx1(path, rng.normal(size=shape))
             seeds.append((hpxio.read_hpx1, path.read_bytes()))
-        hpxio.write_pgm(tmp_path / "seed.pgm", rng.normal(size=(3, 5)))
-        seeds.append((hpxio.read_pgm, (tmp_path / "seed.pgm").read_bytes()))
         seeds.append((hpxio.read_hpx1, HPX1_65536x65536))
-        seeds.append((hpxio.read_pgm, b"P5\n65536 65536\n255\n"))
         path = tmp_path / "fuzz"
         for case in range(3000):
             read, raw = seeds[case % len(seeds)]
@@ -520,7 +497,9 @@ class TestHpx1Format:
         img = rng.normal(size=(6, 9))
         path = tmp_path / "i.pgm"
         hpxio.write_pgm(path, img)
-        back = hpxio.read_pgm(path)
-        assert back.shape == (6, 9)
+        raw = path.read_bytes()
+        header = b"P5\n9 6\n255\n"  # width, height, maxval
+        assert raw[: len(header)] == header and len(raw) == len(header) + 6 * 9
+        back = np.frombuffer(raw[len(header) :], dtype=np.uint8).reshape(6, 9) / 255.0
         normalized = (img - img.min()) / (img.max() - img.min())
         assert np.abs(back - normalized).max() < 1.0 / 255 + 1e-9

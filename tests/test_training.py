@@ -151,6 +151,18 @@ class TestAdamW:
         with pytest.raises(ValueError):
             tr.adamw_step([p], [np.array([np.nan])], state, lr=0.01)
 
+    def test_only_raw_gradients_are_scanned(self, monkeypatch):
+        params = [Tensor(np.ones(3), requires_grad=True) for _ in range(2)]
+        grads = [Tensor(np.full(3, 0.5)) for _ in params]  # checked when built
+        state = tr.init_adamw_state(params)
+        scans = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scans.append(1) or isfinite(a))
+        tr.adamw_step(params, grads, state, lr=0.01)
+        assert scans == []
+        tr.adamw_step(params, [g.data for g in grads], state, lr=0.01)
+        assert len(scans) == 2
+
 
 class TestSyntheticData:
     def test_balanced_and_disjoint(self):
