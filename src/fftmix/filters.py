@@ -275,6 +275,10 @@ def resample_filter(ffn: FilterFFN, window: WindowParams, old_size, new_size) ->
     resampled; with ``new_size == old_size`` the result is bit-identical to
     materialization.
     """
+    for name, size in (("old_size", old_size), ("new_size", new_size)):
+        if np.ndim(size) != 0 and (window.variant != "radial2d" or np.shape(size) != (2,)):
+            extents = "one extent" if window.variant != "radial2d" else "one or two extents"
+            raise ValueError(f"{name} {size!r}: a {window.variant} window takes {extents}")
     if any(int(s) < 1 for s in np.atleast_1d(new_size)):
         raise ValueError("new_size must be at least 1 per axis")
     basis = _rebuild_basis(window, _ffn_embed_dim(ffn, window.variant), new_size)

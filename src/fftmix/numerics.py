@@ -10,7 +10,8 @@ A tape records only operations on the tensors it tracks.
 computed from them; ``GradTape()`` tracks every tensor with
 ``requires_grad`` set and everything computed from those.  Operations on
 untracked tensors record nothing, so a tape told its sources keeps no
-graph of the values it treats as constants.
+graph of the values it treats as constants.  A recorded op keeps only the
+arrays its vector-Jacobian product reads, never a tensor.
 
 The primitives are the elementwise and reduction ops (``add``, ``mul``,
 ``neg``, ``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape
@@ -29,6 +30,7 @@ anywhere is an error, never a silent state.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -46,14 +48,20 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
+# Tensor keys: a serial number per tensor, never reused in the process.
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Dense N-dimensional real array with optional gradient tracking.
 
     ``data`` is stored row-major; ``requires_grad`` marks the tensor as a
     differentiation source for a ``GradTape()`` with no sources given.
+    ``key`` is the tensor's serial number, the name a tape knows it by; a
+    copy or an unpickled tensor gets a fresh one.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _as_array(data)
@@ -61,6 +69,14 @@ class Tensor:
             raise ValueError("tensor contains non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.key = next(_KEYS)
+
+    def __getstate__(self):
+        return self.data, self.requires_grad
+
+    def __setstate__(self, state):
+        self.data, self.requires_grad = state
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,16 +104,19 @@ def _lift(value) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output, and its vector-Jacobian product.
+    """One recorded operation: the keys of its inputs and of its output, and
+    its vector-Jacobian product.
 
     ``need[k]`` says whether input ``k`` wants a partial.  The VJP closure
     holds the same list (never the node, which would form a reference
-    cycle), so ``GradTape.gradient`` can narrow it in place.
+    cycle), so ``GradTape.gradient`` can narrow it in place.  The closure
+    holds only the arrays and shapes the partials in ``need`` read, never a
+    ``Tensor``; ``gradient`` drops it once the node has been replayed.
     """
 
     __slots__ = ("op", "inputs", "output", "_vjp", "need")
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, vjp, need: list[bool]):
+    def __init__(self, op: str, inputs: tuple[int, ...], output: int, vjp, need: list[bool]):
         self.op = op
         self.inputs = inputs
         self.output = output
@@ -122,14 +141,16 @@ class GradTape:
 
     Single-writer: one tape per forward pass.  ``gradient`` may be called
     once; a second call without re-recording raises.  ``_tracked`` holds the
-    ids of the sources and of recorded outputs; the tape keeps those tensors
-    alive, so an id cannot be reused while the tape exists.
+    keys of the sources and of recorded outputs.  Keys are never reused, so
+    the tape holds no tensor: an intermediate nothing else references is
+    freed as soon as the forward pass drops it, and only the arrays its
+    consumers' VJPs read stay alive.
     """
 
     def __init__(self, sources: Sequence[Tensor] | None = None):
         self._nodes: list[TapeNode] = []
-        self._sources = None if sources is None else list(sources)
-        self._tracked: set[int] = {id(s) for s in self._sources or ()}
+        self._by_flag = sources is None
+        self._tracked: set[int] = {s.key for s in sources or ()}
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -148,7 +169,7 @@ class GradTape:
 
     def tracks(self, t: Tensor) -> bool:
         """Whether ``t`` is a source of this tape or was computed from one."""
-        return id(t) in self._tracked or (self._sources is None and t.requires_grad)
+        return t.key in self._tracked or (self._by_flag and t.requires_grad)
 
     def gradient(
         self,
@@ -165,7 +186,9 @@ class GradTape:
         reverse topological order of the recorded graph, calling only nodes
         with a needed input.  VJPs compute only the partials their ``need``
         asks for, and the gradient of a node's output is dropped once its
-        VJP has run unless that output is a source.
+        VJP has run unless that output is a source.  Each node's VJP, with
+        the arrays it captured, is dropped as the replay reaches it, so the
+        later stages' captures are freed before the earlier VJPs allocate.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed; re-record the forward pass")
@@ -178,52 +201,61 @@ class GradTape:
             seed = upstream.data if isinstance(upstream, Tensor) else np.asarray(upstream, dtype=DTYPE)
             if seed.shape != target.shape:
                 raise ValueError("upstream gradient shape must match target shape")
-        live = {id(s) for s in sources if self.tracks(s)}
+        live = {s.key for s in sources if self.tracks(s)}
         for node in self._nodes:
-            node.need[:] = [id(inp) in live for inp in node.inputs]
+            # Only narrowed: a VJP captured what its inputs needed when recorded.
+            node.need[:] = [n and k in live for n, k in zip(node.need, node.inputs)]
             if any(node.need):
-                live.add(id(node.output))
-        keep = {id(s) for s in sources}
-        grads: dict[int, np.ndarray] = {id(target): seed}
+                live.add(node.output)
+        keep = {s.key for s in sources}
+        grads: dict[int, np.ndarray] = {target.key: seed}
         for node in reversed(self._nodes):
+            vjp, node._vjp = node._vjp, None
             if not any(node.need):
                 continue
-            out_id = id(node.output)
+            out = node.output
             # Every use of the output comes later on the tape, so its gradient
             # is complete here and, unless it is a source, dead afterwards.
-            g_out = grads.get(out_id) if out_id in keep else grads.pop(out_id, None)
+            g_out = grads.get(out) if out in keep else grads.pop(out, None)
             if g_out is None:
                 continue
-            partials = node._vjp(g_out)
-            for inp, need, partial in zip(node.inputs, node.need, partials):
+            partials = vjp(g_out)
+            for k, need, partial in zip(node.inputs, node.need, partials):
                 if not need:
                     continue
-                acc = grads.get(id(inp))
-                grads[id(inp)] = partial if acc is None else acc + partial
+                acc = grads.get(k)
+                grads[k] = partial if acc is None else acc + partial
         return [
-            Tensor(grads[id(s)]) if id(s) in grads else Tensor(np.zeros_like(s.data))
+            Tensor(grads[s.key]) if s.key in grads else Tensor(np.zeros_like(s.data))
             for s in sources
         ]
 
 
-def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> list[bool] | None:
-    """Record ``op`` on the active tape if the tape tracks any input.
+def _needs(*inputs: Tensor) -> list[bool] | None:
+    """Which of ``inputs`` the active tape tracks, or ``None`` when there is
+    no active tape or it tracks none of them, so nothing will be recorded.
 
-    Returns the node's ``need`` list (``None`` when nothing is recorded):
-    which inputs the tape tracks.  A VJP may read it from its closure and
-    return ``None`` for inputs whose partial is not needed;
-    ``GradTape.gradient`` narrows it to the inputs that depend on the
-    requested sources before any VJP runs.
+    An op calls this before building its VJP, captures only the arrays the
+    needed partials read, and passes the same list to ``_record``.  The VJP
+    may read the list from its closure and return ``None`` for inputs whose
+    partial is not needed; ``GradTape.gradient`` narrows it in place to the
+    inputs that depend on the requested sources before any VJP runs.
     """
     tape = _active_tape()
     if tape is None:
         return None
     need = [tape.tracks(i) for i in inputs]
-    if not any(need):
-        return None
-    tape._tracked.add(id(output))
-    tape._nodes.append(TapeNode(op, inputs, output, vjp, need))
-    return need
+    return need if any(need) else None
+
+
+def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], need: list[bool] | None, vjp) -> None:
+    """Append ``op`` to the active tape, ``need`` as ``_needs(*inputs)`` gave
+    it; nothing is recorded when ``need`` is ``None``."""
+    if need is None:
+        return
+    tape = _active_tape()
+    tape._tracked.add(output.key)
+    tape._nodes.append(TapeNode(op, tuple(i.key for i in inputs), output.key, vjp, need))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -247,25 +279,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = Tensor(a.data + b.data)
-    _record("add", out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    need = _needs(a, b)
+    sa, sb = a.shape, b.shape
+
+    def vjp(g):
+        return (_unbroadcast(g, sa) if need[0] else None, _unbroadcast(g, sb) if need[1] else None)
+
+    _record("add", out, (a, b), need, vjp)
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = Tensor(a.data * b.data)
+    need = _needs(a, b)
+    if need:
+        sa, sb = a.shape, b.shape
+        ad, bd = (a.data if need[1] else None), (b.data if need[0] else None)
 
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        def vjp(g):
+            return (_unbroadcast(g * bd, sa) if need[0] else None,
+                    _unbroadcast(g * ad, sb) if need[1] else None)
 
-    _record("mul", out, (a, b), vjp)
+        _record("mul", out, (a, b), need, vjp)
     return out
 
 
 def neg(a) -> Tensor:
     a = _lift(a)
     out = Tensor(-a.data)
-    _record("neg", out, (a,), lambda g: (-g,))
+    _record("neg", out, (a,), _needs(a), lambda g: (-g,))
     return out
 
 
@@ -273,21 +316,23 @@ def exp(a) -> Tensor:
     a = _lift(a)
     val = np.exp(a.data)
     out = Tensor(val)
-    _record("exp", out, (a,), lambda g: (g * val,))
+    _record("exp", out, (a,), _needs(a), lambda g: (g * val,))
     return out
 
 
 def sin(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(np.sin(a.data))
-    _record("sin", out, (a,), lambda g: (g * np.cos(a.data),))
+    ad = a.data
+    out = Tensor(np.sin(ad))
+    _record("sin", out, (a,), _needs(a), lambda g: (g * np.cos(ad),))
     return out
 
 
 def square(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(a.data * a.data)
-    _record("square", out, (a,), lambda g: (g * (2.0 * a.data),))
+    ad = a.data
+    out = Tensor(ad * ad)
+    _record("square", out, (a,), _needs(a), lambda g: (g * (2.0 * ad),))
     return out
 
 
@@ -301,7 +346,8 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool)
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    _record("sum", out, (a,), lambda g: (_expand_reduced(g, a.shape, axis, keepdims),))
+    sa = a.shape
+    _record("sum", out, (a,), _needs(a), lambda g: (_expand_reduced(g, sa, axis, keepdims),))
     return out
 
 
@@ -311,14 +357,16 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
     inv = 1.0 / count
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) * inv)
-    _record("mean", out, (a,), lambda g: (_expand_reduced(g * inv, a.shape, axis, keepdims),))
+    sa = a.shape
+    _record("mean", out, (a,), _needs(a), lambda g: (_expand_reduced(g * inv, sa, axis, keepdims),))
     return out
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
     out = Tensor(a.data.reshape(shape))
-    _record("reshape", out, (a,), lambda g: (g.reshape(a.shape),))
+    sa = a.shape
+    _record("reshape", out, (a,), _needs(a), lambda g: (g.reshape(sa),))
     return out
 
 
@@ -335,14 +383,18 @@ def matmul(a, b) -> Tensor:
     if a.ndim == 0 or a.shape[-1] != k:
         raise ValueError(f"matmul: a of shape {a.shape} does not end in b's K = {k}")
     out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,)))
+    need = _needs(a, b)
+    if need:
+        sa = a.shape
+        ad, bd = (a.data if need[1] else None), (b.data if need[0] else None)
 
-    def vjp(g):
-        g2 = g.reshape(-1, m)
-        ga = (g2 @ b.data.T).reshape(a.shape) if need[0] else None
-        gb = a.data.reshape(-1, k).T @ g2 if need[1] else None
-        return ga, gb
+        def vjp(g):
+            g2 = g.reshape(-1, m)
+            ga = (g2 @ bd.T).reshape(sa) if need[0] else None
+            gb = ad.reshape(-1, k).T @ g2 if need[1] else None
+            return ga, gb
 
-    need = _record("matmul", out, (a, b), vjp)
+        _record("matmul", out, (a, b), need, vjp)
     return out
 
 
@@ -352,7 +404,7 @@ def pad(a, pad_width: Sequence[tuple[int, int]]) -> Tensor:
     pw = tuple((int(lo), int(hi)) for lo, hi in pad_width)
     out = Tensor(np.pad(a.data, pw))
     slices = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
-    _record("pad", out, (a,), lambda g: (g[slices],))
+    _record("pad", out, (a,), _needs(a), lambda g: (g[slices],))
     return out
 
 
@@ -360,13 +412,14 @@ def crop(a, slices: Sequence[slice]) -> Tensor:
     a = _lift(a)
     sl = tuple(slices)
     out = Tensor(a.data[sl].copy())
+    sa = a.shape
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(sa)
         full[sl] = g
         return (full,)
 
-    _record("crop", out, (a,), vjp)
+    _record("crop", out, (a,), _needs(a), vjp)
     return out
 
 
@@ -383,7 +436,7 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     the output is ``xh * gamma + beta``.  The VJP is closed-form:
     ``gx = inv * (gh - mean(gh) - xh * mean(gh * xh))`` with
     ``gh = g * gamma``, ``g_gamma = sum(g * xh)`` and ``g_beta = sum(g)``,
-    and the node keeps only ``xh`` and ``inv`` beside its inputs.
+    and the node keeps only ``xh``, ``inv`` and ``gamma``.
     """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if x.ndim == 0:
@@ -395,14 +448,16 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     xh = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.mean(xh * xh, axis=-1, keepdims=True) + eps)
     xh *= inv
-    y = xh * gamma.data
+    gd = gamma.data
+    y = xh * gd
     y += beta.data
     out = Tensor(y)
+    need = _needs(x, gamma, beta)
 
     def vjp(g):
         gx = gg = gb = None
         if need[0]:
-            gh = g * gamma.data
+            gh = g * gd
             gx = gh - gh.mean(axis=-1, keepdims=True)
             gx -= xh * np.mean(gh * xh, axis=-1, keepdims=True)
             gx *= inv
@@ -412,29 +467,32 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
             gb = g.reshape(-1, c).sum(axis=0)
         return gx, gg, gb
 
-    need = _record("layer_norm", out, (x, gamma, beta), vjp)
+    _record("layer_norm", out, (x, gamma, beta), need, vjp)
     return out
 
 
 def star_relu(x, scale, shift) -> Tensor:
     """StarReLU, ``scale * relu(x)**2 + shift``, as one op.
 
-    The VJP recomputes ``relu(x)`` from ``x``, so the node keeps nothing
-    beside its inputs; the x-partial ``2 * scale * relu(x) * g`` is exactly
-    zero wherever ``x <= 0``.
+    The VJP recomputes ``relu(x)`` from ``x``, so the node keeps only the
+    arrays of ``x`` and ``scale``; the x-partial ``2 * scale * relu(x) * g``
+    is exactly zero wherever ``x <= 0``.
     """
     x, scale, shift = _lift(x), _lift(scale), _lift(shift)
-    r = np.maximum(x.data, 0.0)
-    out = Tensor(scale.data * (r * r) + shift.data)
+    xd, sd = x.data, scale.data
+    r = np.maximum(xd, 0.0)
+    out = Tensor(sd * (r * r) + shift.data)
+    need = _needs(x, scale, shift)
+    sx, ss, sb = x.shape, scale.shape, shift.shape
 
     def vjp(g):
-        r = np.maximum(x.data, 0.0)
-        gx = _unbroadcast(g * scale.data * (2.0 * r), x.shape) if need[0] else None
-        gs = _unbroadcast(g * (r * r), scale.shape) if need[1] else None
-        gb = _unbroadcast(g, shift.shape) if need[2] else None
+        r = np.maximum(xd, 0.0)
+        gx = _unbroadcast(g * sd * (2.0 * r), sx) if need[0] else None
+        gs = _unbroadcast(g * (r * r), ss) if need[1] else None
+        gb = _unbroadcast(g, sb) if need[2] else None
         return gx, gs, gb
 
-    need = _record("star_relu", out, (x, scale, shift), vjp)
+    _record("star_relu", out, (x, scale, shift), need, vjp)
     return out
 
 
@@ -457,7 +515,8 @@ def cross_entropy(logits, targets) -> Tensor:
     ez = np.exp(z)
     total = ez.sum(axis=-1, keepdims=True)
     out = Tensor(np.mean(np.log(total[:, 0]) - np.sum(t * z, axis=-1)))
-    _record("cross_entropy", out, (logits,), lambda g: (g * (ez / total - t) / len(z),))
+    n = len(z)
+    _record("cross_entropy", out, (logits,), _needs(logits), lambda g: (g * (ez / total - t) / n,))
     return out
 
 
@@ -554,6 +613,7 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
             raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
         out = Tensor(_circ_conv_raw(x.data, h, x_axes))
         lengths = [x.shape[ax] for ax in x_axes]
+        sx = x.shape
 
         def vjp_x(g):
             # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
@@ -561,21 +621,25 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
             gf = np.fft.rfftn(g, axes=x_axes)
             gf = np.conjugate(gf, out=gf) * h.data
             gx = np.fft.irfftn(np.conjugate(gf, out=gf), s=lengths, axes=x_axes)
-            return (_unbroadcast(gx, x.shape),)
+            return (_unbroadcast(gx, sx),)
 
-        _record("circular_convolve", out, (x,), vjp_x)
+        _record("circular_convolve", out, (x,), _needs(x), vjp_x)
         return out
     out = Tensor(_circ_conv_raw(x.data, h.data, x_axes))
+    need = _needs(x, h)
+    if need:
+        sx, sh = x.shape, h.shape
+        xd, hd = (x.data if need[1] else None), (h.data if need[0] else None)
 
-    def vjp(g):
-        gx = gh = None
-        if need[0]:
-            gx = _unbroadcast(_circ_conv_raw(g, _circ_reverse(h.data, h_axes), x_axes), x.shape)
-        if need[1]:
-            gh = _unbroadcast(_circ_conv_raw(g, _circ_reverse(x.data, x_axes), x_axes), h.shape)
-        return gx, gh
+        def vjp(g):
+            gx = gh = None
+            if need[0]:
+                gx = _unbroadcast(_circ_conv_raw(g, _circ_reverse(hd, h_axes), x_axes), sx)
+            if need[1]:
+                gh = _unbroadcast(_circ_conv_raw(g, _circ_reverse(xd, x_axes), x_axes), sh)
+            return gx, gh
 
-    need = _record("circular_convolve", out, (x, h), vjp)
+        _record("circular_convolve", out, (x, h), need, vjp)
     return out
 
 
@@ -632,20 +696,24 @@ def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]
     # entry j at i reads x[i - hi + j], which tap k = box - 1 - j multiplies.
     grid = _tap_grid(w.data, index, live, box)
     out = Tensor(np.einsum(conv, windows(x.data, hi, -lo), grid[flip]))
+    need = _needs(x, w)
+    if need:
+        sw = w.shape
+        xd, wd = (x.data if need[1] else None), (w.data if need[0] else None)
 
-    def vjp(g):
-        gx = gw = None
-        if need[0]:
-            # gx[i] = sum_k grid[k] g[i + lo + k]: g padded by (-lo, hi).
-            gx = np.einsum(conv, windows(g, -lo, hi), _tap_grid(w.data, index, live, box))
-        if need[1]:
-            ggrid = np.einsum(f"{xs}{ws},{xs}->{ws}{cs}", windows(x.data, hi, -lo), g)[flip]
-            gw = np.zeros((len(offs),) + ggrid.shape[len(ax) :])
-            gw[live] = ggrid[tuple(index[live].T)]
-            gw = _unbroadcast(gw, w.shape)
-        return gx, gw
+        def vjp(g):
+            gx = gw = None
+            if need[0]:
+                # gx[i] = sum_k grid[k] g[i + lo + k]: g padded by (-lo, hi).
+                gx = np.einsum(conv, windows(g, -lo, hi), _tap_grid(wd, index, live, box))
+            if need[1]:
+                ggrid = np.einsum(f"{xs}{ws},{xs}->{ws}{cs}", windows(xd, hi, -lo), g)[flip]
+                gw = np.zeros((len(offs),) + ggrid.shape[len(ax) :])
+                gw[live] = ggrid[tuple(index[live].T)]
+                gw = _unbroadcast(gw, sw)
+            return gx, gw
 
-    need = _record("shift_convolve", out, (x, w), vjp)
+        _record("shift_convolve", out, (x, w), need, vjp)
     return out
 
 
@@ -687,25 +755,28 @@ def strided_conv2d(x, weight, bias, stride: int, padding: int) -> Tensor:
     y = (_im2col(np.pad(x.data, pw), k, stride) @ weight.data.reshape(-1, cout)).reshape(n, ho, wo, cout)
     y += bias.data
     out = Tensor(y)
+    need = _needs(x, weight, bias)
+    if need:
+        xd, wd = (x.data if need[1] else None), (weight.data if need[0] else None)
 
-    def vjp(g):
-        gx = gw = gb = None
-        g2 = g.reshape(-1, cout)
-        if need[0]:
-            gcols = (g2 @ weight.data.reshape(-1, cout).T).reshape(n, ho, wo, k, k, cin)
-            gxp = np.zeros((n, hh + 2 * padding, ww + 2 * padding, cin))
-            for dy in range(k):
-                for dx in range(k):
-                    win = (slice(None), slice(dy, dy + stride * ho, stride), slice(dx, dx + stride * wo, stride))
-                    gxp[win] += gcols[:, :, :, dy, dx]
-            gx = gxp[:, padding : padding + hh, padding : padding + ww]
-        if need[1]:
-            gw = (_im2col(np.pad(x.data, pw), k, stride).T @ g2).reshape(weight.shape)
-        if need[2]:
-            gb = g.sum(axis=(0, 1, 2))
-        return gx, gw, gb
+        def vjp(g):
+            gx = gw = gb = None
+            g2 = g.reshape(-1, cout)
+            if need[0]:
+                gcols = (g2 @ wd.reshape(-1, cout).T).reshape(n, ho, wo, k, k, cin)
+                gxp = np.zeros((n, hh + 2 * padding, ww + 2 * padding, cin))
+                for dy in range(k):
+                    for dx in range(k):
+                        win = (slice(None), slice(dy, dy + stride * ho, stride), slice(dx, dx + stride * wo, stride))
+                        gxp[win] += gcols[:, :, :, dy, dx]
+                gx = gxp[:, padding : padding + hh, padding : padding + ww]
+            if need[1]:
+                gw = (_im2col(np.pad(xd, pw), k, stride).T @ g2).reshape(k, k, cin, cout)
+            if need[2]:
+                gb = g.sum(axis=(0, 1, 2))
+            return gx, gw, gb
 
-    need = _record("strided_conv2d", out, (x, weight, bias), vjp)
+        _record("strided_conv2d", out, (x, weight, bias), need, vjp)
     return out
 
 

@@ -223,6 +223,25 @@ class TestResample:
         with pytest.raises(ValueError):
             flt.resample_filter(ffn, w, 9, 0)
 
+    @pytest.mark.parametrize("variant", ["bidirectional", "causal"])
+    @pytest.mark.parametrize("old, new, name", [(9, (27, 27), "new_size"), ((9, 9), 27, "old_size"),
+                                                (9, (27,), "new_size")])
+    def test_one_dimensional_window_takes_one_extent(self, rng, variant, old, new, name):
+        ffn = flt.init_filter_ffn(5, 6, 2, 9, rng)
+        w = flt.init_window_params(2, 9, variant, rng)
+        with pytest.raises(ValueError, match=f"{name} .*: a {variant} window takes one extent"):
+            flt.resample_filter(ffn, w, old, new)
+
+    @pytest.mark.parametrize("old, new, name", [(9, (27, 27, 27), "new_size"),
+                                                ((9, 9, 9), (27, 27), "old_size"),
+                                                (9, [[27, 27]], "new_size")])
+    def test_two_dimensional_window_takes_at_most_two_extents(self, rng, old, new, name):
+        ffn = flt.init_filter_ffn(4, 4, 1, 25, rng)
+        w = flt.init_window_params(1, 5, "radial2d", rng)
+        with pytest.raises(ValueError, match=f"{name} .*: a radial2d window takes one or two extents"):
+            flt.resample_filter(ffn, w, old, new)
+        assert flt.resample_filter(ffn, w, 9, (27, 9)).shape == (27 * 9, 1)
+
 
 class TestKernelExtents:
     @pytest.mark.parametrize(

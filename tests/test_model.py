@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,54 @@ class TestForward:
 
         x = Tensor(rng.normal(size=(1, 32, 32, 3)))
         assert grad_check(f, [x], max_coords=48) < 1e-3
+
+
+def _captured_tensors(vjp) -> list[Tensor]:
+    """The tensors a VJP closure holds, looking through nested functions
+    and the tuples, lists and dicts its cells hold."""
+    found, stack, seen = [], [vjp], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet assigned
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return found
+
+
+class TestTapeCaptures:
+    @pytest.mark.parametrize("variant", mx.MIXER_VARIANTS)
+    @pytest.mark.parametrize("sourced", [False, True])
+    def test_no_vjp_closure_holds_a_tensor(self, rng, variant, sourced):
+        # A VJP keeps the arrays its partials read, never a whole Tensor,
+        # which would keep that Tensor's array alive whether read or not.
+        model = mdl.build_model(mdl.micro_config(variant), seed=0)
+        img = Tensor(rng.normal(size=(2, 32, 32, 3)))
+        with GradTape([img] if sourced else None) as tape:
+            model(img)
+        assert tape.nodes
+        assert all(not _captured_tensors(node._vjp) for node in tape.nodes)
+
+    def test_guard_sees_a_tensor_in_a_nested_closure(self):
+        t = Tensor(np.ones(2))
+
+        def outer():
+            def inner(g):
+                return g * t.data
+            return lambda g: (inner(g), [{"k": (None,)}])
+
+        assert _captured_tensors(outer()) == [t]
 
 
 class TestCheckpoint:
