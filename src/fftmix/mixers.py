@@ -14,15 +14,18 @@ They differ only in how the long convolution reads the sequence:
   contract back to C (``EXPAND_RATIO``, ``LOCAL_KERNEL``)
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
-axes.  Only the centered variants use the FFT: they zero-pad every
-convolved axis, the input from L and the kernel from 2L-1, to the same
-length M, the smallest 2^a 3^b 5^c 7^d >= 2L-1 (``_fft_length``), and run
-one circular FFT convolution with the kernel, whose index 0 holds offset
--(L-1); outputs L-1 .. 2L-2 are then exactly y[i] = sum_s x[s] * h[i - s],
-since no index of that sum wraps around.  A smooth M keeps the transform on
-pocketfft's radix kernels, where lengths with a larger prime factor, such as
-``hb-s4``'s 6271, 1567, 391 = 17 * 23 and 97 at 224 px, go through
-Bluestein's algorithm.  ``causal`` runs the direct sum over offsets
+axes.  Only the centered variants use the FFT.  Each convolved axis of
+the kernel is zero-padded at its front from 2L-1 to M, the smallest
+2^a 3^b 5^c 7^d >= 2L-1 (``_fft_length``), so offset -(L-1) sits at index
+M-(2L-1).  One ``numerics.circular_convolve`` per pass then takes the
+unpadded input of length L: the transform zero-pads it to M and the op
+returns only the last L outputs of the length-M circular convolution,
+which are exactly y[i] = sum_s x[s] * h[i - s], since no index of that
+sum wraps around.  No padded input and no full-length output is kept, on
+a tape or off it.  A smooth M keeps the transform on pocketfft's radix
+kernels, where lengths with a larger prime factor, such as ``hb-s4``'s
+6271, 1567, 391 = 17 * 23 and 97 at 224 px, go through Bluestein's
+algorithm.  ``causal`` runs the direct sum over offsets
 0..L-1, one windowed contraction in ``numerics.shift_convolve``; no output
 reads a later position, so its Jacobian above the diagonal is exactly zero
 rather than zero up to rounding.
@@ -202,41 +205,25 @@ def _fft_length(n: int) -> int:
         m += 1
 
 
-def _centered_conv(
-    qk: Tensor, kernel: Tensor | nx.KernelSpectrum, axes: tuple[int, ...]
-) -> Tensor:
-    """y[i] = sum_s qk[s] * h[i - s] along ``axes``, h indexed by offsets
-    -(L-1)..L-1 on each axis (kernel index 0 is offset -(L-1)).
-
-    ``kernel`` aligns with ``qk`` from the trailing axis and may be its
-    ``nx.kernel_spectrum`` over ``axes``.  Each convolved axis of the kernel
-    has some length M >= 2L-1, zeros past index 2L-2 (``_centered_passes``
-    pads it to ``_fft_length(2L-1)``); ``qk`` is zero-padded to M, and
-    outputs L-1 .. 2L-2 of the circular convolution read no wrapped index.
-    """
-    pw = [(0, 0)] * qk.ndim
-    sl = [slice(None)] * qk.ndim
-    for ax in axes:
-        n = qk.shape[ax]
-        pw[ax] = (0, kernel.shape[ax % qk.ndim - qk.ndim] - n)
-        sl[ax] = slice(n - 1, 2 * n - 1)
-    full = nx.circular_convolve(nx.pad(qk, pw), kernel, dims=axes)
-    return nx.crop(full, sl)
-
-
 def _pad_to_fft_length(kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """``kernel`` zero-padded at the end of each of ``axes`` to its
-    ``_fft_length``; ``kernel`` itself when every such length is already
-    smooth."""
+    """``kernel`` zero-padded at the front of each of ``axes`` to its
+    ``_fft_length`` M; ``kernel`` itself when every such length is already
+    smooth.  A centered kernel of 2L-1 taps then holds offset -(L-1) at
+    index M-(2L-1), so the last L outputs of a length-M circular
+    convolution of an input of length L are the centered ones."""
     pw = [(0, 0)] * kernel.ndim
     for ax in axes:
-        pw[ax] = (0, _fft_length(kernel.shape[ax]) - kernel.shape[ax])
-    return nx.pad(kernel, pw) if any(hi for _, hi in pw) else kernel
+        pw[ax] = (_fft_length(kernel.shape[ax]) - kernel.shape[ax], 0)
+    return nx.pad(kernel, pw) if any(lo for lo, _ in pw) else kernel
 
 
 def _run_passes(qk: Tensor, passes) -> Tensor:
+    """y[i] = sum_s qk[s] * h[i - s] along each pass's axes, one
+    ``circular_convolve`` of the unpadded ``qk`` per pass: the transform
+    zero-pads it to the kernel's length M and keeps the last L outputs,
+    which read no wrapped index."""
     for kernel, axes in passes:
-        qk = _centered_conv(qk, kernel, axes)
+        qk = nx.circular_convolve(qk, kernel, dims=axes)
     return qk
 
 
@@ -310,7 +297,7 @@ class GatedConvMixer:
     def _centered_passes(self, kernels) -> list:
         """(kernel shaped against the input, convolved axes) of each centered
         pass, in the order they run.  Each convolved axis is zero-padded at
-        its end from 2L-1 to ``_fft_length(2L-1)``."""
+        its front from 2L-1 to ``_fft_length(2L-1)``."""
         cfg = self.config
         if cfg.variant == "bidirectional":
             passes = [(kernels[0], (-2,))]

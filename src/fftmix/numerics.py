@@ -476,20 +476,37 @@ def star_relu(x, scale, shift) -> Tensor:
 
     The VJP recomputes ``relu(x)`` from ``x``, so the node keeps only the
     arrays of ``x`` and ``scale``; the x-partial ``2 * scale * relu(x) * g``
-    is exactly zero wherever ``x <= 0``.
+    is exactly zero wherever ``x <= 0``.  ``scale`` and ``shift`` broadcast
+    to ``x``'s shape, and the output and each partial are computed in their
+    own buffers, with no temporary of that shape beyond ``relu(x)``.
     """
     x, scale, shift = _lift(x), _lift(scale), _lift(shift)
-    xd, sd = x.data, scale.data
-    r = np.maximum(xd, 0.0)
-    out = Tensor(sd * (r * r) + shift.data)
-    need = _needs(x, scale, shift)
     sx, ss, sb = x.shape, scale.shape, shift.shape
+    for name, s in (("scale", ss), ("shift", sb)):
+        if len(s) > len(sx) or any(a not in (1, b) for a, b in zip(s[::-1], sx[::-1])):
+            raise ValueError(f"star_relu: {name} of shape {s} does not broadcast to x's shape {sx}")
+    xd, sd = x.data, scale.data
+    y = np.maximum(xd, 0.0)
+    y *= y
+    y *= sd
+    y += shift.data
+    out = Tensor(y)
+    need = _needs(x, scale, shift)
 
     def vjp(g):
+        gx = gs = gb = None
         r = np.maximum(xd, 0.0)
-        gx = _unbroadcast(g * sd * (2.0 * r), sx) if need[0] else None
-        gs = _unbroadcast(g * (r * r), ss) if need[1] else None
-        gb = _unbroadcast(g, sb) if need[2] else None
+        if need[0]:
+            gx = g * sd
+            gx *= r
+            gx *= 2.0
+            gx = _unbroadcast(gx, sx)
+        if need[1]:
+            r *= r
+            r *= g
+            gs = _unbroadcast(r, ss)
+        if need[2]:
+            gb = _unbroadcast(g, sb)
         return gx, gs, gb
 
     _record("star_relu", out, (x, scale, shift), need, vjp)
@@ -562,18 +579,26 @@ def kernel_spectrum(h, dims: Sequence[int]) -> KernelSpectrum:
     return KernelSpectrum(np.fft.rfftn(arr, axes=axes), arr.shape, axes)
 
 
-def _circ_conv_raw(x: np.ndarray, h, x_axes: tuple[int, ...]) -> np.ndarray:
-    """Circular convolution of real arrays along ``x_axes`` via real FFTs.
+def _mul_spectrum(f: np.ndarray, hf: np.ndarray) -> np.ndarray:
+    """``f * hf``, computed in ``f``'s buffer when it has the product's shape."""
+    if np.broadcast_shapes(f.shape, hf.shape) != f.shape:
+        return f * hf
+    f *= hf
+    return f
+
+
+def _circ_conv_raw(x: np.ndarray, h, x_axes: tuple[int, ...], lengths: tuple[int, ...]) -> np.ndarray:
+    """Circular convolution of real arrays of ``lengths`` along ``x_axes``
+    via real FFTs; ``x`` is zero-padded at its end to ``lengths``.
 
     ``h`` aligns with ``x`` from the trailing axis; leading axes broadcast.
     ``h`` is transformed unless it is already a ``KernelSpectrum``.
     """
-    lengths = tuple(x.shape[ax] for ax in x_axes)
-    xf = np.fft.rfftn(x, axes=x_axes)
+    xf = np.fft.rfftn(x, s=lengths, axes=x_axes)
     if not isinstance(h, KernelSpectrum):
         offset = x.ndim - h.ndim
         h = kernel_spectrum(h, [ax - offset for ax in x_axes])
-    return np.fft.irfftn(xf * h.data, s=lengths, axes=x_axes)
+    return np.fft.irfftn(_mul_spectrum(xf, h.data), s=lengths, axes=x_axes)
 
 
 def _circ_reverse(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -585,11 +610,20 @@ def _circ_reverse(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
-    """Circular convolution y[t] = sum_s x[s] * h[(t-s) mod N] along ``dims``.
+    """Circular convolution y[t] = sum_s x[s] * h[(t-s) mod M] along ``dims``,
+    M being ``h``'s length on each convolved axis.
 
-    ``x`` and ``h`` must have equal length on every convolved axis (callers
-    zero-pad beforehand); other axes follow numpy broadcasting.  Computed by
-    forward FFT, pointwise product, inverse FFT; the result is real.
+    ``x`` may be shorter than ``h`` on a convolved axis, never longer.  A
+    shorter ``x``, of length L, is zero-padded at its end to M inside the
+    transform, and the output keeps ``x``'s length: it holds the last L
+    entries of the length-M convolution, the ones overlap-save keeps, as a
+    copy, so no M-sized array outlives the call.  With equal lengths that is
+    the whole circular convolution.  ``h`` aligns with ``x`` from the
+    trailing axis and has no more axes than ``x``; other axes follow numpy
+    broadcasting.  Computed by forward FFT, pointwise product, inverse FFT;
+    the result is real.  The x-partial places the upstream gradient in the
+    trailing window of an M-sized zero array, correlates it with ``h`` and
+    keeps the first L entries.
 
     ``h`` may instead be ``kernel_spectrum(h, dims)``, which skips the
     kernel's transform.  That kernel is a constant: a tape records only the
@@ -601,42 +635,71 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     h = h if spectral else _lift(h)
     x_axes = _normalize_axes(x.ndim, dims)
     offset = x.ndim - h.ndim
+    if offset < 0:
+        raise ValueError(f"h has {h.ndim} axes, more than x's {x.ndim}")
     for ax in x_axes:
         h_ax = ax - offset
-        if h_ax < 0 or x.shape[ax] != h.shape[h_ax]:
+        if h_ax < 0 or x.shape[ax] > h.shape[h_ax]:
             raise ValueError(
-                f"convolved axis {ax}: x length {x.shape[ax]} does not match h"
+                f"convolved axis {ax}: x length {x.shape[ax]} does not match h "
+                "(x may be shorter than h, not longer)"
             )
     h_axes = tuple(ax - offset for ax in x_axes)
+    if spectral and h.axes != h_axes:
+        raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
+    lengths = tuple(h.shape[ax] for ax in h_axes)
+    sx = x.shape
+    padded = any(sx[ax] != m for ax, m in zip(x_axes, lengths))
+    # x sits in the leading window of the transform's input and the output
+    # is the trailing window of the length-M convolution; the x-partial
+    # embeds its upstream gradient in that trailing window and keeps the
+    # leading one.
+    head, tail = [slice(None)] * x.ndim, [slice(None)] * x.ndim
+    for ax, m in zip(x_axes, lengths):
+        head[ax], tail[ax] = slice(0, sx[ax]), slice(m - sx[ax], m)
+    head, tail = tuple(head), tuple(tail)
+
+    def window(full: np.ndarray, sl: tuple[slice, ...]) -> np.ndarray:
+        return full[sl].copy() if padded else full
+
+    def embed(a: np.ndarray, sl: tuple[slice, ...]) -> np.ndarray:
+        if not padded:
+            return a
+        shape = list(a.shape)
+        for ax, m in zip(x_axes, lengths):
+            shape[ax] = m
+        full = np.zeros(shape)
+        full[sl] = a
+        return full
+
     if spectral:
-        if h.axes != h_axes:
-            raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
-        out = Tensor(_circ_conv_raw(x.data, h, x_axes))
-        lengths = [x.shape[ax] for ax in x_axes]
-        sx = x.shape
+        out = Tensor(window(_circ_conv_raw(x.data, h, x_axes, lengths), tail))
 
         def vjp_x(g):
             # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
             # needs no conjugate copy of H; the products are the same.
-            gf = np.fft.rfftn(g, axes=x_axes)
-            gf = np.conjugate(gf, out=gf) * h.data
+            gf = np.fft.rfftn(embed(g, tail), axes=x_axes)
+            gf = _mul_spectrum(np.conjugate(gf, out=gf), h.data)
             gx = np.fft.irfftn(np.conjugate(gf, out=gf), s=lengths, axes=x_axes)
-            return (_unbroadcast(gx, sx),)
+            return (_unbroadcast(window(gx, head), sx),)
 
         _record("circular_convolve", out, (x,), _needs(x), vjp_x)
         return out
-    out = Tensor(_circ_conv_raw(x.data, h.data, x_axes))
+    out = Tensor(window(_circ_conv_raw(x.data, h.data, x_axes, lengths), tail))
     need = _needs(x, h)
     if need:
-        sx, sh = x.shape, h.shape
+        sh = h.shape
         xd, hd = (x.data if need[1] else None), (h.data if need[0] else None)
 
         def vjp(g):
             gx = gh = None
+            gp = embed(g, tail)
             if need[0]:
-                gx = _unbroadcast(_circ_conv_raw(g, _circ_reverse(hd, h_axes), x_axes), sx)
+                gx = _circ_conv_raw(gp, _circ_reverse(hd, h_axes), x_axes, lengths)
+                gx = _unbroadcast(window(gx, head), sx)
             if need[1]:
-                gh = _unbroadcast(_circ_conv_raw(g, _circ_reverse(xd, x_axes), x_axes), sh)
+                xr = _circ_reverse(embed(xd, head), x_axes)
+                gh = _unbroadcast(_circ_conv_raw(gp, xr, x_axes, lengths), sh)
             return gx, gh
 
         _record("circular_convolve", out, (x, h), need, vjp)

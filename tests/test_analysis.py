@@ -364,5 +364,5 @@ class TestBench:
         qk = rng.normal(size=(f, f, c))
         kernel = rng.normal(size=(2 * f - 1, 2 * f - 1, c))
         dense = an.dense_conv2d_reference(qk, kernel)
-        fft = mx._centered_conv(Tensor(qk), Tensor(kernel), (0, 1)).data
+        fft = nx.circular_convolve(Tensor(qk), Tensor(kernel), (0, 1)).data
         assert np.abs(dense - fft).max() < 1e-10

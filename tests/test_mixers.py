@@ -533,7 +533,8 @@ class TestSmoothFFTLength:
         seen = []
 
         def rfftn(a, s=None, axes=None, **kw):
-            seen.append(tuple(a.shape[ax] for ax in axes))
+            # The transform length is ``s`` when given: ``a`` is zero-padded to it.
+            seen.append(tuple(s) if s is not None else tuple(a.shape[ax] for ax in axes))
             return np_rfftn(a, s=s, axes=axes, **kw)
 
         def irfftn(a, s=None, axes=None, **kw):
@@ -545,3 +546,37 @@ class TestSmoothFFTLength:
         model(Tensor(rng.normal(size=(1, 224, 224, 3))))
         assert set(seen) == lengths
         assert all(is_smooth(n) for shape in seen for n in shape)
+
+
+class TestOneOpPerPass:
+    """The long convolution of a centered mixer is one ``circular_convolve``
+    node per pass on the unpadded q*k: nothing pads q*k or crops the
+    convolution on its way from ``mul(q, k)`` to the gate."""
+
+    @staticmethod
+    def _path_to_gate(nodes):
+        """Ops on the chain from the gate's first input back to ``mul(q, k)``."""
+        by_output = {n.output: n for n in nodes}
+        gate = by_output[nodes[-1].inputs[0]]  # out_proj's matmul reads the gate
+        assert gate.op == "mul"
+        chain, node = [], by_output[gate.inputs[0]]
+        while node.op != "mul":
+            chain.append(node.op)
+            node = by_output[node.inputs[0]]
+        return chain
+
+    @pytest.mark.parametrize(
+        "variant,extent,passes",
+        [("bidirectional", 12, 1), ("global2d", (4, 6), 1), ("separable2d", (5, 7), 2)],
+    )
+    @pytest.mark.parametrize("taped_filters", [False, True])
+    def test_one_circular_convolve_per_pass(self, rng, variant, extent, passes, taped_filters):
+        # 23 -> 24, 7 x 11 -> 7 x 12 and 13 -> 14, 9 -> 9: front-padded kernels.
+        mixer = mx.GatedConvMixer(mx.MixerConfig(variant, 2, extent, embed_dim=2), rng)
+        shape = (extent, 2) if variant == "bidirectional" else extent + (2,)
+        x = Tensor(rng.normal(size=shape))
+        sources = [x] + ([p for f in mixer.filters for _, p in f.parameters()] if taped_filters else [])
+        with GradTape(sources) as tape:
+            mixer(x)
+        assert self._path_to_gate(tape.nodes) == ["circular_convolve"] * passes
+        assert [n.op for n in tape.nodes].count("circular_convolve") == passes

@@ -88,8 +88,16 @@ class TestCircularConvolve:
         assert spectrum.data.shape == (9, 7, 3) and spectrum.shape == (9, 13, 3)
         y = circular_convolve(Tensor(x), spectrum, dims=[-3, -2]).data
         assert np.array_equal(y, ref)
-        with pytest.raises(ValueError, match="does not match h"):  # 12 // 2 + 1 == 13 // 2 + 1
-            circular_convolve(Tensor(x[:, :, :12]), spectrum, dims=[-3, -2])
+        # A 12-long x (12 // 2 + 1 == 13 // 2 + 1) is zero-padded to the
+        # spectrum's true length 13; the output is the trailing 12 columns.
+        short = circular_convolve(Tensor(x[:, :, :12]), spectrum, dims=[-3, -2]).data
+        assert short.shape == (2, 9, 12, 3)
+        for b in range(2):
+            for c in range(3):
+                padded = np.pad(x[b, :, :12, c], [(0, 0), (0, 1)])
+                assert np.abs(short[b, :, :, c] - circ_direct_2d(padded, h[:, :, c])[:, 1:]).max() < 1e-10
+        with pytest.raises(ValueError, match="does not match h"):
+            circular_convolve(Tensor(rng.normal(size=(2, 9, 14, 3))), spectrum, dims=[-3, -2])
         with pytest.raises(ValueError, match="taken over axes"):
             circular_convolve(Tensor(x), spectrum, dims=[-2])
         # On a tape the spectrum is a constant: one node, x its only input.
@@ -105,6 +113,90 @@ class TestCircularConvolve:
             y = circular_convolve(xt, ht, dims=[-3, -2])
         ref_gx, _ = tape.gradient(y, [xt, ht], upstream=g)
         assert np.abs(gx.data - ref_gx.data).max() < 1e-12
+
+
+def _kernel_or_spectrum(h: np.ndarray, dims, spectral: bool):
+    return nx.kernel_spectrum(Tensor(h), dims) if spectral else Tensor(h)
+
+
+class TestUnpaddedInput:
+    """``circular_convolve`` of an ``x`` shorter than ``h``: the transform
+    zero-pads x at its end to h's length M and the output is the last L of
+    the M outputs, on the kernel path and the spectral path alike."""
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_1d_vs_direct(self, rng, spectral):
+        x, h = rng.normal(size=(5, 3)), rng.normal(size=(12, 3))
+        y = circular_convolve(Tensor(x), _kernel_or_spectrum(h, [0], spectral), dims=[0]).data
+        assert y.shape == x.shape
+        for c in range(3):
+            ref = circ_direct_1d(np.pad(x[:, c], (0, 7)), h[:, c])[7:]
+            assert np.abs(y[:, c] - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_2d_vs_direct(self, rng, spectral):
+        x, h = rng.normal(size=(2, 4, 6, 2)), rng.normal(size=(9, 12, 2))
+        y = circular_convolve(Tensor(x), _kernel_or_spectrum(h, [-3, -2], spectral), dims=[-3, -2]).data
+        assert y.shape == x.shape
+        for b in range(2):
+            for c in range(2):
+                ref = circ_direct_2d(np.pad(x[b, :, :, c], [(0, 5), (0, 6)]), h[:, :, c])[5:, 6:]
+                assert np.abs(y[b, :, :, c] - ref).max() < 1e-10
+
+    def test_centered_window_is_the_direct_sum(self, rng):
+        # A 2L-1 kernel padded at its front to M: the output is the centered
+        # sum y[i] = sum_s x[s] * k[i - s + L - 1].
+        n, m = 6, 14
+        x, k = rng.normal(size=n), rng.normal(size=2 * n - 1)
+        y = circular_convolve(Tensor(x), Tensor(np.pad(k, (m - 2 * n + 1, 0))), dims=[0]).data
+        ref = [sum(x[s] * k[i - s + n - 1] for s in range(n)) for i in range(n)]
+        assert np.abs(y - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_output_owns_its_buffer(self, rng, spectral):
+        x, h = Tensor(rng.normal(size=(1, 5, 7, 2))), rng.normal(size=(9, 13, 2))
+        y = circular_convolve(x, _kernel_or_spectrum(h, [-3, -2], spectral), dims=[-3, -2])
+        assert y.data.base is None and y.data.flags.owndata
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_x_partial_is_the_padded_partial_cropped(self, rng, spectral):
+        # The x-partial equals that of the explicitly padded input, first L kept.
+        x, h, g = rng.normal(size=(5, 2)), rng.normal(size=(11, 2)), rng.normal(size=(5, 2))
+        kernel = _kernel_or_spectrum(h, [0], spectral)
+        xt, xp = Tensor(x), Tensor(np.pad(x, [(0, 6), (0, 0)]))
+        with GradTape([xt]) as tape:
+            y = circular_convolve(xt, kernel, dims=[0])
+        (gx,) = tape.gradient(y, [xt], upstream=g)
+        with GradTape([xp]) as tape:
+            yp = circular_convolve(xp, kernel, dims=[0])
+        (gp,) = tape.gradient(yp, [xp], upstream=np.pad(g, [(6, 0), (0, 0)]))
+        assert np.abs(y.data - yp.data[6:]).max() < 1e-12
+        assert np.abs(gx.data - gp.data[:5]).max() < 1e-12
+
+    def test_x_broadcasts_against_h(self, rng):
+        # x has one channel and h three: the product is wider than x's spectrum.
+        x, h = rng.normal(size=(4, 1)), rng.normal(size=(9, 3))
+        y = circular_convolve(Tensor(x), Tensor(h), dims=[0]).data
+        for c in range(3):
+            ref = circ_direct_1d(np.pad(x[:, 0], (0, 5)), h[:, c])[5:]
+            assert np.abs(y[:, c] - ref).max() < 1e-10
+        f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0])))
+        assert grad_check(f, [Tensor(x), Tensor(h)]) < 1e-5
+
+    def test_spectral_gradient(self, rng):
+        spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(9, 2))), [0])
+        f = lambda a: nx.tensor_sum(nx.square(circular_convolve(a, spectrum, dims=[0])))
+        assert grad_check(f, [Tensor(rng.normal(size=(4, 2)))]) < 1e-5
+
+    def test_h_with_more_axes_than_x_is_rejected(self, rng):
+        # The output would otherwise be transformed along the wrong axis.
+        with pytest.raises(ValueError, match="h has 2 axes, more than x's 1"):
+            circular_convolve(Tensor(rng.normal(size=9)), Tensor(rng.normal(size=(2, 9))), dims=[0])
+
+    def test_longer_x_is_rejected(self, rng):
+        for h in (Tensor(rng.normal(size=(7, 2))), nx.kernel_spectrum(Tensor(rng.normal(size=(7, 2))), [0])):
+            with pytest.raises(ValueError, match="does not match h"):
+                circular_convolve(Tensor(rng.normal(size=(8, 2))), h, dims=[0])
 
 
 def shift_direct(x: np.ndarray, w: np.ndarray, offsets, axes) -> np.ndarray:
@@ -284,8 +376,10 @@ def _retained_bytes(op, x, nodes=1):
 
 def _ops_on_an_intermediate(rng):
     """Ops whose tracked input is an activation the forward pass drops: the
-    output of a ``neg`` (or, for the spectral convolution, the padded input)
-    of a [2, 16, 16, 32] x.  Every other operand is an untracked constant."""
+    output of a ``neg`` (or, for one spectral convolution row, the padded
+    input) of a [2, 16, 16, 32] x.  Every other operand is an untracked
+    constant.  The unpadded spectral row also checks that no 31 x 31 array
+    outlives the call."""
     c, bias = Tensor(rng.normal(size=(2, 16, 16, 32))), Tensor(rng.normal(size=32))
     w = Tensor(rng.normal(size=(32, 8)))
     taps, offsets = Tensor(rng.normal(size=(9, 32))), [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
@@ -303,6 +397,7 @@ def _ops_on_an_intermediate(rng):
         "strided_conv2d": lambda t: nx.strided_conv2d(nx.neg(t), cw, cb, 2, 1),
         "circular_convolve": lambda t: circular_convolve(
             nx.pad(t, [(0, 0), (0, 15), (0, 15), (0, 0)]), spectrum, dims=[-3, -2]),
+        "circular_convolve_unpadded": lambda t: circular_convolve(nx.neg(t), spectrum, dims=[-3, -2]),
     }
 
 
@@ -476,6 +571,7 @@ PRUNED_OPS = {
     "strided_conv2d": (lambda x, w, b: nx.strided_conv2d(x, w, b, 2, 1),
                        [(1, 6, 6, 2), (3, 3, 2, 4), (4,)]),
     "circular_convolve": (lambda x, h: circular_convolve(x, h, dims=[0]), [(9, 2), (9, 2)]),
+    "circular_convolve_unpadded": (lambda x, h: circular_convolve(x, h, dims=[0]), [(5, 2), (9, 2)]),
     "shift_convolve": (lambda x, w: nx.shift_convolve(x, w, [(-1,), (0,), (2,)], (-2,)),
                        [(6, 2), (3, 2)]),
     "layer_norm": (lambda x, g, b: nx.layer_norm(x, g, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
@@ -583,6 +679,26 @@ class TestFusedOps:
         gamma, beta = Tensor(rng.normal(size=gamma_shape)), Tensor(rng.normal(size=beta_shape))
         with pytest.raises(ValueError, match=match):
             nx.layer_norm(x, gamma, beta, 1e-6)
+
+    @pytest.mark.parametrize("scale_shape,shift_shape,match", [
+        ((3,), (), r"scale of shape \(3,\) does not broadcast to x's shape \(2, 4\)"),
+        ((), (1, 2, 4), r"shift of shape \(1, 2, 4\) does not broadcast"),
+    ])
+    def test_star_relu_parameter_shapes_named(self, rng, scale_shape, shift_shape, match):
+        x = Tensor(rng.normal(size=(2, 4)))
+        scale, shift = Tensor(rng.normal(size=scale_shape)), Tensor(rng.normal(size=shift_shape))
+        with pytest.raises(ValueError, match=match):
+            nx.star_relu(x, scale, shift)
+
+    def test_star_relu_partials_with_channel_parameters(self, rng):
+        x, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        s, b = rng.normal(size=4), rng.normal(size=(1, 4))
+        y, (gx, gs, gb) = _fused_partials(nx.star_relu, [Tensor(x), Tensor(s), Tensor(b)], g)
+        pos = np.where(x > 0, x, 0.0)
+        assert np.abs(y - (s * pos**2 + b)).max() < 1e-12
+        assert np.abs(gx - 2.0 * s * pos * g).max() < 1e-12
+        assert np.abs(gs - (g * pos**2).sum(axis=0)).max() < 1e-12
+        assert gb.shape == (1, 4) and np.abs(gb - g.sum(axis=0)).max() < 1e-12
 
     def test_cross_entropy_shapes_must_agree(self, rng):
         with pytest.raises(ValueError, match="logits and targets alike"):
@@ -723,6 +839,8 @@ class TestGradCheck:
             ("reshape", lambda a: nx.tensor_sum(nx.square(nx.reshape(a, (6,)))), [(2, 3)]),
             ("pad", lambda a: nx.tensor_sum(nx.square(nx.pad(a, [(1, 2)]))), [(5,)]),
             ("crop", lambda a: nx.tensor_sum(nx.square(nx.crop(a, [slice(1, 4)]))), [(6,)]),
+            ("circular_convolve_unpadded",
+             lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0]))), [(5, 2), (9, 2)]),
         ],
     )
     def test_primitive_gradients(self, rng, name, f, shapes):
