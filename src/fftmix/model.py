@@ -227,6 +227,10 @@ def downsample(x: Tensor, layer: ConvNormLayer) -> Tensor:
 
 
 class FeedForward:
+    """linear -> StarReLU -> linear at expansion 4, run as the one op
+    ``numerics.feed_forward``: a tape keeps the FFN's input, not its 4x-wide
+    hidden layer, which the backward pass recomputes."""
+
     def __init__(self, channels: int, rng):
         wide = channels * FFN_EXPANSION
         self.w1 = Tensor(rng.normal(0, 1 / np.sqrt(channels), (channels, wide)), requires_grad=True)
@@ -236,8 +240,8 @@ class FeedForward:
         self.b2 = Tensor(np.zeros(channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = star_relu(nx.linear(x, self.w1, self.b1), self.act)
-        return nx.linear(h, self.w2, self.b2)
+        act = self.act
+        return nx.feed_forward(x, self.w1, self.b1, act.scale, act.shift, self.w2, self.b2)
 
     __call__ = forward
 

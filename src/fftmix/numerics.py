@@ -17,15 +17,18 @@ The primitives are the elementwise and reduction ops (``add``, ``mul``,
 ``neg``, ``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape
 ops (``reshape``, ``pad``, ``crop``), ``matmul``/``linear``, the
 convolutions (``circular_convolve`` with ``kernel_spectrum``,
-``shift_convolve``, ``strided_conv2d``) and three fused layers:
+``shift_convolve``, ``strided_conv2d``) and four fused layers:
 ``layer_norm``, ``star_relu`` and ``cross_entropy`` each record one op with
 a closed-form VJP, where composing them from the elementary ops would take
-12, 4 and 10.  Every public function has a caller in the package, except
-``grad_check`` and ``square``, which the gradient suite uses.
+12, 4 and 10, and ``feed_forward`` (linear, StarReLU, linear) records one
+op in place of 5, recomputing its hidden layer in the backward pass.
+Every public function has a caller in the package, except ``grad_check``
+and ``square``, which the gradient suite uses.
 
-Values are float64 throughout; float32 is only the storage format of HPX1
-files.  Every operation validates that its output is finite: NaN/Inf
-anywhere is an error, never a silent state.
+Values are float64 throughout: a tensor converts any real input to
+float64 and rejects complex, string, bytes and object values; float32 is
+only the storage format of HPX1 files.  Every operation validates that its
+output is finite: NaN/Inf anywhere is an error, never a silent state.
 """
 
 from __future__ import annotations
@@ -38,14 +41,17 @@ import numpy as np
 
 DTYPE = np.float64
 
-_FLOAT_KINDS = ("f",)
+# Booleans, signed and unsigned integers and floats: the dtypes that hold reals.
+_REAL_KINDS = "biuf"
 
 
 def _as_array(value) -> np.ndarray:
+    """``value`` as a float64 array; complex, string, bytes, object and other
+    non-real dtypes raise a ``ValueError`` that names the dtype."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in _FLOAT_KINDS:
-        arr = arr.astype(DTYPE)
-    return arr
+    if arr.dtype.kind not in _REAL_KINDS:
+        raise ValueError(f"a tensor holds real numbers, not values of dtype {arr.dtype}")
+    return arr if arr.dtype == DTYPE else arr.astype(DTYPE)
 
 
 # Tensor keys: a serial number per tensor, never reused in the process.
@@ -370,6 +376,17 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
+def _gemm_shape(op: str, a_name: str, sa: tuple[int, ...], b_name: str, sb: tuple[int, ...]) -> tuple[int, int]:
+    """``b``'s [K, M] for ``a @ b`` with ``a`` of shape [..., K], or a
+    ``ValueError`` naming the operand that does not fit."""
+    if len(sb) != 2:
+        raise ValueError(f"{op} expects {b_name} of shape [K, M], got {sb}")
+    k, m = sb
+    if len(sa) == 0 or sa[-1] != k:
+        raise ValueError(f"{op}: {a_name} of shape {sa} does not end in {b_name}'s K = {k}")
+    return k, m
+
+
 def matmul(a, b) -> Tensor:
     """``a @ b`` where ``a`` is [..., K] and ``b`` is [K, M].
 
@@ -377,11 +394,7 @@ def matmul(a, b) -> Tensor:
     partial of the VJP, is one [rows, K] x [K, M] GEMM.
     """
     a, b = _lift(a), _lift(b)
-    if b.ndim != 2:
-        raise ValueError(f"matmul expects b of shape [K, M], got {b.shape}")
-    k, m = b.shape
-    if a.ndim == 0 or a.shape[-1] != k:
-        raise ValueError(f"matmul: a of shape {a.shape} does not end in b's K = {k}")
+    k, m = _gemm_shape("matmul", "a", a.shape, "b", b.shape)
     out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,)))
     need = _needs(a, b)
     if need:
@@ -471,6 +484,14 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     return out
 
 
+def _check_star_relu_parameters(op: str, x_name: str, sx, ss, sb) -> None:
+    """A ``ValueError`` unless StarReLU's scale (shape ``ss``) and shift
+    (``sb``) broadcast to its input's shape ``sx`` without widening it."""
+    for name, s in (("scale", ss), ("shift", sb)):
+        if len(s) > len(sx) or any(a not in (1, b) for a, b in zip(s[::-1], sx[::-1])):
+            raise ValueError(f"{op}: {name} of shape {s} does not broadcast to {x_name}'s shape {sx}")
+
+
 def star_relu(x, scale, shift) -> Tensor:
     """StarReLU, ``scale * relu(x)**2 + shift``, as one op.
 
@@ -482,9 +503,7 @@ def star_relu(x, scale, shift) -> Tensor:
     """
     x, scale, shift = _lift(x), _lift(scale), _lift(shift)
     sx, ss, sb = x.shape, scale.shape, shift.shape
-    for name, s in (("scale", ss), ("shift", sb)):
-        if len(s) > len(sx) or any(a not in (1, b) for a, b in zip(s[::-1], sx[::-1])):
-            raise ValueError(f"star_relu: {name} of shape {s} does not broadcast to x's shape {sx}")
+    _check_star_relu_parameters("star_relu", "x", sx, ss, sb)
     xd, sd = x.data, scale.data
     y = np.maximum(xd, 0.0)
     y *= y
@@ -510,6 +529,91 @@ def star_relu(x, scale, shift) -> Tensor:
         return gx, gs, gb
 
     _record("star_relu", out, (x, scale, shift), need, vjp)
+    return out
+
+
+def feed_forward(x, w1, b1, scale, shift, w2, b2) -> Tensor:
+    """The MetaFormer FFN, ``linear -> StarReLU -> linear``, as one op.
+
+    ``x`` is [..., C], ``w1`` [C, H], ``b1`` [H], ``w2`` [H, C'] and ``b2``
+    [C']; ``scale`` and ``shift`` broadcast to the hidden layer as in
+    ``star_relu``.  The forward pass is ``h = x @ w1 + b1``, then StarReLU
+    in ``h``'s buffer, then ``h @ w2 + b2``: the arithmetic of the composed
+    ops, in their order, so every bit matches.  The node keeps ``x`` and
+    the parameter arrays, not the hidden layer: the VJP recomputes
+    ``relu(x @ w1 + b1)`` with one GEMM and then runs the composed ops'
+    VJPs, in their order, computing only the partials ``need`` asks for.
+    """
+    x, w1, b1, scale, shift, w2, b2 = (_lift(t) for t in (x, w1, b1, scale, shift, w2, b2))
+    sx, ss, ssh, sb1, sb2 = x.shape, scale.shape, shift.shape, b1.shape, b2.shape
+    c, wide = _gemm_shape("feed_forward", "x", sx, "w1", w1.shape)
+    sh = sx[:-1] + (wide,)
+    _, c_out = _gemm_shape("feed_forward", "the hidden layer", sh, "w2", w2.shape)
+    for name, s, n in (("b1", sb1, wide), ("b2", sb2, c_out)):
+        if s != (n,):
+            raise ValueError(f"feed_forward: {name} must have shape ({n},), got {s}")
+    _check_star_relu_parameters("feed_forward", "the hidden layer", sh, ss, ssh)
+    xd, w1d, b1d, sd, shd, w2d = x.data, w1.data, b1.data, scale.data, shift.data, w2.data
+    h = xd.reshape(-1, c) @ w1d
+    h += b1d
+    np.maximum(h, 0.0, out=h)
+    h *= h
+    h *= sd
+    h += shd
+    y = h @ w2d
+    del h  # before the output's finiteness check allocates
+    y += b2.data
+    out = Tensor(y.reshape(sx[:-1] + (c_out,)))
+    need = _needs(x, w1, b1, scale, shift, w2, b2)
+    if need:
+        # Every partial but b2's recomputes relu(x @ w1 + b1); those of the
+        # first GEMM and of StarReLU read w2; only w2's reads the shift.
+        if not any(need[:6]):
+            xd = w1d = b1d = sd = None
+        if not any(need[:5]):
+            w2d = None
+        if not need[5]:
+            shd = None
+
+        def vjp(g):
+            gx = gw1 = gb1 = gs = gsh = gw2 = gb2 = None
+            g2 = g.reshape(-1, c_out)
+            if need[6]:
+                gb2 = _unbroadcast(g, sb2)
+            if any(need[:6]):
+                x2 = xd.reshape(-1, c)
+                r = x2 @ w1d
+                r += b1d
+                np.maximum(r, 0.0, out=r)
+            if need[5]:
+                h = r * r
+                h *= sd
+                h += shd
+                gw2 = h.T @ g2
+                del h
+            if any(need[:5]):
+                gh = g2 @ w2d.T
+                if need[4]:
+                    gsh = _unbroadcast(gh.reshape(sh), ssh)
+                if need[3]:
+                    r2 = r * r
+                    r2 *= gh
+                    gs = _unbroadcast(r2.reshape(sh), ss)
+                    del r2
+                # The x-partial of StarReLU, in gh's buffer: 2 * scale * relu * g.
+                gh *= sd
+                gh *= r
+                gh *= 2.0
+                del r
+                if need[2]:
+                    gb1 = _unbroadcast(gh.reshape(sh), sb1)
+                if need[1]:
+                    gw1 = x2.T @ gh
+                if need[0]:
+                    gx = (gh @ w1d.T).reshape(sx)
+            return gx, gw1, gb1, gs, gsh, gw2, gb2
+
+        _record("feed_forward", out, (x, w1, b1, scale, shift, w2, b2), need, vjp)
     return out
 
 
@@ -587,18 +691,44 @@ def _mul_spectrum(f: np.ndarray, hf: np.ndarray) -> np.ndarray:
     return f
 
 
-def _circ_conv_raw(x: np.ndarray, h, x_axes: tuple[int, ...], lengths: tuple[int, ...]) -> np.ndarray:
+def _irfftn(f: np.ndarray, lengths: tuple[int, ...], axes: tuple[int, ...], in_place: bool = False) -> np.ndarray:
+    """``irfftn`` of the half spectrum ``f`` to real ``lengths`` over ``axes``.
+
+    With ``in_place``, for a caller that keeps only a copied window of the
+    result, a transform over several axes writes into ``f``'s own buffer,
+    overwriting ``f``, instead of a third array of the transform's size: a
+    C-contiguous half spectrum holds 2 * (M // 2 + 1) >= M floats per row,
+    and numpy's ``irfftn`` reads ``f`` only in its first ``ifft`` stage,
+    which writes a fresh array.  Over one axis numpy would first copy the
+    overlapping input, which holds as much and ran slower, so there the
+    result gets its own array.
+    """
+    out = None
+    if in_place and len(axes) > 1 and f.flags.c_contiguous:
+        shape = list(f.shape)
+        for ax, m in zip(axes, lengths):
+            shape[ax] = m
+        out = f.reshape(-1).view(DTYPE)[: int(np.prod(shape))].reshape(shape)
+    return np.fft.irfftn(f, s=lengths, axes=axes, out=out)
+
+
+def _circ_conv_raw(
+    x: np.ndarray, h, x_axes: tuple[int, ...], lengths: tuple[int, ...], in_place: bool = False
+) -> np.ndarray:
     """Circular convolution of real arrays of ``lengths`` along ``x_axes``
     via real FFTs; ``x`` is zero-padded at its end to ``lengths``.
 
     ``h`` aligns with ``x`` from the trailing axis; leading axes broadcast.
     ``h`` is transformed unless it is already a ``KernelSpectrum``.
+    ``in_place`` is ``_irfftn``'s.
     """
     xf = np.fft.rfftn(x, s=lengths, axes=x_axes)
     if not isinstance(h, KernelSpectrum):
         offset = x.ndim - h.ndim
         h = kernel_spectrum(h, [ax - offset for ax in x_axes])
-    return np.fft.irfftn(_mul_spectrum(xf, h.data), s=lengths, axes=x_axes)
+    xf = _mul_spectrum(xf, h.data)
+    del h  # a kernel spectrum taken here is freed before the inverse allocates
+    return _irfftn(xf, lengths, x_axes, in_place)
 
 
 def _circ_reverse(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -617,13 +747,16 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     shorter ``x``, of length L, is zero-padded at its end to M inside the
     transform, and the output keeps ``x``'s length: it holds the last L
     entries of the length-M convolution, the ones overlap-save keeps, as a
-    copy, so no M-sized array outlives the call.  With equal lengths that is
-    the whole circular convolution.  ``h`` aligns with ``x`` from the
-    trailing axis and has no more axes than ``x``; other axes follow numpy
-    broadcasting.  Computed by forward FFT, pointwise product, inverse FFT;
-    the result is real.  The x-partial places the upstream gradient in the
-    trailing window of an M-sized zero array, correlates it with ``h`` and
-    keeps the first L entries.
+    copy, so no M-sized array outlives the call.  Over several axes the
+    inverse transform of such a windowed result, and of the x-partial's,
+    writes into the buffer of the spectra's product, so a pass with a
+    kernel spectrum holds two spectra and its output at most.  With equal
+    lengths the output is the whole circular convolution.  ``h`` aligns
+    with ``x`` from the trailing axis and has no more axes than ``x``; other
+    axes follow numpy broadcasting.  Computed by forward FFT, pointwise
+    product, inverse FFT; the result is real.  The x-partial places the
+    upstream gradient in the trailing window of an M-sized zero array,
+    correlates it with ``h`` and keeps the first L entries.
 
     ``h`` may instead be ``kernel_spectrum(h, dims)``, which skips the
     kernel's transform.  That kernel is a constant: a tape records only the
@@ -673,19 +806,19 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
         return full
 
     if spectral:
-        out = Tensor(window(_circ_conv_raw(x.data, h, x_axes, lengths), tail))
+        out = Tensor(window(_circ_conv_raw(x.data, h, x_axes, lengths, padded), tail))
 
         def vjp_x(g):
             # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
             # needs no conjugate copy of H; the products are the same.
             gf = np.fft.rfftn(embed(g, tail), axes=x_axes)
             gf = _mul_spectrum(np.conjugate(gf, out=gf), h.data)
-            gx = np.fft.irfftn(np.conjugate(gf, out=gf), s=lengths, axes=x_axes)
+            gx = _irfftn(np.conjugate(gf, out=gf), lengths, x_axes, padded)
             return (_unbroadcast(window(gx, head), sx),)
 
         _record("circular_convolve", out, (x,), _needs(x), vjp_x)
         return out
-    out = Tensor(window(_circ_conv_raw(x.data, h.data, x_axes, lengths), tail))
+    out = Tensor(window(_circ_conv_raw(x.data, h.data, x_axes, lengths, padded), tail))
     need = _needs(x, h)
     if need:
         sh = h.shape
@@ -695,7 +828,7 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
             gx = gh = None
             gp = embed(g, tail)
             if need[0]:
-                gx = _circ_conv_raw(gp, _circ_reverse(hd, h_axes), x_axes, lengths)
+                gx = _circ_conv_raw(gp, _circ_reverse(hd, h_axes), x_axes, lengths, padded)
                 gx = _unbroadcast(window(gx, head), sx)
             if need[1]:
                 xr = _circ_reverse(embed(xd, head), x_axes)

@@ -1,5 +1,7 @@
 import ast
 import copy
+import hashlib
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -187,6 +189,37 @@ class TestUnpaddedInput:
         spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(9, 2))), [0])
         f = lambda a: nx.tensor_sum(nx.square(circular_convolve(a, spectrum, dims=[0])))
         assert grad_check(f, [Tensor(rng.normal(size=(4, 2)))]) < 1e-5
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_inverse_writes_into_the_product(self, rng, spectral):
+        # A padded 2D pass holds the spectra (the kernel's as well unless it
+        # is given as one) and its output, no third M-sized array for the
+        # inverse transform to write.
+        x = Tensor(rng.normal(size=(1, 16, 16, 32)))
+        kernel = _kernel_or_spectrum(rng.normal(size=(31, 31, 32)), [-3, -2], spectral)
+        spectrum_bytes = 31 * 16 * 32 * 16
+        tracemalloc.start()
+        try:
+            y = circular_convolve(x, kernel, dims=[-3, -2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 if spectral else 3) * spectrum_bytes + y.data.nbytes
+        assert y.data.base is None and y.data.flags.owndata
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_transposed_input_matches_its_contiguous_copy(self, rng, spectral):
+        # A transposed x has a spectrum that is not C-contiguous, whose
+        # buffer the inverse does not reuse; values and partials are the same.
+        x, h, g = rng.normal(size=(3, 6, 4)).T, rng.normal(size=(9, 11, 3)), rng.normal(size=(4, 6, 3))
+        kernel = _kernel_or_spectrum(h, [0, 1], spectral)
+        results = []
+        for arr in (x, np.ascontiguousarray(x)):
+            xt = Tensor(arr)
+            with GradTape([xt]) as tape:
+                y = circular_convolve(xt, kernel, dims=[0, 1])
+            results.append((y.data, tape.gradient(y, [xt], upstream=g)[0].data))
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
 
     def test_h_with_more_axes_than_x_is_rejected(self, rng):
         # The output would otherwise be transformed along the wrong axis.
@@ -433,6 +466,15 @@ class TestRecordedMemory:
         # The normalised x and one inverse deviation per position (4 KB).
         assert retained < x.data.nbytes + 8_000
 
+    def test_feed_forward_keeps_its_input_not_the_hidden_layer(self, rng):
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        w1, b1 = Tensor(rng.normal(size=(32, 128))), Tensor(rng.normal(size=128))
+        w2, b2 = Tensor(rng.normal(size=(128, 32))), Tensor(rng.normal(size=32))
+        s, b = Tensor(1.3), Tensor(-0.2)
+        ffn = lambda t: nx.feed_forward(nx.neg(t), w1, b1, s, b, w2, b2)
+        # The negated input (128 KB), not the 4x-wide hidden layer (512 KB).
+        assert _retained_bytes(ffn, x, nodes=2) < x.data.nbytes + 8_000
+
     def test_star_relu_keeps_nothing_but_its_output(self, rng):
         x = Tensor(rng.normal(size=(2, 16, 16, 32)))
         s, b = Tensor(1.3), Tensor(-0.2)
@@ -532,6 +574,8 @@ class TestTapeAndVjp:
     def test_keys_stay_distinct_when_ids_are_reused(self, rng):
         # The tape holds no tensor, so temporaries die and CPython hands
         # their ids to later tensors; keys must still name each one apart.
+        # Each temporary is dropped before the next is made, and the pass is
+        # retried, up to 20 times, until the allocator has reused an id.
         made = []
 
         def f(x):
@@ -540,16 +584,49 @@ class TestTapeAndVjp:
                 t = nx.mul(y, 0.5)
                 made.append((id(t), t.key))
                 y = nx.add(nx.sin(t), y)
+                del t
             return nx.tensor_sum(nx.square(y))
 
         x = Tensor(rng.normal(size=5))
-        with GradTape([x]) as tape:
-            f(x)
-        ids, keys = zip(*made)
+        for _ in range(20):
+            made.clear()
+            with GradTape([x]) as tape:
+                f(x)
+            ids, keys = zip(*made)
+            if len(set(ids)) < len(ids):
+                break
         assert len(set(ids)) < len(ids)
         assert len(set(keys)) == len(keys)
         assert len({node.output for node in tape.nodes}) == len(tape.nodes)
         assert grad_check(f, [x]) < 1e-5
+
+    @pytest.mark.parametrize("value,dtype", [
+        (np.array([1 + 2j, 3]), "complex128"),
+        (np.array(["1.5", "2"]), "<U3"),
+        (np.array([b"1.5", b"2"]), "|S3"),
+        (None, "object"),
+        (np.array([1.5, 2.0], dtype=object), "object"),
+    ])
+    def test_non_real_input_rejected_naming_its_dtype(self, value, dtype):
+        with pytest.raises(ValueError, match=re.escape(f"not values of dtype {dtype}")):
+            Tensor(value)
+
+    @pytest.mark.parametrize("value", [
+        np.array([1.5, -2.25], dtype=np.float32),
+        np.array([1.5, -2.25], dtype=np.float16),
+        np.array([3, -4], dtype=np.int32),
+        np.array([3, 250], dtype=np.uint8),
+        np.array([True, False]),
+        [1, 2.5],
+    ])
+    def test_real_input_becomes_float64(self, value):
+        t = Tensor(value)
+        assert t.dtype == np.float64 and np.array_equal(t.data, np.asarray(value, dtype=np.float64))
+
+    def test_float64_input_is_not_copied(self, rng):
+        # grad_check perturbs inputs through their arrays.
+        a = rng.normal(size=3)
+        assert Tensor(a).data is a
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
     def test_copies_get_fresh_keys(self, rng, clone):
@@ -576,6 +653,7 @@ PRUNED_OPS = {
                        [(6, 2), (3, 2)]),
     "layer_norm": (lambda x, g, b: nx.layer_norm(x, g, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
     "star_relu": (lambda x, s, b: nx.star_relu(x, s, b), [(2, 3, 5), (), ()]),
+    "feed_forward": (lambda *t: nx.feed_forward(*t), [(2, 3, 4), (4, 8), (8,), (), (), (8, 4), (4,)]),
 }
 
 
@@ -600,6 +678,10 @@ def _layer_norm_reference(x, gamma, beta, eps, g):
     return y, gx, g_gamma, g_beta
 
 
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
 def _fused_partials(op, inputs, g):
     """Output of ``op(*inputs)`` and its VJP at upstream ``g``, checking that
     the call records exactly one node."""
@@ -610,8 +692,43 @@ def _fused_partials(op, inputs, g):
 
 
 class TestFusedOps:
-    """layer_norm, star_relu and cross_entropy each record one node whose
-    closed-form VJP matches the composed maths."""
+    """layer_norm, star_relu, feed_forward and cross_entropy each record one
+    node whose closed-form VJP matches the composed maths."""
+
+    @pytest.mark.parametrize("shape", [(1, 56, 56, 64), (2, 8, 8, 8)])
+    def test_feed_forward_is_bit_identical_to_the_composed_ffn(self, rng, shape):
+        c = shape[-1]
+        arrays = [
+            rng.normal(size=shape),
+            rng.normal(size=(c, 4 * c)) / np.sqrt(c),
+            rng.normal(size=4 * c) * 0.1,
+            np.float64(2.0 / np.sqrt(5.0)),
+            np.float64(-1.0 / np.sqrt(5.0)),
+            rng.normal(size=(4 * c, c)) / np.sqrt(4 * c),
+            rng.normal(size=c) * 0.1,
+        ]
+        g = rng.normal(size=shape)
+        y, partials = _fused_partials(nx.feed_forward, [Tensor(a) for a in arrays], g)
+        x, w1, b1, s, b, w2, b2 = inputs = [Tensor(a) for a in arrays]
+        with GradTape(inputs) as tape:
+            ref = nx.linear(nx.star_relu(nx.linear(x, w1, b1), s, b), w2, b2)
+        assert len(tape.nodes) == 5
+        ref_partials = tape.gradient(ref, inputs, upstream=g)
+        assert _sha256(y) == _sha256(ref.data)
+        for got, want in zip(partials, ref_partials):
+            assert got.shape == want.shape and _sha256(got) == _sha256(want.data)
+
+    @pytest.mark.parametrize("shapes,match", [
+        ([(2, 4), (5, 16), (16,), (), (), (16, 4), (4,)], r"x of shape \(2, 4\) does not end in w1's K = 5"),
+        ([(2, 4), (4, 16), (16,), (), (), (8, 4), (4,)], r"hidden layer of shape \(2, 16\) does not end in w2's K = 8"),
+        ([(2, 4), (4,), (16,), (), (), (16, 4), (4,)], r"expects w1 of shape \[K, M\]"),
+        ([(2, 4), (4, 16), (1, 16), (), (), (16, 4), (4,)], r"b1 must have shape \(16,\)"),
+        ([(2, 4), (4, 16), (16,), (), (), (16, 4), (3,)], r"b2 must have shape \(4,\)"),
+        ([(2, 4), (4, 16), (16,), (3,), (), (16, 4), (4,)], r"scale of shape \(3,\) does not broadcast"),
+    ])
+    def test_feed_forward_shapes_named(self, rng, shapes, match):
+        with pytest.raises(ValueError, match=match):
+            nx.feed_forward(*[Tensor(rng.normal(size=s)) for s in shapes])
 
     def test_layer_norm_matches_reference(self, rng):
         x = rng.normal(size=(2, 3, 4, 6)) * 2.0 + 0.5
@@ -841,6 +958,9 @@ class TestGradCheck:
             ("crop", lambda a: nx.tensor_sum(nx.square(nx.crop(a, [slice(1, 4)]))), [(6,)]),
             ("circular_convolve_unpadded",
              lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0]))), [(5, 2), (9, 2)]),
+            ("feed_forward",
+             lambda *t: nx.tensor_sum(nx.square(nx.feed_forward(*t))),
+             [(2, 3), (3, 8), (8,), (), (), (8, 2), (2,)]),
         ],
     )
     def test_primitive_gradients(self, rng, name, f, shapes):
