@@ -37,7 +37,10 @@ materializes its kernels nor transforms them.  The spectra are keyed on
 values: a copy of every filter parameter and kernel mask, compared with
 ``np.array_equal`` on each call, so any change to them (an optimizer step,
 ``load_params``, a ``.data`` write, a truncation mask) rebuilds the
-spectra.  Passes whose tape tracks the filter parameters materialize the
+spectra.  Such a pass inverts only the rows of the transform that its
+output reads (``numerics.circular_convolve``), and the mixer drops ``q``
+and ``k`` once their product exists, so off a tape neither outlives the
+product.  Passes whose tape tracks the filter parameters materialize the
 kernels and record their graph.
 """
 
@@ -351,6 +354,7 @@ class GatedConvMixer:
         else:
             kernels = None
         qk = nx.mul(q, k)
+        del q, k  # a tape keeps what its VJPs need; off a tape they are freed here
         if kernels is None:
             g = _run_passes(qk, self._cached_spectra())
         else:

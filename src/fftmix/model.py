@@ -417,7 +417,8 @@ def count_params(model: Model) -> int:
 
 
 def load_params(model: Model, tensors: dict) -> Model:
-    """Overwrite model parameters from a name -> ndarray mapping."""
+    """Overwrite model parameters from a name -> ndarray mapping with
+    float64 copies, so later updates leave the mapping's arrays as they are."""
     params = dict(model.parameters())
     missing = set(params) - set(tensors)
     if missing:
@@ -426,7 +427,7 @@ def load_params(model: Model, tensors: dict) -> Model:
     if unknown:
         raise ValueError(f"checkpoint has unknown tensors: {sorted(unknown)}")
     for name, tensor in params.items():
-        arr = np.asarray(tensors[name], dtype=np.float64)
+        arr = np.array(tensors[name], dtype=np.float64)
         if arr.shape != tensor.shape and not (arr.size == 1 and tensor.size == 1):
             raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {tensor.shape}")
         tensor.data = arr.reshape(tensor.shape) if tensor.shape else arr.reshape(())

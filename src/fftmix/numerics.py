@@ -22,6 +22,9 @@ convolutions (``circular_convolve`` with ``kernel_spectrum``,
 a closed-form VJP, where composing them from the elementary ops would take
 12, 4 and 10, and ``feed_forward`` (linear, StarReLU, linear) records one
 op in place of 5, recomputing its hidden layer in the backward pass.
+A ``circular_convolve`` with a kernel spectrum, the path of every pass
+that leaves the kernels constant, transforms no zero padding of its own
+and inverts only the rows that its output, or its x-partial, reads.
 Every public function has a caller in the package, except ``grad_check``
 and ``square``, which the gradient suite uses.
 
@@ -712,22 +715,81 @@ def _irfftn(f: np.ndarray, lengths: tuple[int, ...], axes: tuple[int, ...], in_p
     return np.fft.irfftn(f, s=lengths, axes=axes, out=out)
 
 
+def _window_pieces(start: int, size: int, m: int) -> tuple[tuple[slice, slice], ...]:
+    """Entries (start + s) mod m, s < ``size``, of an axis of length ``m``,
+    as (source, destination) slice pairs: one pair, or two when the window
+    wraps past the axis's end."""
+    first = min(size, m - start)
+    pieces = ((slice(start, start + first), slice(0, first)),)
+    if first < size:
+        pieces += ((slice(0, size - first), slice(first, size)),)
+    return pieces
+
+
+def _pruned_irfftn(
+    f: np.ndarray, lengths: tuple[int, ...], axes: tuple[int, ...], starts: tuple[int, ...], sizes: tuple[int, ...]
+) -> np.ndarray:
+    """Entries (start + s) mod M, s < size, on each of ``axes`` of
+    ``irfftn(f, s=lengths, axes=axes)``, overwriting the half spectrum ``f``.
+
+    Over each axis but the last the ``ifft`` writes into ``f``'s own buffer,
+    and only the rows the window reads go on to the next axis.  A window that
+    wraps past the axis's end has its wrapped rows copied next to the others,
+    over rows it does not read, so that one slice holds it; where no such
+    rows are free, every row goes on.  The last axis's ``irfft`` then runs
+    once, on the kept rows alone.  Every kept entry goes through the same
+    transforms as in ``irfftn``, so the two agree bit for bit.
+    """
+    every = (slice(None),) * f.ndim
+
+    def at(ax: int, sl: slice, index: tuple = every) -> tuple:
+        return index[:ax] + (sl,) + index[ax + 1 :]
+
+    rows, pieces = f, []  # the rows still needed; where each piece of them goes
+    for ax, m, start, size in zip(axes[:-1], lengths, starts, sizes):
+        np.fft.ifft(rows, axis=ax, out=rows)
+        first = min(size, m - start)  # rows start .., then 0 .. wrapped - 1
+        wrapped = size - first
+        if not wrapped:
+            keep, window = slice(start, start + size), ((slice(0, size), slice(0, size)),)
+        elif start >= 2 * wrapped:  # rows start - wrapped .. start - 1 are free
+            rows[at(ax, slice(start - wrapped, start))] = rows[at(ax, slice(0, wrapped))]
+            keep = slice(start - wrapped, m)
+            window = ((slice(wrapped, size), slice(0, first)), (slice(0, wrapped), slice(first, size)))
+        else:
+            keep, window = slice(0, m), _window_pieces(start, size, m)
+        rows = rows[at(ax, keep)]
+        pieces.append(window)
+    full = np.fft.irfft(rows, n=lengths[-1], axis=axes[-1])
+    if all(len(p) == 1 for p in pieces) and (starts[-1], sizes[-1]) == (0, lengths[-1]):
+        return full
+    pieces.append(_window_pieces(starts[-1], sizes[-1], lengths[-1]))
+    shape = list(f.shape)
+    for ax, size in zip(axes, sizes):
+        shape[ax] = size
+    out = np.empty(shape)
+    for combo in itertools.product(*pieces):
+        src = dst = every
+        for ax, (s, d) in zip(axes, combo):
+            src, dst = at(ax, s, src), at(ax, d, dst)
+        out[dst] = full[src]
+    return out
+
+
 def _circ_conv_raw(
-    x: np.ndarray, h, x_axes: tuple[int, ...], lengths: tuple[int, ...], in_place: bool = False
+    x: np.ndarray, h: np.ndarray, x_axes: tuple[int, ...], lengths: tuple[int, ...], in_place: bool = False
 ) -> np.ndarray:
     """Circular convolution of real arrays of ``lengths`` along ``x_axes``
     via real FFTs; ``x`` is zero-padded at its end to ``lengths``.
 
     ``h`` aligns with ``x`` from the trailing axis; leading axes broadcast.
-    ``h`` is transformed unless it is already a ``KernelSpectrum``.
     ``in_place`` is ``_irfftn``'s.
     """
     xf = np.fft.rfftn(x, s=lengths, axes=x_axes)
-    if not isinstance(h, KernelSpectrum):
-        offset = x.ndim - h.ndim
-        h = kernel_spectrum(h, [ax - offset for ax in x_axes])
-    xf = _mul_spectrum(xf, h.data)
-    del h  # a kernel spectrum taken here is freed before the inverse allocates
+    offset = x.ndim - h.ndim
+    hf = np.fft.rfftn(h, axes=[ax - offset for ax in x_axes])
+    xf = _mul_spectrum(xf, hf)
+    del hf  # freed before the inverse allocates
     return _irfftn(xf, lengths, x_axes, in_place)
 
 
@@ -747,21 +809,25 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     shorter ``x``, of length L, is zero-padded at its end to M inside the
     transform, and the output keeps ``x``'s length: it holds the last L
     entries of the length-M convolution, the ones overlap-save keeps, as a
-    copy, so no M-sized array outlives the call.  Over several axes the
-    inverse transform of such a windowed result, and of the x-partial's,
-    writes into the buffer of the spectra's product, so a pass with a
-    kernel spectrum holds two spectra and its output at most.  With equal
-    lengths the output is the whole circular convolution.  ``h`` aligns
-    with ``x`` from the trailing axis and has no more axes than ``x``; other
-    axes follow numpy broadcasting.  Computed by forward FFT, pointwise
-    product, inverse FFT; the result is real.  The x-partial places the
-    upstream gradient in the trailing window of an M-sized zero array,
-    correlates it with ``h`` and keeps the first L entries.
+    copy, so no M-sized array outlives the call.  With equal lengths the
+    output is the whole circular convolution.  ``h`` aligns with ``x`` from
+    the trailing axis and has no more axes than ``x``; other axes follow
+    numpy broadcasting.  Computed by forward FFT, pointwise product, inverse
+    FFT; the result is real.  With a kernel ``h`` both are transformed, a 2D
+    windowed inverse writes into the buffer of the spectra's product, and
+    the x-partial places the upstream gradient in the trailing window of an
+    M-sized zero array, correlates it with ``h`` and keeps the first L
+    entries.
 
     ``h`` may instead be ``kernel_spectrum(h, dims)``, which skips the
     kernel's transform.  That kernel is a constant: a tape records only the
-    partial of ``x``, correlation with the kernel taken as
-    ``irfftn(rfftn(g) * conj(H))``.
+    partial of ``x``, the correlation ``irfftn(rfftn(g) * conj(H))``.  Such a
+    pass inverts only the entries it keeps (``_pruned_irfftn``): an in-place
+    ``ifft`` over each convolved axis but the last, then one ``irfft`` of
+    the kept rows, so beside its spectrum it holds only those rows' inverse
+    and its output; the output is the kernel path's to the bit.  Its
+    x-partial transforms ``g`` zero-padded at its end, with no zero array,
+    and reads the correlation at entries (L + s) mod M.
     """
     x = _lift(x)
     spectral = isinstance(h, KernelSpectrum)
@@ -782,6 +848,26 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
         raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
     lengths = tuple(h.shape[ax] for ax in h_axes)
     sx = x.shape
+    if spectral:
+        # The output is entries M-L .. M-1 of the convolution.  The x-partial
+        # transforms g zero-padded at its end, so its correlation with h sits
+        # L entries on: entries (L + s) mod M, which wrap once when M < 2L.
+        sizes = tuple(sx[ax] for ax in x_axes)
+        out_starts = tuple(m - n for n, m in zip(sizes, lengths))
+        gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
+        xf = _mul_spectrum(np.fft.rfftn(x.data, s=lengths, axes=x_axes), h.data)
+        out = Tensor(_pruned_irfftn(xf, lengths, x_axes, out_starts, sizes))
+
+        def vjp_x(g):
+            # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
+            # needs no conjugate copy of H; the products are the same.
+            gf = np.fft.rfftn(g, s=lengths, axes=x_axes)
+            gf = _mul_spectrum(np.conjugate(gf, out=gf), h.data)
+            gx = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes)
+            return (_unbroadcast(gx, sx),)
+
+        _record("circular_convolve", out, (x,), _needs(x), vjp_x)
+        return out
     padded = any(sx[ax] != m for ax, m in zip(x_axes, lengths))
     # x sits in the leading window of the transform's input and the output
     # is the trailing window of the length-M convolution; the x-partial
@@ -805,19 +891,6 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
         full[sl] = a
         return full
 
-    if spectral:
-        out = Tensor(window(_circ_conv_raw(x.data, h, x_axes, lengths, padded), tail))
-
-        def vjp_x(g):
-            # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
-            # needs no conjugate copy of H; the products are the same.
-            gf = np.fft.rfftn(embed(g, tail), axes=x_axes)
-            gf = _mul_spectrum(np.conjugate(gf, out=gf), h.data)
-            gx = _irfftn(np.conjugate(gf, out=gf), lengths, x_axes, padded)
-            return (_unbroadcast(window(gx, head), sx),)
-
-        _record("circular_convolve", out, (x,), _needs(x), vjp_x)
-        return out
     out = Tensor(window(_circ_conv_raw(x.data, h.data, x_axes, lengths, padded), tail))
     need = _needs(x, h)
     if need:

@@ -139,7 +139,10 @@ def adamw_step(
     Decay multiplies parameters by (1 - lr*wd) before the moment update, so
     with wd = 0 the trajectory is exactly plain Adam.  Raw ndarray gradients
     are scanned for non-finite values; ``Tensor`` gradients were scanned when
-    they were built.
+    they were built.  Each elementwise step writes into one of two scratch
+    arrays of the parameter's size, in the order of the textbook formula
+    ``m / c1 / (sqrt(v / c2) + eps)``, so the result is that formula's to the
+    bit.
     """
     beta1, beta2 = ADAM_BETAS
     state["step"] += 1
@@ -155,12 +158,17 @@ def adamw_step(
                 raise ValueError("non-finite gradient")
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
+        a, b = np.empty_like(p.data), np.empty_like(p.data)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        p.data -= lr * update
+        np.multiply(g, 1.0 - beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, c1, out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        b += ADAM_EPS
+        a /= b
+        p.data -= np.multiply(a, lr, out=a)
     return state
 
 
@@ -262,14 +270,15 @@ def train(model: Model, dataset: DatasetSpec, config: TrainConfig, out_dir=None)
     ``out_dir`` is given, writes history.csv plus a checkpoint directory.
     """
     train_x, train_y, val_x, val_y = load_dataset(dataset)
+    expected = (*model.config.input_size, 3)
     for split, images in (("training", train_x), ("validation", val_x)):
         if len(images) == 0:
             raise ValueError(f"the {split} split is empty")
-    if train_x.shape[1] != model.config.input_size[0]:
-        raise ValueError(
-            f"dataset images are {train_x.shape[1]}px, model expects "
-            f"{model.config.input_size[0]}px"
-        )
+        if images.shape[1:] != expected:
+            raise ValueError(
+                f"the {split} split's images are {list(images.shape[1:])}, "
+                f"the model expects {list(expected)}"
+            )
     if dataset.num_classes != model.config.num_classes:
         raise ValueError("dataset/model class-count mismatch")
     params = model.parameter_tensors()

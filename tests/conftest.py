@@ -4,6 +4,10 @@ import pytest
 from fftmix import model as mdl
 from fftmix import training as tr
 
+# Every transform in numpy.fft, for the tests that count the transforms a pass runs.
+FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+                    "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
 
 @pytest.fixture
 def rng():

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import FFT_ENTRY_POINTS
 from fftmix import mixers as mx
 from fftmix import model as mdl
 from fftmix import numerics as nx
@@ -439,22 +442,32 @@ class TestKernelSpectrumCache:
         [("bidirectional", 11, 1), ("global2d", (5, 6), 1), ("separable2d", (5, 6), 2)],
     )
     def test_warm_tape_free_call_skips_the_kernel_transform(self, rng, monkeypatch, variant, extent, passes):
+        # Every numpy.fft entry point is counted.  A cached-spectrum pass
+        # transforms x forward and inverts the kept rows, after an ifft over
+        # the first axis of a 2D pass; a taped pass transforms x and the
+        # kernel forward and inverts with one irfftn.
+        spectral = Counter(rfftn=passes, irfft=passes)
+        if variant == "global2d":
+            spectral["ifft"] = 1
         mixer = mx.GatedConvMixer(mx.MixerConfig(variant, 3, extent, embed_dim=4), rng)
         shape = (2,) + (extent if isinstance(extent, tuple) else (extent,)) + (3,)
         x = Tensor(rng.normal(size=shape))
         mixer(x)  # builds the cache
-        calls = []
-        for name in ("rfftn", "irfftn"):
+        calls = Counter()
+        for name in FFT_ENTRY_POINTS:
             fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+            monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
         y = mixer(x).data
-        assert len(calls) == 2 * passes
+        assert calls == spectral
+        taped = Counter({"rfftn": 2 * passes, "irfftn": passes})
+        calls.clear()
         with GradTape():
             y_taped = mixer(x).data
-        assert len(calls) == 2 * passes + 3 * passes
+        assert calls == taped
+        calls.clear()
         kernels = [mixer.kernel(i) for i in range(len(mixer.filters))]
         y_override = mixer(x, kernel_override=kernels).data
-        assert len(calls) == 2 * passes + 2 * 3 * passes
+        assert calls == taped
         assert np.array_equal(y, y_taped) and np.array_equal(y, y_override)
 
     def test_kernel_override_bypasses_the_cache(self, rng):
@@ -529,22 +542,30 @@ class TestSmoothFFTLength:
     )
     def test_224px_forward_transforms_only_smooth_lengths(self, rng, monkeypatch, preset, lengths):
         model = mdl.build_model(mdl.preset_config(preset), seed=0)
-        np_rfftn, np_irfftn = np.fft.rfftn, np.fft.irfftn
-        seen = []
+        np_rfftn, np_ifft, np_irfft = np.fft.rfftn, np.fft.ifft, np.fft.irfft
+        seen, inverse = [], []
 
         def rfftn(a, s=None, axes=None, **kw):
             # The transform length is ``s`` when given: ``a`` is zero-padded to it.
             seen.append(tuple(s) if s is not None else tuple(a.shape[ax] for ax in axes))
             return np_rfftn(a, s=s, axes=axes, **kw)
 
-        def irfftn(a, s=None, axes=None, **kw):
-            seen.append(tuple(s))
-            return np_irfftn(a, s=s, axes=axes, **kw)
+        # The inverse runs one axis at a time: an ifft over the first axis of
+        # a 2D pass, then an irfft over the last.
+        def ifft(a, n=None, axis=-1, **kw):
+            inverse.append(a.shape[axis] if n is None else n)
+            return np_ifft(a, n=n, axis=axis, **kw)
+
+        def irfft(a, n=None, axis=-1, **kw):
+            inverse.append(n)
+            return np_irfft(a, n=n, axis=axis, **kw)
 
         monkeypatch.setattr(np.fft, "rfftn", rfftn)
-        monkeypatch.setattr(np.fft, "irfftn", irfftn)
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
         model(Tensor(rng.normal(size=(1, 224, 224, 3))))
         assert set(seen) == lengths
+        assert set(inverse) == {n for shape in lengths for n in shape}
         assert all(is_smooth(n) for shape in seen for n in shape)
 
 

@@ -364,6 +364,20 @@ class TestCheckpoint:
             mdl.load_params(model, hpxio.load_checkpoint_tensors(out))
 
 
+    def test_load_copies_its_input(self, rng):
+        # A step on the loaded model leaves the source model's arrays as they were.
+        model = mdl.build_model(mdl.micro_config(), seed=0)
+        other = mdl.build_model(mdl.micro_config(), seed=1)
+        source = {name: t.data for name, t in other.parameters()}
+        before = {name: a.copy() for name, a in source.items()}
+        mdl.load_params(model, source)
+        params = model.parameter_tensors()
+        grads = [rng.normal(size=p.shape) for p in params]
+        tr.adamw_step(params, grads, tr.init_adamw_state(params), 1e-2, weight_decay=0.05)
+        assert all(not np.shares_memory(p.data, a) for p, a in zip(params, source.values()))
+        assert all(np.array_equal(source[name], before[name]) for name in source)
+
+
 class TestKernelSpectrumCache:
     """Tape-free outputs follow every change to the values a kernel is built
     from, whichever way it is made, bit for bit."""

@@ -232,6 +232,74 @@ class TestUnpaddedInput:
                 circular_convolve(Tensor(rng.normal(size=(8, 2))), h, dims=[0])
 
 
+class TestPrunedInverse:
+    """The cached-spectrum path inverts only the rows its output reads: an
+    in-place ifft over each axis but the last, then one irfft of the kept
+    rows.  The output is entries M-L .. M-1 on each axis; the x-partial reads
+    entries (L + s) mod M, which wrap past the end when M < 2L."""
+
+    @staticmethod
+    def window(full: np.ndarray, axes, start: int, size: int) -> np.ndarray:
+        for ax in axes:
+            full = np.take(full, (start + np.arange(size)) % full.shape[ax], axis=ax)
+        return full
+
+    @pytest.mark.parametrize("size,m", [(6, 12), (6, 11), (5, 6), (1, 1)])
+    @pytest.mark.parametrize("axes", [(0,), (0, 1)])
+    def test_equals_the_window_of_irfftn_bitwise(self, rng, size, m, axes):
+        # (6, 12) is M = 2L, (6, 11) M = 2L - 1, where the x-partial's window
+        # wraps by one row; at (5, 6) it wraps by four, with no free rows.
+        lengths = (m,) * len(axes)
+        f = np.fft.rfftn(rng.normal(size=lengths + (3,)), axes=axes)
+        f *= np.fft.rfftn(rng.normal(size=lengths + (3,)), axes=axes)
+        full = np.fft.irfftn(f, s=lengths, axes=axes)
+        for start in (m - size, size % m):
+            got = nx._pruned_irfftn(f.copy(), lengths, axes, (start,) * len(axes), (size,) * len(axes))
+            assert np.array_equal(got, self.window(full, axes, start, size)), start
+
+    @pytest.mark.parametrize("dims,size", [((0,), 6), ((0, 1), 5)])
+    def test_wrapped_x_partial_is_the_direct_correlation(self, rng, dims, size):
+        # M = 2L - 1: the x-partial's window wraps.  dy[i] / dx[s] is
+        # h[(M - L + i - s) mod M], summed against the upstream gradient.
+        m = 2 * size - 1
+        shape, hshape = (size,) * len(dims) + (2,), (m,) * len(dims) + (2,)
+        x, h, g = rng.normal(size=shape), rng.normal(size=hshape), rng.normal(size=shape)
+        spectrum = nx.kernel_spectrum(Tensor(h), dims)
+        xt = Tensor(x)
+        with GradTape([xt]) as tape:
+            y = circular_convolve(xt, spectrum, dims=dims)
+        (gx,) = tape.gradient(y, [xt], upstream=g)
+        ref = np.zeros_like(x)
+        for s in np.ndindex(shape[:-1]):
+            for i in np.ndindex(shape[:-1]):
+                tap = tuple((m - size + a - b) % m for a, b in zip(i, s))
+                ref[s] += g[i] * h[tap]
+        assert np.abs(gx.data - ref).max() < 1e-12
+        f = lambda a: nx.tensor_sum(nx.square(circular_convolve(a, spectrum, dims=dims)))
+        assert grad_check(f, [Tensor(x)]) < 1e-5
+
+    def test_2d_x_partial_allocates_no_m_by_m_array(self, rng):
+        # L = 16, M = 31: the upstream gradient is transformed zero-padded
+        # inside numpy, never placed in an M x M array, and only the 16 rows
+        # the partial reads are inverted over the last axis.
+        x = Tensor(rng.normal(size=(1, 16, 16, 32)))
+        spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(31, 31, 32))), [-3, -2])
+        g = rng.normal(size=x.shape)
+        with GradTape([x]) as tape:
+            y = circular_convolve(x, spectrum, dims=[-3, -2])
+        spectrum_bytes, square_bytes = 31 * 16 * 32 * 16, 31 * 31 * 32 * 8
+        tracemalloc.start()
+        try:
+            (gx,) = tape.gradient(y, [x], upstream=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The spectrum, the x-partial's window and the 16 kept rows over the
+        # last axis (126 KB) fit; another M x M array (246 KB) does not.
+        assert peak < spectrum_bytes + square_bytes
+        assert gx.shape == x.shape
+
+
 def shift_direct(x: np.ndarray, w: np.ndarray, offsets, axes) -> np.ndarray:
     """y = sum_t w[t] * shift(x, offsets[t]) as one shifted add per tap."""
     y = np.zeros_like(x)

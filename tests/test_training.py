@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import shutil
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -135,6 +137,41 @@ class TestAdamW:
             adam_reference([ref], [g], ref_state, lr=0.003)
         assert np.array_equal(p.data, ref)
 
+    def test_in_place_update_is_the_textbook_formula_bitwise(self, rng):
+        # Decay, then the moments and the update written out in full, as
+        # ``adam_reference`` does, on a large, a small and a 0-d tensor.
+        shapes = [(512, 2048), (7, 3), ()]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        state = tr.init_adamw_state(params)
+        ref_state = {"step": 0, "m": [np.zeros(s) for s in shapes], "v": [np.zeros(s) for s in shapes]}
+        lr, wd = 3e-3, 0.05
+        for _ in range(5):
+            grads = [rng.normal(size=s) for s in shapes]
+            tr.adamw_step(params, grads, state, lr, weight_decay=wd)
+            for r in ref:
+                r *= 1.0 - lr * wd
+            adam_reference(ref, grads, ref_state, lr)
+
+        def digest(arrays):
+            return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays]
+
+        assert digest(p.data for p in params) == digest(ref)
+        assert digest(state["m"]) == digest(ref_state["m"])
+        assert digest(state["v"]) == digest(ref_state["v"])
+
+    def test_update_needs_two_scratch_arrays(self, rng):
+        p = Tensor(rng.normal(size=(512, 256)), requires_grad=True)
+        state = tr.init_adamw_state([p])
+        grads = [rng.normal(size=p.shape)]
+        tracemalloc.start()
+        try:
+            tr.adamw_step([p], grads, state, 1e-3, weight_decay=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * p.data.nbytes + 8_000
+
     def test_converges_on_quadratic(self, rng):
         target = rng.normal(size=16)
         offset = rng.normal(size=16)
@@ -208,6 +245,19 @@ class TestSyntheticData:
         shutil.rmtree(tmp_path / "val" / "b")  # val's c must not take b's label
         with pytest.raises(ValueError, match="differ from train"):
             tr.load_dataset(spec)
+
+
+    def test_each_split_must_match_the_model_input(self, tmp_path):
+        # 32 px training images and 48 px validation images for a 32 px model.
+        for split, size in (("train", 32), ("val", 48)):
+            for c in "ab":
+                (tmp_path / split / c).mkdir(parents=True)
+                hpxio.write_hpx1(tmp_path / split / c / "0.hpx1", np.zeros((size, size, 3)))
+        model = mdl.build_model(mdl.micro_config(num_classes=2), seed=0)
+        spec = tr.DatasetSpec(source="directory", path=str(tmp_path), num_classes=2)
+        conf = tr.TrainConfig(total_epochs=1, warmup_epochs=0, batch_size=2)
+        with pytest.raises(ValueError, match=r"validation split's images are \[48, 48, 3\], the model expects \[32, 32, 3\]"):
+            tr.train(model, spec, conf)
 
 
 class TestTrainLoop:
