@@ -37,11 +37,11 @@ materializes its kernels nor transforms them.  The spectra are keyed on
 values: a copy of every filter parameter and kernel mask, compared with
 ``np.array_equal`` on each call, so any change to them (an optimizer step,
 ``load_params``, a ``.data`` write, a truncation mask) rebuilds the
-spectra.  Such a pass inverts only the rows of the transform that its
-output reads (``numerics.circular_convolve``), and the mixer drops ``q``
-and ``k`` once their product exists, so off a tape neither outlives the
-product.  Passes whose tape tracks the filter parameters materialize the
-kernels and record their graph.
+spectra.  Every pass, cached or not, inverts only the rows of the
+transform that its output reads (``numerics.circular_convolve``), and the
+mixer drops ``q`` and ``k`` once their product exists, so off a tape
+neither outlives the product.  Passes whose tape tracks the filter
+parameters materialize the kernels and record their graph.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ convolutions (``circular_convolve`` with ``kernel_spectrum``,
 a closed-form VJP, where composing them from the elementary ops would take
 12, 4 and 10, and ``feed_forward`` (linear, StarReLU, linear) records one
 op in place of 5, recomputing its hidden layer in the backward pass.
-A ``circular_convolve`` with a kernel spectrum, the path of every pass
-that leaves the kernels constant, transforms no zero padding of its own
-and inverts only the rows that its output, or its x-partial, reads.
+``circular_convolve`` has one path, whether it is given a kernel or a
+kernel spectrum (the constant kernel of a pass that leaves the kernels
+as they are): it transforms no zero padding of its own, inverts only
+the rows that its output, or its x-partial, reads, and takes the kernel
+partial with one inverse transform, after summing over the batch.
 Every public function has a caller in the package, except ``grad_check``
 and ``square``, which the gradient suite uses.
 
@@ -694,27 +696,6 @@ def _mul_spectrum(f: np.ndarray, hf: np.ndarray) -> np.ndarray:
     return f
 
 
-def _irfftn(f: np.ndarray, lengths: tuple[int, ...], axes: tuple[int, ...], in_place: bool = False) -> np.ndarray:
-    """``irfftn`` of the half spectrum ``f`` to real ``lengths`` over ``axes``.
-
-    With ``in_place``, for a caller that keeps only a copied window of the
-    result, a transform over several axes writes into ``f``'s own buffer,
-    overwriting ``f``, instead of a third array of the transform's size: a
-    C-contiguous half spectrum holds 2 * (M // 2 + 1) >= M floats per row,
-    and numpy's ``irfftn`` reads ``f`` only in its first ``ifft`` stage,
-    which writes a fresh array.  Over one axis numpy would first copy the
-    overlapping input, which holds as much and ran slower, so there the
-    result gets its own array.
-    """
-    out = None
-    if in_place and len(axes) > 1 and f.flags.c_contiguous:
-        shape = list(f.shape)
-        for ax, m in zip(axes, lengths):
-            shape[ax] = m
-        out = f.reshape(-1).view(DTYPE)[: int(np.prod(shape))].reshape(shape)
-    return np.fft.irfftn(f, s=lengths, axes=axes, out=out)
-
-
 def _window_pieces(start: int, size: int, m: int) -> tuple[tuple[slice, slice], ...]:
     """Entries (start + s) mod m, s < ``size``, of an axis of length ``m``,
     as (source, destination) slice pairs: one pair, or two when the window
@@ -776,31 +757,6 @@ def _pruned_irfftn(
     return out
 
 
-def _circ_conv_raw(
-    x: np.ndarray, h: np.ndarray, x_axes: tuple[int, ...], lengths: tuple[int, ...], in_place: bool = False
-) -> np.ndarray:
-    """Circular convolution of real arrays of ``lengths`` along ``x_axes``
-    via real FFTs; ``x`` is zero-padded at its end to ``lengths``.
-
-    ``h`` aligns with ``x`` from the trailing axis; leading axes broadcast.
-    ``in_place`` is ``_irfftn``'s.
-    """
-    xf = np.fft.rfftn(x, s=lengths, axes=x_axes)
-    offset = x.ndim - h.ndim
-    hf = np.fft.rfftn(h, axes=[ax - offset for ax in x_axes])
-    xf = _mul_spectrum(xf, hf)
-    del hf  # freed before the inverse allocates
-    return _irfftn(xf, lengths, x_axes, in_place)
-
-
-def _circ_reverse(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Index reversal modulo N per axis: out[t] = arr[(-t) mod N]."""
-    out = arr
-    for ax in axes:
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
-
-
 def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     """Circular convolution y[t] = sum_s x[s] * h[(t-s) mod M] along ``dims``,
     M being ``h``'s length on each convolved axis.
@@ -812,22 +768,21 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     copy, so no M-sized array outlives the call.  With equal lengths the
     output is the whole circular convolution.  ``h`` aligns with ``x`` from
     the trailing axis and has no more axes than ``x``; other axes follow
-    numpy broadcasting.  Computed by forward FFT, pointwise product, inverse
-    FFT; the result is real.  With a kernel ``h`` both are transformed, a 2D
-    windowed inverse writes into the buffer of the spectra's product, and
-    the x-partial places the upstream gradient in the trailing window of an
-    M-sized zero array, correlates it with ``h`` and keeps the first L
-    entries.
+    numpy broadcasting.  ``h`` may be ``kernel_spectrum(h, dims)``, which
+    skips the kernel's transform on every call with the same kernel and
+    makes the kernel a constant.
 
-    ``h`` may instead be ``kernel_spectrum(h, dims)``, which skips the
-    kernel's transform.  That kernel is a constant: a tape records only the
-    partial of ``x``, the correlation ``irfftn(rfftn(g) * conj(H))``.  Such a
-    pass inverts only the entries it keeps (``_pruned_irfftn``): an in-place
-    ``ifft`` over each convolved axis but the last, then one ``irfft`` of
-    the kept rows, so beside its spectrum it holds only those rows' inverse
-    and its output; the output is the kernel path's to the bit.  Its
-    x-partial transforms ``g`` zero-padded at its end, with no zero array,
-    and reads the correlation at entries (L + s) mod M.
+    One path computes every call: H = ``rfftn(h)``, X = ``rfftn(x)`` over the
+    padded lengths, and the product X * H inverted over only the entries the
+    output keeps (``_pruned_irfftn``): an in-place ``ifft`` over each
+    convolved axis but the last, then one ``irfft`` of the kept rows.  The
+    x-partial is the correlation ``irfftn(G * conj(H))`` of G = ``rfftn(g)``,
+    ``g`` zero-padded at its end, read at entries (L + s) mod M with the same
+    pruned inverse.  The kernel partial is ``irfftn(sum(conj(X) * G))``, the
+    sum over the batch and every axis ``h`` broadcasts along taken on the
+    spectrum, so one inverse runs per kernel; its tap k is entry
+    (k + L) mod M.  A tape keeps H for the x-partial and ``x`` for the
+    kernel partial, no spectrum of ``x``.
     """
     x = _lift(x)
     spectral = isinstance(h, KernelSpectrum)
@@ -848,67 +803,43 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
         raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
     lengths = tuple(h.shape[ax] for ax in h_axes)
     sx = x.shape
-    if spectral:
-        # The output is entries M-L .. M-1 of the convolution.  The x-partial
-        # transforms g zero-padded at its end, so its correlation with h sits
-        # L entries on: entries (L + s) mod M, which wrap once when M < 2L.
-        sizes = tuple(sx[ax] for ax in x_axes)
-        out_starts = tuple(m - n for n, m in zip(sizes, lengths))
-        gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
-        xf = _mul_spectrum(np.fft.rfftn(x.data, s=lengths, axes=x_axes), h.data)
-        out = Tensor(_pruned_irfftn(xf, lengths, x_axes, out_starts, sizes))
-
-        def vjp_x(g):
-            # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
-            # needs no conjugate copy of H; the products are the same.
-            gf = np.fft.rfftn(g, s=lengths, axes=x_axes)
-            gf = _mul_spectrum(np.conjugate(gf, out=gf), h.data)
-            gx = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes)
-            return (_unbroadcast(gx, sx),)
-
-        _record("circular_convolve", out, (x,), _needs(x), vjp_x)
-        return out
-    padded = any(sx[ax] != m for ax, m in zip(x_axes, lengths))
-    # x sits in the leading window of the transform's input and the output
-    # is the trailing window of the length-M convolution; the x-partial
-    # embeds its upstream gradient in that trailing window and keeps the
-    # leading one.
-    head, tail = [slice(None)] * x.ndim, [slice(None)] * x.ndim
-    for ax, m in zip(x_axes, lengths):
-        head[ax], tail[ax] = slice(0, sx[ax]), slice(m - sx[ax], m)
-    head, tail = tuple(head), tuple(tail)
-
-    def window(full: np.ndarray, sl: tuple[slice, ...]) -> np.ndarray:
-        return full[sl].copy() if padded else full
-
-    def embed(a: np.ndarray, sl: tuple[slice, ...]) -> np.ndarray:
-        if not padded:
-            return a
-        shape = list(a.shape)
-        for ax, m in zip(x_axes, lengths):
-            shape[ax] = m
-        full = np.zeros(shape)
-        full[sl] = a
-        return full
-
-    out = Tensor(window(_circ_conv_raw(x.data, h.data, x_axes, lengths, padded), tail))
-    need = _needs(x, h)
+    # The output is entries M-L .. M-1 of the convolution.  The partials
+    # transform g zero-padded at its end, so its correlation with h sits L
+    # entries on: entries (L + s) mod M, which wrap once when M < 2L.
+    sizes = tuple(sx[ax] for ax in x_axes)
+    out_starts = tuple(m - n for n, m in zip(sizes, lengths))
+    gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
+    need = _needs(x) if spectral else _needs(x, h)
+    hf = h.data if spectral else np.fft.rfftn(h.data, axes=h_axes)
+    xf = _mul_spectrum(np.fft.rfftn(x.data, s=lengths, axes=x_axes), hf)
+    if not (need and need[0]):
+        hf = None  # a kernel spectrum taken here is freed before the inverse allocates
+    out = Tensor(_pruned_irfftn(xf, lengths, x_axes, out_starts, sizes))
     if need:
-        sh = h.shape
-        xd, hd = (x.data if need[1] else None), (h.data if need[0] else None)
+        xd = x.data if not spectral and need[1] else None
+        last = h_axes[-1]
+        hf_shape = h.shape[:last] + (lengths[-1] // 2 + 1,) + h.shape[last + 1 :]
 
         def vjp(g):
             gx = gh = None
-            gp = embed(g, tail)
+            gf = np.fft.rfftn(g, s=lengths, axes=x_axes)
+            if not spectral and need[1]:  # before the x-partial overwrites gf
+                # The correlation of g with x, summed down to h's shape on the
+                # spectrum.  G holds g at the head of the transform, where the
+                # output was its tail, so tap k is entry (k + L) mod M.
+                cf = np.fft.rfftn(xd, s=lengths, axes=x_axes)
+                cf = _unbroadcast(_mul_spectrum(np.conjugate(cf, out=cf), gf), hf_shape)
+                gh = np.roll(np.fft.irfftn(cf, s=lengths, axes=h_axes), [-n for n in sizes], axis=h_axes)
+                del cf
             if need[0]:
-                gx = _circ_conv_raw(gp, _circ_reverse(hd, h_axes), x_axes, lengths, padded)
-                gx = _unbroadcast(window(gx, head), sx)
-            if need[1]:
-                xr = _circ_reverse(embed(xd, head), x_axes)
-                gh = _unbroadcast(_circ_conv_raw(gp, xr, x_axes, lengths), sh)
-            return gx, gh
+                # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
+                # needs no conjugate copy of H; the products are the same.
+                gf = _mul_spectrum(np.conjugate(gf, out=gf), hf)
+                gx = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes)
+                gx = _unbroadcast(gx, sx)
+            return (gx,) if spectral else (gx, gh)
 
-        _record("circular_convolve", out, (x, h), need, vjp)
+        _record("circular_convolve", out, (x,) if spectral else (x, h), need, vjp)
     return out
 
 

@@ -116,6 +116,22 @@ class TestParse:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert "error: the validation split is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("odd", ["mixed shapes", "no images"])
+    def test_bad_image_directory_exits_1(self, tmp_path, capsys, odd):
+        data = tmp_path / "data"
+        for split in ("train", "val"):
+            (data / split / "a").mkdir(parents=True)
+            hpxio.write_hpx1(data / split / "a" / "0.hpx1", np.zeros((32, 32, 3)))
+        if odd == "mixed shapes":
+            hpxio.write_hpx1(data / "train" / "a" / "1.hpx1", np.zeros((48, 32, 3)))
+            message = f"the train split mixes image shapes: {data / 'train' / 'a' / '1.hpx1'} is [48, 32, 3]"
+        else:
+            (data / "val" / "a" / "0.hpx1").unlink()
+            message = f"the val split holds no .hpx1 images under {data / 'val'}"
+        cfg = write_config(tmp_path, data={"source": "directory", "path": str(data), "num_classes": 4})
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert f"fftmix train: error: {message}" in capsys.readouterr().err
+
     def test_main_maps_usage_errors_to_2(self):
         assert cli.main(["bogus"]) == 2
 

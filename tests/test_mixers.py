@@ -444,8 +444,8 @@ class TestKernelSpectrumCache:
     def test_warm_tape_free_call_skips_the_kernel_transform(self, rng, monkeypatch, variant, extent, passes):
         # Every numpy.fft entry point is counted.  A cached-spectrum pass
         # transforms x forward and inverts the kept rows, after an ifft over
-        # the first axis of a 2D pass; a taped pass transforms x and the
-        # kernel forward and inverts with one irfftn.
+        # the first axis of a 2D pass; a taped pass, or one with a kernel
+        # override, runs the same transforms after the kernel's own rfftn.
         spectral = Counter(rfftn=passes, irfft=passes)
         if variant == "global2d":
             spectral["ifft"] = 1
@@ -459,7 +459,7 @@ class TestKernelSpectrumCache:
             monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
         y = mixer(x).data
         assert calls == spectral
-        taped = Counter({"rfftn": 2 * passes, "irfftn": passes})
+        taped = spectral + Counter(rfftn=passes)
         calls.clear()
         with GradTape():
             y_taped = mixer(x).data

@@ -4,10 +4,12 @@ import hashlib
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import FFT_ENTRY_POINTS
 
 from fftmix import numerics as nx
 from fftmix.numerics import GradTape, Tensor, circular_convolve, grad_check
@@ -124,7 +126,7 @@ def _kernel_or_spectrum(h: np.ndarray, dims, spectral: bool):
 class TestUnpaddedInput:
     """``circular_convolve`` of an ``x`` shorter than ``h``: the transform
     zero-pads x at its end to h's length M and the output is the last L of
-    the M outputs, on the kernel path and the spectral path alike."""
+    the M outputs, whether h is a kernel or its spectrum."""
 
     @pytest.mark.parametrize("spectral", [False, True])
     def test_1d_vs_direct(self, rng, spectral):
@@ -298,6 +300,64 @@ class TestPrunedInverse:
         # last axis (126 KB) fit; another M x M array (246 KB) does not.
         assert peak < spectrum_bytes + square_bytes
         assert gx.shape == x.shape
+
+
+class TestKernelPartial:
+    """The kernel partial is ``irfftn(sum(conj(X) * G))``: the correlation of
+    the upstream gradient with x, summed over the batch on the spectrum and
+    read at entries (k + L) mod M."""
+
+    @staticmethod
+    def direct(x: np.ndarray, g: np.ndarray, m: int, nconv: int) -> np.ndarray:
+        # dy[i] / dh[k] is x[s] where k = (M - L + i - s) mod M on each
+        # convolved axis (axes 1 .. nconv of x and g, 0 .. nconv - 1 of h).
+        size = x.shape[1 : 1 + nconv]
+        ref = np.zeros((m,) * nconv + x.shape[1 + nconv :])
+        for s in np.ndindex(size):
+            for i in np.ndindex(size):
+                tap = tuple((m - n + a - b) % m for n, a, b in zip(size, i, s))
+                ref[tap] += (x[(slice(None),) + s] * g[(slice(None),) + i]).sum(axis=0)
+        return ref
+
+    @pytest.mark.parametrize("size,m", [(5, 9), (5, 12)])
+    @pytest.mark.parametrize("dims", [(-2,), (-3, -2)])
+    def test_equals_the_direct_correlation(self, rng, dims, size, m):
+        # Batch 3; M = 2L - 1 (the window wraps) and M > 2L - 1.
+        nconv = len(dims)
+        shape, hshape = (3,) + (size,) * nconv + (2,), (m,) * nconv + (2,)
+        x, h, g = rng.normal(size=shape), rng.normal(size=hshape), rng.normal(size=shape)
+        ht = Tensor(h)
+        with GradTape([ht]) as tape:
+            y = circular_convolve(Tensor(x), ht, dims=dims)
+        (gh,) = tape.gradient(y, [ht], upstream=g)
+        assert np.abs(gh.data - self.direct(x, g, m, nconv)).max() < 1e-12
+
+    def test_kernel_broadcast_over_an_axis_is_summed(self, rng):
+        # separable2d's vertical kernel (ky, 1, C) against [B, H, W, C]: the
+        # partial sums over the batch and over W.
+        x, h, g = rng.normal(size=(3, 5, 4, 2)), rng.normal(size=(9, 1, 2)), rng.normal(size=(3, 5, 4, 2))
+        ht = Tensor(h)
+        with GradTape([ht]) as tape:
+            y = circular_convolve(Tensor(x), ht, dims=[-3])
+        (gh,) = tape.gradient(y, [ht], upstream=g)
+        assert gh.shape == h.shape
+        assert np.abs(gh.data - self.direct(x, g, 9, 1).sum(axis=1, keepdims=True)).max() < 1e-12
+        f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[-3])))
+        assert grad_check(f, [Tensor(x), Tensor(h)]) < 1e-5
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_one_inverse_per_pass_whatever_the_batch(self, rng, monkeypatch, batch):
+        x, h = Tensor(rng.normal(size=(batch, 8, 8, 3))), Tensor(rng.normal(size=(15, 15, 3)))
+        with GradTape([x, h]) as tape:
+            y = circular_convolve(x, h, dims=[-3, -2])
+        calls = Counter()
+        for name in FFT_ENTRY_POINTS:
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
+        tape.gradient(y, [x, h], upstream=rng.normal(size=x.shape))
+        # G and X forward; the x-partial's ifft and irfft; the kernel
+        # partial's one irfftn, after the sum over the batch.
+        assert calls == Counter(rfftn=2, ifft=1, irfft=1, irfftn=1)
 
 
 def shift_direct(x: np.ndarray, w: np.ndarray, offsets, axes) -> np.ndarray:
@@ -542,6 +602,17 @@ class TestRecordedMemory:
         ffn = lambda t: nx.feed_forward(nx.neg(t), w1, b1, s, b, w2, b2)
         # The negated input (128 KB), not the 4x-wide hidden layer (512 KB).
         assert _retained_bytes(ffn, x, nodes=2) < x.data.nbytes + 8_000
+
+    def test_circular_convolve_keeps_the_kernel_spectrum_or_x(self, rng):
+        # An x-only tape keeps the kernel's spectrum (31 * 16 * 32 complex,
+        # 254 KB), not x (128 KB); an h-only tape keeps x and no spectrum.
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        h = Tensor(rng.normal(size=(31, 31, 32)))
+        spectrum_bytes = 31 * 16 * 32 * 16
+        x_only = _retained_bytes(lambda t: circular_convolve(nx.neg(t), h, dims=[-3, -2]), x, nodes=2)
+        assert spectrum_bytes <= x_only < spectrum_bytes + 8_000
+        h_only = _retained_bytes(lambda t: circular_convolve(nx.neg(x), t, dims=[-3, -2]), h)
+        assert x.data.nbytes <= h_only < x.data.nbytes + 8_000
 
     def test_star_relu_keeps_nothing_but_its_output(self, rng):
         x = Tensor(rng.normal(size=(2, 16, 16, 32)))
@@ -1066,19 +1137,20 @@ UNCALLED_BY_PACKAGE = {
 REPO = Path(nx.__file__).resolve().parents[2]
 
 
-def _public_definitions() -> set[str]:
-    """``module.function`` and ``module.Class.method`` for every public
-    module-level function and every public method of a public class."""
+def _definitions() -> set[str]:
+    """``module.function`` and ``module.Class.method`` for every module-level
+    function and every method but a dunder, private ones included."""
     found = set()
     for path in Path(nx.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 found.add(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            elif isinstance(node, ast.ClassDef):
                 found |= {
                     f"{path.stem}.{node.name}.{item.name}"
                     for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
                 }
     return found
 
@@ -1100,9 +1172,11 @@ def _names_the_package_reads() -> set[str]:
 
 
 def test_every_public_primitive_has_a_caller_in_the_package():
-    public = _public_definitions()
+    # Private helpers too: one that loses its last caller is dead code.
+    defined = _definitions()
+    public = {name for name in defined if not any(part.startswith("_") for part in name.split(".")[1:])}
     assert set(UNCALLED_BY_PACKAGE) <= public
     used = _names_the_package_reads()
-    uncalled = {name for name in public if name.rsplit(".", 1)[-1] not in used}
+    uncalled = {name for name in defined if name.rsplit(".", 1)[-1] not in used}
     uncalled -= set(UNCALLED_BY_PACKAGE)
-    assert not uncalled, f"public functions and methods without a caller: {sorted(uncalled)}"
+    assert not uncalled, f"functions and methods without a caller: {sorted(uncalled)}"

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import shutil
 import tracemalloc
 import weakref
@@ -246,6 +247,26 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match="differ from train"):
             tr.load_dataset(spec)
 
+
+    def test_mixed_image_shapes_named(self, tmp_path):
+        for split in ("train", "val"):
+            (tmp_path / split / "a").mkdir(parents=True)
+            hpxio.write_hpx1(tmp_path / split / "a" / "0.hpx1", np.zeros((32, 32, 3)))
+        hpxio.write_hpx1(tmp_path / "val" / "a" / "1.hpx1", np.zeros((48, 32, 3)))
+        spec = tr.DatasetSpec(source="directory", path=str(tmp_path))
+        first, odd = tmp_path / "val" / "a" / "0.hpx1", tmp_path / "val" / "a" / "1.hpx1"
+        match = re.escape(f"the val split mixes image shapes: {odd} is [48, 32, 3], {first} is [32, 32, 3]")
+        with pytest.raises(ValueError, match=match):
+            tr.load_dataset(spec)
+
+    def test_split_without_images_named(self, tmp_path):
+        for split in ("train", "val"):
+            (tmp_path / split / "a").mkdir(parents=True)
+        hpxio.write_hpx1(tmp_path / "train" / "a" / "0.hpx1", np.zeros((32, 32, 3)))
+        spec = tr.DatasetSpec(source="directory", path=str(tmp_path))
+        match = re.escape(f"the val split holds no .hpx1 images under {tmp_path / 'val'}")
+        with pytest.raises(ValueError, match=match):
+            tr.load_dataset(spec)
 
     def test_each_split_must_match_the_model_input(self, tmp_path):
         # 32 px training images and 48 px validation images for a 32 px model.
