@@ -13,6 +13,14 @@ They differ only in how the long convolution reads the sequence:
 * ``local``         - pointwise expand to 2C, 7x7 depthwise, activation,
   contract back to C (``EXPAND_RATIO``, ``LOCAL_KERNEL``)
 
+The q/k/v projection runs as one op, ``numerics.pointwise_depthwise``: the
+pointwise GEMM plus bias goes into the interior of one zero-padded buffer,
+the depthwise taps read that buffer through a sliding window, and their
+bias is added in place, so no padded copy of the 3C-wide map is made, and
+a tape keeps the mixer's input rather than that map.  ``project_qkv`` then
+crops q, k and v.  The local mixer runs its expansion and 7x7 depthwise
+convolution through the same op.
+
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
 axes.  Only the centered variants use the FFT.  Each convolved axis of
 the kernel is zero-padded at its front from 2L-1 to M, the smallest
@@ -174,13 +182,15 @@ def init_gate_projection(config: MixerConfig, rng: np.random.Generator) -> GateP
 
 def project_qkv(x: Tensor, params: GateProjection) -> tuple[Tensor, Tensor, Tensor]:
     """Pointwise to 3C, depthwise short conv (zero pad, stride 1), split in
-    channel order q, k, v."""
+    channel order q, k, v.  The first two run as one
+    ``numerics.pointwise_depthwise``."""
     c = params.channels
     if x.shape[-1] != c:
         raise ValueError(f"input has {x.shape[-1]} channels, projection expects {c}")
-    wide = nx.linear(x, params.pointwise_w, params.pointwise_b)
-    wide = nx.shift_convolve(wide, params.depthwise_w, params.offsets, params.axes)
-    wide = nx.add(wide, params.depthwise_b)
+    wide = nx.pointwise_depthwise(
+        x, params.pointwise_w, params.pointwise_b, params.depthwise_w, params.depthwise_b,
+        params.offsets, params.axes,
+    )
     full = [slice(None)] * wide.ndim
     chunks = []
     for i in range(3):
@@ -428,9 +438,9 @@ class LocalConvMixer:
         ey, ex = cfg.extents
         if x.ndim < 3 or x.shape[-3] != ey or x.shape[-2] != ex or x.shape[-1] != cfg.channels:
             raise ValueError("input does not match local mixer config")
-        h = nx.linear(x, self.expand_w, self.expand_b)
-        h = nx.shift_convolve(h, self.depthwise_w, self.offsets, (-3, -2))
-        h = nx.add(h, self.depthwise_b)
+        h = nx.pointwise_depthwise(
+            x, self.expand_w, self.expand_b, self.depthwise_w, self.depthwise_b, self.offsets, (-3, -2)
+        )
         h = star_relu(h, self.act)
         return nx.linear(h, self.contract_w, self.contract_b)
 

@@ -418,7 +418,10 @@ def count_params(model: Model) -> int:
 
 def load_params(model: Model, tensors: dict) -> Model:
     """Overwrite model parameters from a name -> ndarray mapping with
-    float64 copies, so later updates leave the mapping's arrays as they are."""
+    float64 copies, so later updates leave the mapping's arrays as they are.
+    An array of anything but real numbers (complex, strings, objects) or
+    holding a NaN or infinity raises a ``ValueError`` naming the parameter,
+    and leaves every parameter as it was."""
     params = dict(model.parameters())
     missing = set(params) - set(tensors)
     if missing:
@@ -426,9 +429,15 @@ def load_params(model: Model, tensors: dict) -> Model:
     unknown = set(tensors) - set(params)
     if unknown:
         raise ValueError(f"checkpoint has unknown tensors: {sorted(unknown)}")
+    arrays = {}
     for name, tensor in params.items():
-        arr = np.array(tensors[name], dtype=np.float64)
+        try:
+            arr = np.array(Tensor(tensors[name]).data)  # a real, finite float64 copy
+        except ValueError as err:
+            raise ValueError(f"parameter {name}: {err}") from None
         if arr.shape != tensor.shape and not (arr.size == 1 and tensor.size == 1):
             raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {tensor.shape}")
-        tensor.data = arr.reshape(tensor.shape) if tensor.shape else arr.reshape(())
+        arrays[name] = arr.reshape(tensor.shape)
+    for name, tensor in params.items():  # only once every array has passed
+        tensor.data = arrays[name]
     return model

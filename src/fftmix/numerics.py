@@ -17,16 +17,28 @@ The primitives are the elementwise and reduction ops (``add``, ``mul``,
 ``neg``, ``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape
 ops (``reshape``, ``pad``, ``crop``), ``matmul``/``linear``, the
 convolutions (``circular_convolve`` with ``kernel_spectrum``,
-``shift_convolve``, ``strided_conv2d``) and four fused layers:
+``shift_convolve``, ``strided_conv2d``) and five fused layers:
 ``layer_norm``, ``star_relu`` and ``cross_entropy`` each record one op with
 a closed-form VJP, where composing them from the elementary ops would take
-12, 4 and 10, and ``feed_forward`` (linear, StarReLU, linear) records one
-op in place of 5, recomputing its hidden layer in the backward pass.
+12, 4 and 10; ``feed_forward`` (linear, StarReLU, linear) records one op
+in place of 5, recomputing its hidden layer in the backward pass; and
+``pointwise_depthwise`` (linear, ``shift_convolve``, add) records one op in
+place of 4, writing its pointwise layer into the zero-padded buffer its
+depthwise taps read and recomputing that layer for the taps' partial.
 ``circular_convolve`` has one path, whether it is given a kernel or a
 kernel spectrum (the constant kernel of a pass that leaves the kernels
 as they are): it transforms no zero padding of its own, inverts only
 the rows that its output, or its x-partial, reads, and takes the kernel
 partial with one inverse transform, after summing over the batch.
+
+The wide layers bound their scratch memory with one byte budget,
+``_BLOCK_BYTES`` (2 MiB): ``circular_convolve`` runs its forward pass and
+both partials over blocks of trailing channels, each transforming at most
+that much spectrum, and ``feed_forward`` runs its forward pass over blocks
+of rows, each holding at most that much hidden layer.  Each block is still
+one call of one op, recording one node, and every channel and row goes
+through the arithmetic it would go through in one block, so the results
+are the same to the bit.  Every micro-model shape runs as one block.
 Every public function has a caller in the package, except ``grad_check``
 and ``square``, which the gradient suite uses.
 
@@ -39,6 +51,7 @@ output is finite: NaN/Inf anywhere is an error, never a silent state.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -48,6 +61,24 @@ DTYPE = np.float64
 
 # Booleans, signed and unsigned integers and floats: the dtypes that hold reals.
 _REAL_KINDS = "biuf"
+
+# The most scratch memory, in bytes, that one block of a wide layer takes:
+# ``circular_convolve`` transforms at most this much spectrum per block of
+# trailing channels, ``feed_forward`` holds at most this much hidden layer
+# per block of rows.  Every micro-model shape runs as one block.
+_BLOCK_BYTES = 2 * 2**20
+
+
+def _blocks(n: int, item_bytes: int) -> list[slice]:
+    """``range(n)`` cut into the fewest blocks of equal length (the last may
+    be shorter) whose items take at most ``_BLOCK_BYTES`` at ``item_bytes``
+    each, never less than one item; ``[slice(None)]`` when one block holds
+    all ``n``."""
+    most = max(1, _BLOCK_BYTES // max(item_bytes, 1))
+    if n <= most:
+        return [slice(None)]
+    size = -(-n // -(-n // most))
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _as_array(value) -> np.ndarray:
@@ -236,6 +267,9 @@ class GradTape:
                     continue
                 acc = grads.get(k)
                 grads[k] = partial if acc is None else acc + partial
+            # Not kept alive through the next VJP: a partial added to an
+            # earlier one, the sum it replaced.
+            partials = partial = acc = None
         return [
             Tensor(grads[s.key]) if s.key in grads else Tensor(np.zeros_like(s.data))
             for s in sources
@@ -544,10 +578,15 @@ def feed_forward(x, w1, b1, scale, shift, w2, b2) -> Tensor:
     [C']; ``scale`` and ``shift`` broadcast to the hidden layer as in
     ``star_relu``.  The forward pass is ``h = x @ w1 + b1``, then StarReLU
     in ``h``'s buffer, then ``h @ w2 + b2``: the arithmetic of the composed
-    ops, in their order, so every bit matches.  The node keeps ``x`` and
-    the parameter arrays, not the hidden layer: the VJP recomputes
-    ``relu(x @ w1 + b1)`` with one GEMM and then runs the composed ops'
-    VJPs, in their order, computing only the partials ``need`` asks for.
+    ops, in their order, so every bit matches.  It runs over blocks of the
+    rows of ``x`` (``_blocks``, ``_BLOCK_BYTES`` of hidden layer each), so
+    the 4x-wide hidden layer never exists whole; each row's arithmetic is
+    the same in any block.  ``scale`` and ``shift`` of more than one axis
+    may vary along the rows, and then the rows run as one block.  The node
+    keeps ``x`` and the parameter arrays, not the hidden layer: the VJP
+    recomputes ``relu(x @ w1 + b1)`` with one GEMM and then runs the
+    composed ops' VJPs, in their order, computing only the partials
+    ``need`` asks for.
     """
     x, w1, b1, scale, shift, w2, b2 = (_lift(t) for t in (x, w1, b1, scale, shift, w2, b2))
     sx, ss, ssh, sb1, sb2 = x.shape, scale.shape, shift.shape, b1.shape, b2.shape
@@ -559,14 +598,18 @@ def feed_forward(x, w1, b1, scale, shift, w2, b2) -> Tensor:
             raise ValueError(f"feed_forward: {name} must have shape ({n},), got {s}")
     _check_star_relu_parameters("feed_forward", "the hidden layer", sh, ss, ssh)
     xd, w1d, b1d, sd, shd, w2d = x.data, w1.data, b1.data, scale.data, shift.data, w2.data
-    h = xd.reshape(-1, c) @ w1d
-    h += b1d
-    np.maximum(h, 0.0, out=h)
-    h *= h
-    h *= sd
-    h += shd
-    y = h @ w2d
-    del h  # before the output's finiteness check allocates
+    x2 = xd.reshape(-1, c)
+    y = np.empty((len(x2), c_out))
+    rows = _blocks(len(x2), 8 * wide) if max(sd.ndim, shd.ndim) <= 1 else [slice(None)]
+    for r in rows:
+        h = x2[r] @ w1d
+        h += b1d
+        np.maximum(h, 0.0, out=h)
+        h *= h
+        h *= sd
+        h += shd
+        np.matmul(h, w2d, out=y[r])
+        del h  # before the next block, or the output's finiteness check, allocates
     y += b2.data
     out = Tensor(y.reshape(sx[:-1] + (c_out,)))
     need = _needs(x, w1, b1, scale, shift, w2, b2)
@@ -757,6 +800,23 @@ def _pruned_irfftn(
     return out
 
 
+def _sliced(shape: tuple[int, ...], sl: slice) -> tuple[int, ...]:
+    """``shape`` with its trailing axis cut to ``sl``."""
+    return shape[:-1] + (len(range(shape[-1])[sl]),)
+
+
+def _put_block(whole: np.ndarray | None, block: np.ndarray, sl: slice, n: int) -> np.ndarray:
+    """``whole``, allocated at the first block, with ``block`` written over
+    entries ``sl`` of its trailing axis of length ``n``; ``block`` itself
+    when ``sl`` is the whole axis."""
+    if sl == slice(None):
+        return block
+    if whole is None:
+        whole = np.empty(block.shape[:-1] + (n,))
+    whole[..., sl] = block
+    return whole
+
+
 def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     """Circular convolution y[t] = sum_s x[s] * h[(t-s) mod M] along ``dims``,
     M being ``h``'s length on each convolved axis.
@@ -783,6 +843,13 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     spectrum, so one inverse runs per kernel; its tap k is entry
     (k + L) mod M.  A tape keeps H for the x-partial and ``x`` for the
     kernel partial, no spectrum of ``x``.
+
+    When the trailing axis holds channels, not convolved and of the same
+    length in ``x`` and ``h``, the forward pass and both partials loop over
+    blocks of those channels (``_blocks``), each transforming at most
+    ``_BLOCK_BYTES`` of spectrum, and write each block into one output.
+    Every channel goes through the same transforms in any block, so the
+    results are the same to the bit; the op still records one node.
     """
     x = _lift(x)
     spectral = isinstance(h, KernelSpectrum)
@@ -811,31 +878,47 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
     need = _needs(x) if spectral else _needs(x, h)
     hf = h.data if spectral else np.fft.rfftn(h.data, axes=h_axes)
-    xf = _mul_spectrum(np.fft.rfftn(x.data, s=lengths, axes=x_axes), hf)
-    if not (need and need[0]):
-        hf = None  # a kernel spectrum taken here is freed before the inverse allocates
-    out = Tensor(_pruned_irfftn(xf, lengths, x_axes, out_starts, sizes))
+    chans = [slice(None)]
+    if x.ndim - 1 not in x_axes and h.shape[-1] == sx[-1]:  # channels that x and h share
+        spec = np.broadcast_shapes(tuple(1 if ax in x_axes else n for ax, n in enumerate(sx)), hf.shape)
+        chans = _blocks(sx[-1], 16 * math.prod(spec[:-1]))
+    out = None
+    for sl in chans:
+        xf = _mul_spectrum(np.fft.rfftn(x.data[..., sl], s=lengths, axes=x_axes), hf[..., sl])
+        if sl is chans[-1] and not (need and need[0]):
+            hf = None  # a kernel spectrum taken here is freed before the last inverse allocates
+        out = _put_block(out, _pruned_irfftn(xf, lengths, x_axes, out_starts, sizes), sl, sx[-1])
+        del xf
+    out = Tensor(out)
     if need:
         xd = x.data if not spectral and need[1] else None
         last = h_axes[-1]
         hf_shape = h.shape[:last] + (lengths[-1] // 2 + 1,) + h.shape[last + 1 :]
+        shifts = [-n for n in sizes]
 
         def vjp(g):
             gx = gh = None
-            gf = np.fft.rfftn(g, s=lengths, axes=x_axes)
-            if not spectral and need[1]:  # before the x-partial overwrites gf
-                # The correlation of g with x, summed down to h's shape on the
-                # spectrum.  G holds g at the head of the transform, where the
-                # output was its tail, so tap k is entry (k + L) mod M.
-                cf = np.fft.rfftn(xd, s=lengths, axes=x_axes)
-                cf = _unbroadcast(_mul_spectrum(np.conjugate(cf, out=cf), gf), hf_shape)
-                gh = np.roll(np.fft.irfftn(cf, s=lengths, axes=h_axes), [-n for n in sizes], axis=h_axes)
-                del cf
+            for sl in chans:
+                gf = np.fft.rfftn(g[..., sl], s=lengths, axes=x_axes)
+                if not spectral and need[1]:  # before the x-partial overwrites gf
+                    # The correlation of g with x, summed down to h's shape on
+                    # the spectrum.  G holds g at the head of the transform,
+                    # where the output was its tail, so tap k is entry
+                    # (k + L) mod M.
+                    cf = np.fft.rfftn(xd[..., sl], s=lengths, axes=x_axes)
+                    cf = _unbroadcast(_mul_spectrum(np.conjugate(cf, out=cf), gf), _sliced(hf_shape, sl))
+                    ghb = np.roll(np.fft.irfftn(cf, s=lengths, axes=h_axes), shifts, axis=h_axes)
+                    del cf
+                    gh = _put_block(gh, ghb, sl, sx[-1])
+                if need[0]:
+                    # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)),
+                    # which needs no conjugate copy of H; the products are
+                    # the same.
+                    gf = _mul_spectrum(np.conjugate(gf, out=gf), hf[..., sl])
+                    gxb = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes)
+                    del gf
+                    gx = _put_block(gx, gxb, sl, sx[-1])
             if need[0]:
-                # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)), which
-                # needs no conjugate copy of H; the products are the same.
-                gf = _mul_spectrum(np.conjugate(gf, out=gf), hf)
-                gx = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes)
                 gx = _unbroadcast(gx, sx)
             return (gx,) if spectral else (gx, gh)
 
@@ -843,11 +926,68 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     return out
 
 
-def _tap_grid(w: np.ndarray, index: np.ndarray, live: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
-    """The live taps of ``w`` scattered onto their box, zero at missing offsets."""
-    grid = np.zeros(box + w.shape[1:], dtype=w.dtype)
-    np.add.at(grid, tuple(index[live].T), w[live])
-    return grid
+class _Taps:
+    """The taps of a small dense convolution over ``axes`` of an array of
+    ``shape``: ``w`` is [T, ...], one row per offset, its trailing axes
+    broadcasting on the axes of the array after the convolved ones.
+
+    The taps are scattered onto their bounding box, stretched to hold offset
+    0, as a dense grid with zero taps at missing offsets.  ``apply`` is one
+    ``np.einsum`` of that grid with a sliding-window view of the array
+    zero-padded by ``pads``; the partials contract window views the same way.
+    """
+
+    def __init__(self, shape: tuple[int, ...], w_shape: tuple[int, ...], offsets, axes):
+        ndim = len(shape)
+        ax = self.axes = _normalize_axes(ndim, axes)
+        for off in offsets:
+            if len(off) != len(ax):
+                raise ValueError(f"offset {tuple(off)} has {len(off)} entries for {len(ax)} axes")
+        offs = np.array(offsets, dtype=np.int64).reshape(-1, len(ax))
+        if len(offs) != w_shape[0]:
+            raise ValueError("offset count must match tap count")
+        tail = len(w_shape) - 1
+        if tail > ndim - 1 - max(ax):
+            raise ValueError(f"tap weights of shape {w_shape[1:]} reach into the convolved axes")
+        # A tap shifted by a whole axis length or more reads only zeros.
+        self.live = np.all(np.abs(offs) < [shape[a] for a in ax], axis=1)
+        lo = np.minimum(offs[self.live].min(axis=0, initial=0), 0)
+        hi = np.maximum(offs[self.live].max(axis=0, initial=0), 0)
+        self.box, self.index = tuple(int(k) for k in hi - lo + 1), offs - lo
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        xs, ws = letters[:ndim], letters[ndim : ndim + len(ax)]
+        cs = xs[ndim - tail :]  # the axes of the array that w's trailing axes cover
+        self.conv, self.corr = f"{xs}{ws},{ws}{cs}->{xs}", f"{xs}{ws},{xs}->{ws}{cs}"
+        self.flip = (slice(None, None, -1),) * len(ax)
+        # y[i] = sum_k grid[k] x[i - lo - k].  With x padded by (hi, -lo), window
+        # entry j at i reads x[i - hi + j], which tap k = box - 1 - j multiplies.
+        self.pads, self.g_pads = [(0, 0)] * ndim, [(0, 0)] * ndim
+        for d, a_d in enumerate(ax):
+            self.pads[a_d], self.g_pads[a_d] = (int(hi[d]), int(-lo[d])), (int(-lo[d]), int(hi[d]))
+
+    def _grid(self, w: np.ndarray) -> np.ndarray:
+        """The live taps of ``w`` on their box, zero at missing offsets."""
+        grid = np.zeros(self.box + w.shape[1:], dtype=w.dtype)
+        np.add.at(grid, tuple(self.index[self.live].T), w[self.live])
+        return grid
+
+    def _windows(self, padded: np.ndarray) -> np.ndarray:
+        return np.lib.stride_tricks.sliding_window_view(padded, self.box, axis=self.axes)
+
+    def apply(self, padded: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The convolution of the array that ``padded`` holds padded by ``pads``."""
+        return np.einsum(self.conv, self._windows(padded), self._grid(w)[self.flip])
+
+    def x_partial(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # gx[i] = sum_k grid[k] g[i + lo + k]: g padded by (-lo, hi).
+        return np.einsum(self.conv, self._windows(np.pad(g, self.g_pads)), self._grid(w))
+
+    def w_partial(self, padded: np.ndarray, g: np.ndarray, w_shape: tuple[int, ...]) -> np.ndarray:
+        """The partial of taps of ``w_shape``, ``padded`` as in ``apply``."""
+        ggrid = np.einsum(self.corr, self._windows(padded), g)[self.flip]
+        gw = np.zeros((len(self.index),) + ggrid.shape[len(self.axes) :])
+        gw[self.live] = ggrid[tuple(self.index[self.live].T)]
+        return _unbroadcast(gw, w_shape)
 
 
 def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]) -> Tensor:
@@ -855,65 +995,99 @@ def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]
 
     Shifts fill with zeros outside the array; ``offsets[t]`` holds one shift
     per axis in ``axes``.  ``w`` is [T, C] (or [T] scalars) broadcasting on
-    the axes of x after the convolved ones.  The taps are scattered onto
-    their bounding box, stretched to hold offset 0, as a dense grid with
-    zero taps at missing offsets; y is one ``np.einsum`` of that grid with a
-    sliding-window view of x zero-padded once, and the VJP contracts window
-    views the same way.  Used for the depthwise short convolutions and the
-    causal long convolution.  Each output sums only the positions its taps
-    reach, so with offsets 0..T-1 no output reads a later position and the
-    Jacobian above the diagonal is exactly zero.
+    the axes of x after the convolved ones.  y is one ``np.einsum`` of the
+    taps' dense grid with a sliding-window view of x zero-padded once
+    (``_Taps``), and the VJP contracts window views the same way.  Used for
+    the causal long convolution.  Each output sums only the positions its
+    taps reach, so with offsets 0..T-1 no output reads a later position and
+    the Jacobian above the diagonal is exactly zero.
     """
     x, w = _lift(x), _lift(w)
-    ax = _normalize_axes(x.ndim, axes)
-    for off in offsets:
-        if len(off) != len(ax):
-            raise ValueError(f"offset {tuple(off)} has {len(off)} entries for {len(ax)} axes")
-    offs = np.array(offsets, dtype=np.int64).reshape(-1, len(ax))
-    if len(offs) != w.shape[0]:
-        raise ValueError("offset count must match tap count")
-    tail = w.ndim - 1
-    if tail > x.ndim - 1 - max(ax):
-        raise ValueError(f"tap weights of shape {w.shape[1:]} reach into the convolved axes")
-    # A tap shifted by a whole axis length or more reads only zeros.
-    live = np.all(np.abs(offs) < [x.shape[a] for a in ax], axis=1)
-    lo = np.minimum(offs[live].min(axis=0, initial=0), 0)
-    hi = np.maximum(offs[live].max(axis=0, initial=0), 0)
-    box, index = tuple(int(k) for k in hi - lo + 1), offs - lo
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    xs, ws = letters[: x.ndim], letters[x.ndim : x.ndim + len(ax)]
-    cs = xs[x.ndim - tail :]  # the axes of x that w's trailing axes cover
-    conv = f"{xs}{ws},{ws}{cs}->{xs}"
-    flip = (slice(None, None, -1),) * len(ax)
-
-    def windows(a, before, after):
-        pw = [(0, 0)] * a.ndim
-        for d, a_d in enumerate(ax):
-            pw[a_d] = (int(before[d]), int(after[d]))
-        return np.lib.stride_tricks.sliding_window_view(np.pad(a, pw), box, axis=ax)
-
-    # y[i] = sum_k grid[k] x[i - lo - k].  With x padded by (hi, -lo), window
-    # entry j at i reads x[i - hi + j], which tap k = box - 1 - j multiplies.
-    grid = _tap_grid(w.data, index, live, box)
-    out = Tensor(np.einsum(conv, windows(x.data, hi, -lo), grid[flip]))
+    taps = _Taps(x.shape, w.shape, offsets, axes)
+    out = Tensor(taps.apply(np.pad(x.data, taps.pads), w.data))
     need = _needs(x, w)
     if need:
         sw = w.shape
         xd, wd = (x.data if need[1] else None), (w.data if need[0] else None)
 
         def vjp(g):
-            gx = gw = None
-            if need[0]:
-                # gx[i] = sum_k grid[k] g[i + lo + k]: g padded by (-lo, hi).
-                gx = np.einsum(conv, windows(g, -lo, hi), _tap_grid(wd, index, live, box))
-            if need[1]:
-                ggrid = np.einsum(f"{xs}{ws},{xs}->{ws}{cs}", windows(xd, hi, -lo), g)[flip]
-                gw = np.zeros((len(offs),) + ggrid.shape[len(ax) :])
-                gw[live] = ggrid[tuple(index[live].T)]
-                gw = _unbroadcast(gw, sw)
+            gx = taps.x_partial(g, wd) if need[0] else None
+            gw = taps.w_partial(np.pad(xd, taps.pads), g, sw) if need[1] else None
             return gx, gw
 
         _record("shift_convolve", out, (x, w), need, vjp)
+    return out
+
+
+def pointwise_depthwise(x, pw, pb, dw, db, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]) -> Tensor:
+    """A pointwise layer and a depthwise short convolution,
+    ``shift_convolve(x @ pw + pb, dw, offsets, axes) + db``, as one op.
+
+    ``x`` is [..., C], ``pw`` [C, W], ``pb`` and ``db`` [W], and ``dw`` is
+    [T, W], one row per offset as in ``shift_convolve``.  The GEMM
+    ``x @ pw`` runs on contiguous rows, and its sum with ``pb`` goes into
+    the interior of one buffer zero-padded for the taps, which the
+    depthwise einsum reads; ``db`` is added to the output in place.  That
+    is the arithmetic of the composed ``linear``, ``shift_convolve`` and
+    ``add``, in their order, so every bit matches, with no padded copy of
+    the wide map.  The node keeps ``x`` and the parameter arrays, not the
+    wide map: the partial of ``dw`` recomputes ``x @ pw + pb`` into such a
+    buffer, and every partial runs the composed ops' VJPs in their order,
+    computing only the partials ``need`` asks for.
+    """
+    x, pw, pb, dw, db = (_lift(t) for t in (x, pw, pb, dw, db))
+    sx = x.shape
+    c, wide = _gemm_shape("pointwise_depthwise", "x", sx, "pw", pw.shape)
+    for name, t in (("pb", pb), ("db", db)):
+        if t.shape != (wide,):
+            raise ValueError(f"pointwise_depthwise: {name} must have shape ({wide},), got {t.shape}")
+    sw = sx[:-1] + (wide,)
+    taps = _Taps(sw, dw.shape, offsets, axes)
+    interior = tuple(slice(lo, lo + n) for n, (lo, _) in zip(sw, taps.pads))
+    xd, pwd, pbd, dwd = x.data, pw.data, pb.data, dw.data
+
+    def padded_wide() -> np.ndarray:
+        """``x @ pw + pb`` in the interior of a buffer zero-padded by ``taps.pads``."""
+        buf = np.zeros(tuple(n + lo + hi for n, (lo, hi) in zip(sw, taps.pads)))
+        t = (xd.reshape(-1, c) @ pwd).reshape(sw)
+        np.add(t, pbd, out=buf[interior])
+        return buf
+
+    y = taps.apply(padded_wide(), dwd)
+    y += db.data
+    out = Tensor(y)
+    need = _needs(x, pw, pb, dw, db)
+    if need:
+        # The partial of dw recomputes the wide map from x, pw and pb; those
+        # of x, pw and pb read dw, and then pw's reads x and x's reads pw.
+        if not (need[1] or need[3]):
+            xd = None
+        if not (need[0] or need[3]):
+            pwd = None
+        if not need[3]:
+            pbd = None
+        if not any(need[:3]):
+            dwd = None
+        sdw = dw.shape
+
+        def vjp(g):
+            gx = gpw = gpb = gdw = gdb = None
+            if need[4]:
+                gdb = _unbroadcast(g, (wide,))
+            if need[3]:
+                gdw = taps.w_partial(padded_wide(), g, sdw)
+            if any(need[:3]):
+                gw = taps.x_partial(g, dwd)  # the partial of x @ pw + pb
+                if need[2]:
+                    gpb = _unbroadcast(gw, (wide,))
+                gw2 = gw.reshape(-1, wide)
+                if need[1]:
+                    gpw = xd.reshape(-1, c).T @ gw2
+                if need[0]:
+                    gx = (gw2 @ pwd.T).reshape(sx)
+            return gx, gpw, gpb, gdw, gdb
+
+        _record("pointwise_depthwise", out, (x, pw, pb, dw, db), need, vjp)
     return out
 
 

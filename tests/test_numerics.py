@@ -360,6 +360,51 @@ class TestKernelPartial:
         assert calls == Counter(rfftn=2, ifft=1, irfft=1, irfftn=1)
 
 
+class TestChannelBlocks:
+    """A circular_convolve whose spectrum exceeds the block budget loops over
+    blocks of its trailing channels inside the one op; each channel goes
+    through the same transforms as on its own."""
+
+    def test_blocks_match_per_channel_calls_bitwise(self, rng, monkeypatch):
+        # 120 channels of a 2 x 48 x 25 half spectrum: 38 KB each, three blocks.
+        x, h, g = rng.normal(size=(2, 24, 24, 120)), rng.normal(size=(48, 48, 120)), rng.normal(size=(2, 24, 24, 120))
+        xt, ht = Tensor(x), Tensor(h)
+        calls = Counter()
+        rfftn = np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.update(["rfftn"]) or rfftn(*a, **k))
+        with GradTape([xt, ht]) as tape:
+            y = circular_convolve(xt, ht, dims=[-3, -2])
+        assert len(tape.nodes) == 1
+        assert calls["rfftn"] - 1 >= 3  # the kernel's transform, then one per block of x
+        monkeypatch.undo()
+        gx, gh = tape.gradient(y, [xt, ht], upstream=g)
+        ref = {"y": [], "gx": [], "gh": []}
+        for c in range(120):
+            xc, hc = Tensor(x[..., c : c + 1]), Tensor(h[..., c : c + 1])
+            with GradTape([xc, hc]) as tape:
+                yc = circular_convolve(xc, hc, dims=[-3, -2])
+            gxc, ghc = tape.gradient(yc, [xc, hc], upstream=g[..., c : c + 1])
+            for name, a in (("y", yc), ("gx", gxc), ("gh", ghc)):
+                ref[name].append(a.data)
+        for name, got in (("y", y), ("gx", gx), ("gh", gh)):
+            assert _sha256(got.data) == _sha256(np.concatenate(ref[name], axis=-1)), name
+
+    def test_stage_one_spectral_pass_stays_under_five_megabytes(self, rng):
+        # The 56 x 56 x 64 map of a 224 px model against M = 112: one spectrum
+        # of the whole map is 112 * 57 * 64 complex (6.5 MB), and the whole
+        # transform peaked at 11.4 MB before the channels ran in blocks.
+        x = Tensor(rng.normal(size=(1, 56, 56, 64)))
+        spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(112, 112, 64))), [-3, -2])
+        tracemalloc.start()
+        try:
+            y = circular_convolve(x, spectrum, dims=[-3, -2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == x.shape
+        assert peak < 5e6
+
+
 def shift_direct(x: np.ndarray, w: np.ndarray, offsets, axes) -> np.ndarray:
     """y = sum_t w[t] * shift(x, offsets[t]) as one shifted add per tap."""
     y = np.zeros_like(x)
@@ -520,13 +565,13 @@ class TestMatmul:
             nx.matmul(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(3, 2))))
 
 
-def _retained_bytes(op, x, nodes=1):
-    """Bytes still allocated after recording ``op(x)`` on a ``GradTape([x])``,
-    beyond the output itself."""
+def _retained_bytes(op, x, nodes=1, also=()):
+    """Bytes still allocated after recording ``op(x)`` on a tape of ``x`` and
+    the tensors in ``also``, beyond the output itself."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        with GradTape([x]) as tape:
+        with GradTape([x, *also]) as tape:
             y = op(x)
         retained = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
     finally:
@@ -602,6 +647,17 @@ class TestRecordedMemory:
         ffn = lambda t: nx.feed_forward(nx.neg(t), w1, b1, s, b, w2, b2)
         # The negated input (128 KB), not the 4x-wide hidden layer (512 KB).
         assert _retained_bytes(ffn, x, nodes=2) < x.data.nbytes + 8_000
+
+    def test_pointwise_depthwise_keeps_its_input_not_the_wide_map(self, rng):
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        pw, pb = Tensor(rng.normal(size=(32, 96))), Tensor(rng.normal(size=96))
+        dw, db = Tensor(rng.normal(size=(25, 96))), Tensor(rng.normal(size=96))
+        offsets = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)]
+        op = lambda t: nx.pointwise_depthwise(nx.neg(t), pw, pb, dw, db, offsets, (-3, -2))
+        # dw's partial recomputes the wide map: the tape keeps the negated
+        # input (128 KB), not the 3x-wide map (384 KB) or its padded copy.
+        retained = _retained_bytes(op, x, nodes=2, also=[dw])
+        assert x.data.nbytes <= retained < x.data.nbytes + 8_000
 
     def test_circular_convolve_keeps_the_kernel_spectrum_or_x(self, rng):
         # An x-only tape keeps the kernel's spectrum (31 * 16 * 32 complex,
@@ -831,8 +887,9 @@ def _fused_partials(op, inputs, g):
 
 
 class TestFusedOps:
-    """layer_norm, star_relu, feed_forward and cross_entropy each record one
-    node whose closed-form VJP matches the composed maths."""
+    """layer_norm, star_relu, feed_forward, pointwise_depthwise and
+    cross_entropy each record one node whose closed-form VJP matches the
+    composed maths."""
 
     @pytest.mark.parametrize("shape", [(1, 56, 56, 64), (2, 8, 8, 8)])
     def test_feed_forward_is_bit_identical_to_the_composed_ffn(self, rng, shape):
@@ -856,6 +913,59 @@ class TestFusedOps:
         assert _sha256(y) == _sha256(ref.data)
         for got, want in zip(partials, ref_partials):
             assert got.shape == want.shape and _sha256(got) == _sha256(want.data)
+
+    def test_feed_forward_never_holds_the_whole_hidden_layer(self, rng):
+        # The stage-1 map of a 224 px model: its hidden layer is 3136 x 256
+        # floats (6.4 MB), and the forward pass peaked at 8.0 MB when that
+        # layer existed whole.
+        x = Tensor(rng.normal(size=(1, 56, 56, 64)))
+        w1, b1 = Tensor(rng.normal(size=(64, 256))), Tensor(rng.normal(size=256))
+        w2, b2 = Tensor(rng.normal(size=(256, 64))), Tensor(rng.normal(size=64))
+        tracemalloc.start()
+        try:
+            nx.feed_forward(x, w1, b1, Tensor(1.3), Tensor(-0.2), w2, b2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3136 * 256 * 8
+
+    @pytest.mark.parametrize("offsets,axes,shape", [
+        ([(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)], (-3, -2), (2, 9, 7, 4)),
+        ([(dy, dx) for dy in range(-3, 4) for dx in range(-3, 4)], (-3, -2), (1, 8, 8, 8)),
+        ([(-1,), (0,), (1,)], (-2,), (2, 13, 6)),
+        ([(0,), (1,), (2,)], (-2,), (11, 3)),
+    ])
+    def test_pointwise_depthwise_is_bit_identical_to_the_composed_graph(self, rng, offsets, axes, shape):
+        c = shape[-1]
+        w = 3 * c
+        arrays = [
+            rng.normal(size=shape),
+            rng.normal(size=(c, w)) / np.sqrt(c),
+            rng.normal(size=w) * 0.1,
+            rng.normal(size=(len(offsets), w)) * 0.2,
+            rng.normal(size=w) * 0.1,
+        ]
+        g = rng.normal(size=shape[:-1] + (w,))
+        op = lambda *t: nx.pointwise_depthwise(*t, offsets, axes)
+        y, partials = _fused_partials(op, [Tensor(a) for a in arrays], g)
+        x, pw, pb, dw, db = inputs = [Tensor(a) for a in arrays]
+        with GradTape(inputs) as tape:
+            ref = nx.add(nx.shift_convolve(nx.linear(x, pw, pb), dw, offsets, axes), db)
+        assert len(tape.nodes) == 4
+        ref_partials = tape.gradient(ref, inputs, upstream=g)
+        assert _sha256(y) == _sha256(ref.data)
+        for got, want in zip(partials, ref_partials):
+            assert got.shape == want.shape and _sha256(got) == _sha256(want.data)
+
+    @pytest.mark.parametrize("shapes,match", [
+        ([(2, 5, 4), (5, 12), (12,), (3, 12), (12,)], r"x of shape \(2, 5, 4\) does not end in pw's K = 5"),
+        ([(2, 5, 4), (4, 12), (1, 12), (3, 12), (12,)], r"pb must have shape \(12,\)"),
+        ([(2, 5, 4), (4, 12), (12,), (3, 12), (4,)], r"db must have shape \(12,\)"),
+        ([(2, 5, 4), (4, 12), (12,), (2, 12), (12,)], r"offset count must match tap count"),
+    ])
+    def test_pointwise_depthwise_shapes_named(self, rng, shapes, match):
+        with pytest.raises(ValueError, match=match):
+            nx.pointwise_depthwise(*[Tensor(rng.normal(size=s)) for s in shapes], [(-1,), (0,), (1,)], (-2,))
 
     @pytest.mark.parametrize("shapes,match", [
         ([(2, 4), (5, 16), (16,), (), (), (16, 4), (4,)], r"x of shape \(2, 4\) does not end in w1's K = 5"),
@@ -1024,6 +1134,22 @@ class TestSourcePruning:
         assert alive == [False]
         assert np.array_equal(gx.data, np.cos(np.exp(x.data)) * np.exp(x.data))
 
+    def test_partial_added_to_an_earlier_one_freed_before_the_next_vjp(self, rng):
+        # mul's partial for u joins add's in a new sum; neither it nor the
+        # sum it replaced is kept alive through neg's VJP.
+        x, c = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+        with GradTape([x]) as tape:
+            u = nx.neg(x)
+            y = nx.tensor_sum(nx.add(u, nx.mul(u, c)))
+        neg_node, mul_node = tape.nodes[:2]
+        seen, alive = [], []
+        mul_vjp, neg_vjp = mul_node._vjp, neg_node._vjp
+        mul_node._vjp = lambda g: (lambda p: seen.append(weakref.ref(p[0])) or p)(mul_vjp(g))
+        neg_node._vjp = lambda g: alive.append(seen[0]() is not None) or neg_vjp(g)
+        (gx,) = tape.gradient(y, [x])
+        assert alive == [False]
+        assert np.array_equal(gx.data, -(1.0 + c.data))
+
 
 class TestSourcedTape:
     def test_trainable_tensor_outside_sources_records_nothing(self, rng):
@@ -1100,6 +1226,9 @@ class TestGradCheck:
             ("feed_forward",
              lambda *t: nx.tensor_sum(nx.square(nx.feed_forward(*t))),
              [(2, 3), (3, 8), (8,), (), (), (8, 2), (2,)]),
+            ("pointwise_depthwise",
+             lambda *t: nx.tensor_sum(nx.square(nx.pointwise_depthwise(*t, [(-1,), (0,), (1,)], (-2,)))),
+             [(5, 2), (2, 6), (6,), (3, 6), (6,)]),
         ],
     )
     def test_primitive_gradients(self, rng, name, f, shapes):
