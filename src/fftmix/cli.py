@@ -3,8 +3,8 @@ bench, and filters dump over JSON configs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every run that
 produces files writes them under ``--out`` together with a manifest
-recording the subcommand, a hash of the effective config, the seed, and
-tool versions.
+recording the subcommand, a hash of the effective config, the seed, the
+subcommand's wall time, and tool versions.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ class CliConfig:
     subcommand: str
     args: dict
     payload: dict = field(default_factory=dict)  # validated JSON config body
+    started: float = field(default_factory=time.perf_counter)  # when the command was parsed
 
     @property
     def seed(self) -> int:
@@ -160,12 +162,16 @@ def _config_hash(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_manifest(out: Path, subcommand: str, effective_config, seed: int) -> None:
+def _write_manifest(out: Path, cfg: CliConfig, subcommand: str, effective_config) -> None:
+    """``manifest.json`` under ``out``.  ``wall_s`` is the seconds since
+    ``cfg`` was parsed; it sits outside ``config``, so ``config_hash``
+    depends on the inputs alone."""
     manifest = {
         "subcommand": subcommand,
         "config_hash": _config_hash(effective_config),
         "config": effective_config,
-        "seed": seed,
+        "seed": cfg.seed,
+        "wall_s": time.perf_counter() - cfg.started,
         "versions": {
             "fftmix": __version__,
             "numpy": np.__version__,
@@ -216,7 +222,7 @@ def _cmd_train(cfg: CliConfig) -> int:
     tconf = training.TrainConfig(**cfg.payload.get("train", {}))
     dspec = training.DatasetSpec(**cfg.payload.get("data", {}))
     history = training.train(model, dspec, tconf, out_dir=out)
-    _write_manifest(out, "train", cfg.payload, cfg.seed)
+    _write_manifest(out, cfg, "train", cfg.payload)
     last = history[-1]
     print(f"trained {tconf.total_epochs} epochs; final val_acc {last['val_acc']:.4f}")
     print(f"history: {out / 'history.csv'}")
@@ -241,7 +247,7 @@ def _cmd_model_info(cfg: CliConfig) -> int:
         print(f"stage {i + 1}: {fy}x{fx} x{c} ({variant}, {config.stage_blocks[i]} blocks)")
     print(f"params: {mdl.count_params(model)}")
     if cfg.args.get("out"):
-        _write_manifest(_out_dir(cfg), "model info", config.to_dict(), cfg.seed)
+        _write_manifest(_out_dir(cfg), cfg, "model info", config.to_dict())
     return 0
 
 
@@ -254,12 +260,12 @@ def _cmd_erf(cfg: CliConfig) -> int:
         files = sorted(Path(source).glob("*.hpx1"))[: int(cfg.args["num"])]
         if not files:
             raise FileNotFoundError(f"no .hpx1 images under {source}")
-        images = np.stack([hpxio.read_hpx1(f) for f in files])
+        images = hpxio.read_hpx1_stack(files, f"the image directory {source}")
     emap = analysis.erf_map(model, images)
     out = _out_dir(cfg)
     hpxio.write_hpx1(out / "erf.hpx1", emap.grid)
     hpxio.write_pgm(out / "erf.pgm", emap.grid)
-    _write_manifest(out, "erf", {"model": str(cfg.args["model"]), "num": emap.num_images}, cfg.seed)
+    _write_manifest(out, cfg, "erf", {"model": str(cfg.args["model"]), "num": emap.num_images})
     print(f"erf over {emap.num_images} images -> {out / 'erf.pgm'}")
     return 0
 
@@ -274,7 +280,7 @@ def _cmd_coverage(cfg: CliConfig) -> int:
         for row in report.rows:
             writer.writerow([row.stage, row.block, row.diameter, row.coverage])
     _write_manifest(
-        out, "coverage", {"model": str(cfg.args["model"]), "threshold": cfg.args["threshold"]}, cfg.seed
+        out, cfg, "coverage", {"model": str(cfg.args["model"]), "threshold": cfg.args["threshold"]}
     )
     print(f"coverage for {len(report.rows)} blocks -> {out / 'coverage.csv'}")
     return 0
@@ -299,7 +305,7 @@ def _cmd_truncate(cfg: CliConfig) -> int:
     out = _out_dir(cfg)
     with open(out / "results.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
-    _write_manifest(out, "truncate", result, cfg.seed)
+    _write_manifest(out, cfg, "truncate", result)
     print(f"truncated stage {stage} at rel {rel} -> {out / 'results.json'}")
     return 0
 
@@ -321,10 +327,10 @@ def _cmd_bench(cfg: CliConfig) -> int:
         json.dump(table.slopes, fh, indent=2, sort_keys=True)
     _write_manifest(
         out,
+        cfg,
         "bench",
         {"variants": variants, "extents": extents, "channels": cfg.args["channels"],
          "repeats": cfg.args["repeats"]},
-        cfg.seed,
     )
     for variant, slope in sorted(table.slopes.items()):
         print(f"{variant}: fitted log-log slope {slope:.3f}")
@@ -356,7 +362,7 @@ def _cmd_filters_dump(cfg: CliConfig) -> int:
             for c in range(shaped.shape[-1]):
                 hpxio.write_pgm(out / f"kernel_{tag}_c{c:03d}.pgm", np.atleast_2d(shaped[..., c]))
     count = len(kernels)
-    _write_manifest(out, "filters dump", {"model": str(cfg.args["model"]), "kernels": count}, cfg.seed)
+    _write_manifest(out, cfg, "filters dump", {"model": str(cfg.args["model"]), "kernels": count})
     print(f"dumped {count} kernels -> {out}")
     return 0
 

@@ -59,6 +59,21 @@ def read_hpx1(path) -> np.ndarray:
     return data.reshape(shape).astype(np.float64)
 
 
+def read_hpx1_stack(paths, what: str) -> np.ndarray:
+    """The HPX1 files ``paths``, read and stacked along a new first axis.
+    A file whose shape differs from the first file's raises a ``ValueError``
+    naming ``what``, that file and both shapes."""
+    arrays = []
+    for path in paths:
+        arrays.append(read_hpx1(path))
+        if arrays[-1].shape != arrays[0].shape:
+            raise ValueError(
+                f"{what} mixes image shapes: {path} is {list(arrays[-1].shape)}, "
+                f"{paths[0]} is {list(arrays[0].shape)}"
+            )
+    return np.stack(arrays)
+
+
 def write_pgm(path, image: np.ndarray) -> None:
     """Write a 2D array as binary 8-bit PGM, min/max normalized to [0, 255]."""
     img = np.asarray(image, dtype=np.float64)

@@ -227,9 +227,11 @@ def downsample(x: Tensor, layer: ConvNormLayer) -> Tensor:
 
 
 class FeedForward:
-    """linear -> StarReLU -> linear at expansion 4, run as the one op
-    ``numerics.feed_forward``: a tape keeps the FFN's input, not its 4x-wide
-    hidden layer, which the backward pass recomputes."""
+    """The block's second norm, then linear -> StarReLU -> linear at
+    expansion 4, run as the one op ``numerics.feed_forward``: a tape keeps
+    the norm's normalised input, not the norm's output or the 4x-wide hidden
+    layer, which the backward pass recomputes.  The norm's parameters stay
+    the block's (``norm2``), so parameter names do not change."""
 
     def __init__(self, channels: int, rng):
         wide = channels * FFN_EXPANSION
@@ -239,9 +241,11 @@ class FeedForward:
         self.w2 = Tensor(rng.normal(0, 1 / np.sqrt(wide), (wide, channels)), requires_grad=True)
         self.b2 = Tensor(np.zeros(channels), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, norm: LayerNormParams) -> Tensor:
         act = self.act
-        return nx.feed_forward(x, self.w1, self.b1, act.scale, act.shift, self.w2, self.b2)
+        return nx.feed_forward(
+            x, norm.gamma, norm.beta, LN_EPS, self.w1, self.b1, act.scale, act.shift, self.w2, self.b2
+        )
 
     __call__ = forward
 
@@ -256,7 +260,10 @@ class FeedForward:
 
 
 class Block:
-    """norm -> mixer -> scaled residual, norm -> FFN -> scaled residual."""
+    """norm -> mixer -> scaled residual, norm -> FFN -> scaled residual.
+
+    The second norm runs inside the FFN's op (``FeedForward``), which reads
+    its parameters from ``norm2``."""
 
     def __init__(self, channels, mixer_cfg: MixerConfig, use_res_scale, rng):
         self.norm1 = init_layer_norm(channels)
@@ -284,7 +291,7 @@ class Block:
         if self.res_scale1 is not None:
             branch = nx.mul(branch, self.res_scale1)
         u = nx.add(x, branch)
-        branch = self.ffn(layer_norm(u, self.norm2.gamma, self.norm2.beta))
+        branch = self.ffn(u, self.norm2)
         if self.res_scale2 is not None:
             branch = nx.mul(branch, self.res_scale2)
         return nx.add(u, branch)

@@ -233,15 +233,8 @@ def directory_dataset(spec: DatasetSpec):
         files = [(f, ci) for ci, cname in enumerate(classes) for f in sorted((base / cname).glob("*.hpx1"))]
         if not files:
             raise ValueError(f"the {split} split holds no .hpx1 images under {base}")
-        xs = []
-        for f, _ in files:
-            xs.append(hpxio.read_hpx1(f))
-            if xs[-1].shape != xs[0].shape:
-                raise ValueError(
-                    f"the {split} split mixes image shapes: {f} is {list(xs[-1].shape)}, "
-                    f"{files[0][0]} is {list(xs[0].shape)}"
-                )
-        splits.append((np.stack(xs), np.asarray([ci for _, ci in files], dtype=np.int64)))
+        images = hpxio.read_hpx1_stack([f for f, _ in files], f"the {split} split")
+        splits.append((images, np.asarray([ci for _, ci in files], dtype=np.int64)))
     (tx, ty), (vx, vy) = splits
     return tx, ty, vx, vy
 

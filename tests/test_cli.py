@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -228,6 +229,35 @@ class TestSubcommands:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "nan.hpx1: non-finite payload" in err
+
+    def test_erf_mixed_image_shapes_exit_1_naming_the_file(self, trained_run, tmp_path, capsys):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        hpxio.write_hpx1(imgdir / "a.hpx1", np.zeros((32, 32, 3)))
+        hpxio.write_hpx1(imgdir / "b.hpx1", np.zeros((48, 32, 3)))
+        out = tmp_path / "o"
+        code = cli.main(["erf", "--model", str(trained_run / "checkpoint"), "--images", str(imgdir),
+                         "--out", str(out)])
+        assert code == 1
+        message = (f"fftmix erf: error: the image directory {imgdir} mixes image shapes: "
+                   f"{imgdir / 'b.hpx1'} is [48, 32, 3], {imgdir / 'a.hpx1'} is [32, 32, 3]")
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_wall_time_outside_the_config(self, tmp_path):
+        manifests = []
+        for name in ("b1", "b2"):
+            out = tmp_path / name
+            t0 = time.perf_counter()
+            code = cli.main(["bench", "--variants", "global2d", "--extents", "4,8", "--channels", "2",
+                             "--repeats", "5", "--out", str(out)])
+            elapsed = time.perf_counter() - t0
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert 0 < manifest["wall_s"] <= elapsed
+            assert "wall_s" not in manifest["config"]
+            manifests.append(manifest)
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
 
     def test_coverage_csv_header(self, trained_run, tmp_path):
         out = tmp_path / "cov"

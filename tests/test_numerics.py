@@ -641,12 +641,24 @@ class TestRecordedMemory:
 
     def test_feed_forward_keeps_its_input_not_the_hidden_layer(self, rng):
         x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        g, be = Tensor(rng.normal(size=32)), Tensor(rng.normal(size=32))
         w1, b1 = Tensor(rng.normal(size=(32, 128))), Tensor(rng.normal(size=128))
         w2, b2 = Tensor(rng.normal(size=(128, 32))), Tensor(rng.normal(size=32))
         s, b = Tensor(1.3), Tensor(-0.2)
-        ffn = lambda t: nx.feed_forward(nx.neg(t), w1, b1, s, b, w2, b2)
-        # The negated input (128 KB), not the 4x-wide hidden layer (512 KB).
+        ffn = lambda t: nx.feed_forward(nx.neg(t), g, be, 1e-6, w1, b1, s, b, w2, b2)
+        # The normalised negated input (128 KB), not the 4x-wide hidden layer (512 KB).
         assert _retained_bytes(ffn, x, nodes=2) < x.data.nbytes + 8_000
+
+    def test_feed_forward_keeps_the_normalised_input_not_the_norm_output(self, rng):
+        x = Tensor(rng.normal(size=(2, 16, 16, 32)))
+        g, be = Tensor(rng.normal(size=32)), Tensor(rng.normal(size=32))
+        w1, b1 = Tensor(rng.normal(size=(32, 128))), Tensor(rng.normal(size=128))
+        w2, b2 = Tensor(rng.normal(size=(128, 32))), Tensor(rng.normal(size=32))
+        ffn = lambda t: nx.feed_forward(t, g, be, 1e-6, w1, b1, Tensor(1.3), Tensor(-0.2), w2, b2)
+        # xh (128 KB) and one inverse deviation per position (4 KB): not the
+        # norm's output y (another 128 KB), nor the hidden layer (512 KB).
+        retained = _retained_bytes(ffn, x)
+        assert x.data.nbytes <= retained < x.data.nbytes + 8_000
 
     def test_pointwise_depthwise_keeps_its_input_not_the_wide_map(self, rng):
         x = Tensor(rng.normal(size=(2, 16, 16, 32)))
@@ -848,7 +860,8 @@ PRUNED_OPS = {
                        [(6, 2), (3, 2)]),
     "layer_norm": (lambda x, g, b: nx.layer_norm(x, g, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
     "star_relu": (lambda x, s, b: nx.star_relu(x, s, b), [(2, 3, 5), (), ()]),
-    "feed_forward": (lambda *t: nx.feed_forward(*t), [(2, 3, 4), (4, 8), (8,), (), (), (8, 4), (4,)]),
+    "feed_forward": (lambda x, g, b, *t: nx.feed_forward(x, g, b, 1e-6, *t),
+                     [(2, 3, 4), (4,), (4,), (4, 8), (8,), (), (), (8, 4), (4,)]),
 }
 
 
@@ -893,9 +906,14 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("shape", [(1, 56, 56, 64), (2, 8, 8, 8)])
     def test_feed_forward_is_bit_identical_to_the_composed_ffn(self, rng, shape):
+        # The composed graph is the block's second norm, then the FFN.  The
+        # VJP runs the 56 x 56 map in several blocks of rows and sums the
+        # weight partials over them; the 8 x 8 maps run as one block.
         c = shape[-1]
         arrays = [
-            rng.normal(size=shape),
+            rng.normal(size=shape) * 2.0 + 0.5,
+            1.0 + 0.1 * rng.normal(size=c),
+            0.1 * rng.normal(size=c),
             rng.normal(size=(c, 4 * c)) / np.sqrt(c),
             rng.normal(size=4 * c) * 0.1,
             np.float64(2.0 / np.sqrt(5.0)),
@@ -904,29 +922,58 @@ class TestFusedOps:
             rng.normal(size=c) * 0.1,
         ]
         g = rng.normal(size=shape)
-        y, partials = _fused_partials(nx.feed_forward, [Tensor(a) for a in arrays], g)
-        x, w1, b1, s, b, w2, b2 = inputs = [Tensor(a) for a in arrays]
+        op = lambda x, ga, be, *t: nx.feed_forward(x, ga, be, 1e-6, *t)
+        y, partials = _fused_partials(op, [Tensor(a) for a in arrays], g)
+        x, ga, be, w1, b1, s, b, w2, b2 = inputs = [Tensor(a) for a in arrays]
         with GradTape(inputs) as tape:
-            ref = nx.linear(nx.star_relu(nx.linear(x, w1, b1), s, b), w2, b2)
-        assert len(tape.nodes) == 5
+            ref = nx.linear(nx.star_relu(nx.linear(nx.layer_norm(x, ga, be, 1e-6), w1, b1), s, b), w2, b2)
+        assert len(tape.nodes) == 6
         ref_partials = tape.gradient(ref, inputs, upstream=g)
         assert _sha256(y) == _sha256(ref.data)
-        for got, want in zip(partials, ref_partials):
-            assert got.shape == want.shape and _sha256(got) == _sha256(want.data)
+        one_block = len(nx._blocks(int(np.prod(shape[:-1])), 16 * 4 * c)) == 1
+        for i, (got, want) in enumerate(zip(partials, ref_partials)):
+            assert got.shape == want.shape
+            if one_block or i < 3:  # x, gamma and beta come from the whole x-partial
+                assert _sha256(got) == _sha256(want.data), i
+            else:
+                assert np.abs(got - want.data).max() <= 1e-14 * np.abs(want.data).max(), i
 
     def test_feed_forward_never_holds_the_whole_hidden_layer(self, rng):
         # The stage-1 map of a 224 px model: its hidden layer is 3136 x 256
         # floats (6.4 MB), and the forward pass peaked at 8.0 MB when that
         # layer existed whole.
         x = Tensor(rng.normal(size=(1, 56, 56, 64)))
+        g, be = Tensor(rng.normal(size=64)), Tensor(rng.normal(size=64))
         w1, b1 = Tensor(rng.normal(size=(64, 256))), Tensor(rng.normal(size=256))
         w2, b2 = Tensor(rng.normal(size=(256, 64))), Tensor(rng.normal(size=64))
         tracemalloc.start()
         try:
-            nx.feed_forward(x, w1, b1, Tensor(1.3), Tensor(-0.2), w2, b2)
+            nx.feed_forward(x, g, be, 1e-6, w1, b1, Tensor(1.3), Tensor(-0.2), w2, b2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 3136 * 256 * 8
+
+    @pytest.mark.parametrize("sources", ["x", "all"])
+    def test_feed_forward_vjp_never_holds_the_whole_hidden_layer(self, rng, sources):
+        # The same 6.4 MB hidden layer: the VJP holds a block of it at a time,
+        # where it held three whole hidden-width arrays when it ran as one
+        # block.  Its largest arrays are then the three map-sized ones of the
+        # norm's partial (1.6 MB each).
+        inputs = [Tensor(rng.normal(size=s)) for s in
+                  [(1, 56, 56, 64), (64,), (64,), (64, 256), (256,), (), (), (256, 64), (64,)]]
+        tracked = inputs[:1] if sources == "x" else inputs
+        with GradTape(tracked) as tape:
+            nx.feed_forward(*inputs[:3], 1e-6, *inputs[3:])
+        (node,) = tape.nodes
+        g = rng.normal(size=(1, 56, 56, 64))
+        tracemalloc.start()
+        try:
+            partials = node._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p is not None for p in partials) == len(tracked)
         assert peak < 3136 * 256 * 8
 
     @pytest.mark.parametrize("offsets,axes,shape", [
@@ -976,8 +1023,20 @@ class TestFusedOps:
         ([(2, 4), (4, 16), (16,), (3,), (), (16, 4), (4,)], r"scale of shape \(3,\) does not broadcast"),
     ])
     def test_feed_forward_shapes_named(self, rng, shapes, match):
+        x, *params = [Tensor(rng.normal(size=s)) for s in shapes]
+        norm = [Tensor(np.ones(x.shape[-1])), Tensor(np.zeros(x.shape[-1]))]
         with pytest.raises(ValueError, match=match):
-            nx.feed_forward(*[Tensor(rng.normal(size=s)) for s in shapes])
+            nx.feed_forward(x, *norm, 1e-6, *params)
+
+    @pytest.mark.parametrize("gamma_shape,beta_shape,match", [
+        ((5,), (4,), r"feed_forward: gamma must have shape \(4,\) for C = 4"),
+        ((4,), (), r"feed_forward: beta must have shape \(4,\) for C = 4"),
+    ])
+    def test_feed_forward_norm_parameter_shapes_named(self, rng, gamma_shape, beta_shape, match):
+        shapes = [(2, 4), gamma_shape, beta_shape, (4, 16), (16,), (), (), (16, 4), (4,)]
+        x, gamma, beta, *params = [Tensor(rng.normal(size=s)) for s in shapes]
+        with pytest.raises(ValueError, match=match):
+            nx.feed_forward(x, gamma, beta, 1e-6, *params)
 
     def test_layer_norm_matches_reference(self, rng):
         x = rng.normal(size=(2, 3, 4, 6)) * 2.0 + 0.5
@@ -1224,8 +1283,8 @@ class TestGradCheck:
             ("circular_convolve_unpadded",
              lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0]))), [(5, 2), (9, 2)]),
             ("feed_forward",
-             lambda *t: nx.tensor_sum(nx.square(nx.feed_forward(*t))),
-             [(2, 3), (3, 8), (8,), (), (), (8, 2), (2,)]),
+             lambda x, g, b, *t: nx.tensor_sum(nx.square(nx.feed_forward(x, g, b, 1e-6, *t))),
+             [(2, 3), (3,), (3,), (3, 8), (8,), (), (), (8, 2), (2,)]),
             ("pointwise_depthwise",
              lambda *t: nx.tensor_sum(nx.square(nx.pointwise_depthwise(*t, [(-1,), (0,), (1,)], (-2,)))),
              [(5, 2), (2, 6), (6,), (3, 6), (6,)]),
