@@ -19,7 +19,12 @@ the depthwise taps read that buffer through a sliding window, and their
 bias is added in place, so no padded copy of the 3C-wide map is made, and
 a tape keeps the mixer's input rather than that map.  ``project_qkv`` then
 crops q, k and v.  The local mixer runs its expansion and 7x7 depthwise
-convolution through the same op.
+convolution through the same op.  Its depthwise taps, like each long
+convolution's channels, run in blocks under ``numerics._BLOCK_BYTES``
+(2 MiB for all the blocks in flight), on a pool of at most two worker
+threads; block boundaries are fixed by that budget alone, so a mixer's
+output is the same to the bit whatever the number of workers, and every
+micro-model shape runs as one block on the calling thread.
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
 axes.  Only the centered variants use the FFT.  Each convolved axis of

@@ -33,17 +33,26 @@ as they are): it transforms no zero padding of its own, inverts only
 the rows that its output, or its x-partial, reads, and takes the kernel
 partial with one inverse transform, after summing over the batch.
 
-The wide layers bound their scratch memory with one byte budget,
-``_BLOCK_BYTES`` (2 MiB): ``circular_convolve`` runs its forward pass and
-both partials over blocks of trailing channels, each transforming at most
-that much spectrum, and ``feed_forward`` runs its forward pass and its VJP
-over blocks of rows, each holding at most that much hidden layer.  Each
-block is still one call of one op, recording one node, and every channel
-and row goes through the arithmetic it would go through in one block, so
-the outputs and the partials of the blocked inputs are the same to the
-bit; only ``feed_forward``'s weight partials, summed over its blocks of
-rows, can differ from one block's in the last bits.  Every micro-model
-shape runs as one block.
+The wide layers work in independent blocks under one byte budget,
+``_BLOCK_BYTES`` (2 MiB), which covers every block in flight at once:
+``circular_convolve`` runs its forward pass and both partials over blocks
+of trailing channels, ``feed_forward`` its forward pass and its VJP over
+blocks of rows, and the depthwise contraction of ``shift_convolve`` and
+``pointwise_depthwise`` (forward pass and x-partial) over blocks of rows
+of its first convolved axis.  Blocks are cut at ``_BLOCK_BYTES //
+_IN_FLIGHT`` each, a constant, and run on a pool of ``min(2,
+os.cpu_count())`` worker threads (``_each_block``), at most two at a time;
+numpy's FFTs, GEMMs and ``einsum`` release the interpreter lock, so two
+blocks run on two cores.  A block writes only its own entries of the
+output, or hands them to the calling thread, which sums over blocks in
+block order, so no output depends on the number of workers: one worker
+gives the same bits.  Workers touch arrays only; each op still creates
+its ``Tensor`` and records its one node on the calling thread, whose tape
+it is.  Every channel and row goes through the arithmetic it would go
+through in one block, so the outputs and the partials of the blocked
+inputs are the same to the bit; only ``feed_forward``'s weight partials,
+summed over its blocks of rows, can differ from one block's in the last
+bits.  Every micro-model shape runs as one block, on the calling thread.
 Every public function has a caller in the package, except ``grad_check``
 and ``square``, which the gradient suite uses.
 
@@ -55,10 +64,13 @@ output is finite: NaN/Inf anywhere is an error, never a silent state.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
 import threading
-from typing import Callable, Iterable, NamedTuple, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,24 +79,89 @@ DTYPE = np.float64
 # Booleans, signed and unsigned integers and floats: the dtypes that hold reals.
 _REAL_KINDS = "biuf"
 
-# The most scratch memory, in bytes, that one block of a wide layer takes:
-# ``circular_convolve`` transforms at most this much spectrum per block of
-# trailing channels, ``feed_forward`` holds at most this much hidden layer
-# per block of rows, in its forward pass and in its VJP.  Every micro-model
-# shape runs as one block.
+# The most scratch memory, in bytes, that the blocks of a wide layer in
+# flight take between them: ``circular_convolve`` transforms at most
+# ``_BLOCK_BYTES // _IN_FLIGHT`` of spectrum per block of trailing channels,
+# ``feed_forward`` holds at most that much hidden layer per block of rows, in
+# its forward pass and in its VJP, and the depthwise contraction of
+# ``shift_convolve`` and ``pointwise_depthwise`` writes at most that much
+# output per block of rows.  At most ``_IN_FLIGHT`` blocks run at once, so
+# the budget holds whatever the number of workers; the cut is a constant,
+# so block boundaries, and every output bit, never depend on that number or
+# on the machine.  Every micro-model shape runs as one block.
 _BLOCK_BYTES = 2 * 2**20
+_IN_FLIGHT = 2
+# Threads that run a wide layer's blocks: one per CPU, at most _IN_FLIGHT.
+_WORKERS = min(_IN_FLIGHT, os.cpu_count() or 1)
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+_WORKER_STATE = threading.local()
 
 
 def _blocks(n: int, item_bytes: int) -> list[slice]:
     """``range(n)`` cut into the fewest blocks of equal length (the last may
-    be shorter) whose items take at most ``_BLOCK_BYTES`` at ``item_bytes``
-    each, never less than one item; ``[slice(None)]`` when one block holds
-    all ``n``."""
-    most = max(1, _BLOCK_BYTES // max(item_bytes, 1))
+    be shorter) whose items take at most ``_BLOCK_BYTES // _IN_FLIGHT`` at
+    ``item_bytes`` each, never less than one item; ``[slice(None)]`` when
+    one block holds all ``n``."""
+    most = max(1, _BLOCK_BYTES // _IN_FLIGHT // max(item_bytes, 1))
     if n <= most:
         return [slice(None)]
     size = -(-n // -(-n // most))
     return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _mark_worker() -> None:
+    _WORKER_STATE.is_worker = True
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The executor that runs blocks, created at its first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS, "fftmix-block", initializer=_mark_worker)
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child, where the parent's worker threads do not exist."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_block(fn: Callable, blocks: Sequence) -> Iterator:
+    """``fn(b)`` for each of ``blocks``, in block order.
+
+    With two blocks or more, two workers or more, and a caller that is not
+    itself a worker, the calls run on the pool: block ``i + _WORKERS`` is
+    submitted only once block ``i``'s result has been taken, so no more
+    than ``_WORKERS`` blocks are in flight.  Otherwise each runs in turn on
+    the calling thread, as the iterator is read.  ``fn`` reads and writes
+    arrays only: it creates no ``Tensor`` and records nothing, since the
+    tape is the calling thread's, and each block writes only its own
+    entries.  A block's exception reaches the caller as it was raised,
+    after the blocks in flight finish.
+    """
+    if len(blocks) < 2 or _WORKERS < 2 or getattr(_WORKER_STATE, "is_worker", False):
+        return map(fn, blocks)
+    return _pooled(fn, blocks)
+
+
+def _pooled(fn: Callable, blocks: Sequence) -> Iterator:
+    """``_each_block`` on the pool."""
+    pool, pending = _pool(), collections.deque()
+    try:
+        for b in blocks:
+            if len(pending) == _WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, b))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        wait(pending)
 
 
 def _as_array(value) -> np.ndarray:
@@ -607,28 +684,34 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
     ``w1`` [C, H], ``b1`` [H], ``w2`` [H, C'] and ``b2`` [C']; ``scale`` and
     ``shift`` broadcast to the hidden layer as in ``star_relu``.  The forward
     pass normalises ``x`` to ``xh`` as ``layer_norm`` does, then runs over
-    blocks of rows (``_blocks``, ``_BLOCK_BYTES`` of hidden layer each):
+    blocks of rows (``_blocks``, ``_BLOCK_BYTES // _IN_FLIGHT`` of hidden
+    layer each, on the worker pool of ``_each_block``):
     ``y = xh * gamma + beta``, ``h = y @ w1 + b1``, StarReLU in ``h``'s
     buffer, then ``h @ w2 + b2``.  That is the arithmetic of the composed
     ops, in their order, so every bit matches, and each row's arithmetic is
     the same in any block.  ``scale`` and ``shift`` of more than one axis
     may vary along the rows, and then the rows run as one block.  With no
     tape, ``y`` is written into ``xh``'s buffer; on a tape each block's
-    ``y`` is a scratch array of its own.
+    ``y`` is a scratch array of its own.  Each block writes its own rows of
+    ``xh`` and of the output.
 
     The node keeps what ``layer_norm`` keeps, ``xh`` and ``inv``, and the
     parameter arrays: not ``y`` and not the hidden layer.  The VJP runs over
     blocks of rows too, each holding two hidden-width arrays per row (the
     recomputed ``relu(y @ w1 + b1)`` and its gradient) within the same
-    budget, and a third in turn, briefly, for the partials of ``w2`` and of
-    the StarReLU scale.  Each block recomputes its rows of ``y`` with the forward pass's
-    arithmetic, runs the composed ops' VJPs in their order and writes its
-    rows of the FFN's x-partial; the partials of ``w1``, ``b1``, ``scale``,
-    ``shift`` and ``w2`` sum over the blocks, and the norm's partials are
-    taken from the whole x-partial (``_norm_partials``).  Only the partials
-    ``need`` asks for are computed.  With one block every partial is
-    bit-identical to the composed graph's; with several, the output and the
-    partials of x, gamma and beta still are.
+    share of the budget, and a third in turn, briefly, for the partials of
+    ``w2`` and of the StarReLU scale.  Each block recomputes its rows of
+    ``y`` with the forward pass's arithmetic, runs the composed ops' VJPs in
+    their order and returns its rows of the FFN's x-partial and its terms
+    of the partials of ``w1``, ``b1``, ``scale``, ``shift`` and ``w2``; the
+    calling thread sums those over the blocks in block order, and takes the
+    norm's partials from the whole x-partial (``_norm_partials``).  A block
+    holds its terms of the ``w1`` and ``w2`` partials until they are summed,
+    so where the blocks in flight would hold more of those than the whole
+    hidden layer (``_IN_FLIGHT * (C + C') >= 2 * rows``), the rows run as
+    one block.  Only the partials ``need`` asks for are computed.  With one
+    block every partial is bit-identical to the composed graph's; with
+    several, the output and the partials of x, gamma and beta still are.
     """
     x, gamma, beta, w1, b1, scale, shift, w2, b2 = (
         _lift(t) for t in (x, gamma, beta, w1, b1, scale, shift, w2, b2)
@@ -649,7 +732,8 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
     n = len(xh2)
     per_row = max(sd.ndim, shd.ndim) <= 1
     y = np.empty((n, c_out))
-    for r in _blocks(n, 8 * wide) if per_row else [slice(None)]:
+
+    def forward(r: slice) -> None:
         h = _affine(xh2[r], gd, bd, out=None if need else xh2[r]) @ w1d
         h += b1d
         np.maximum(h, 0.0, out=h)
@@ -657,7 +741,9 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
         h *= sd
         h += shd
         np.matmul(h, w2d, out=y[r])
-        del h  # before the next block, or the output's finiteness check, allocates
+
+    for _ in _each_block(forward, _blocks(n, 8 * wide) if per_row else [slice(None)]):
+        pass
     y += b2.data
     out = Tensor(y.reshape(sx[:-1] + (c_out,)))
     if need:
@@ -673,6 +759,12 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
         if not need[0]:
             inv = None
         rows = _blocks(n, 16 * wide) if per_row else [slice(None)]
+        # A block holds its terms of the w1 and w2 partials, 8 * wide * (c +
+        # c_out) bytes, until they are summed: where those of the blocks in
+        # flight would outweigh the whole hidden layer's two arrays, as at
+        # stages 3 and 4 of a 224 px model, the rows run as one block.
+        if _IN_FLIGHT * (c * need[3] + c_out * need[7]) >= 2 * n:
+            rows = [slice(None)]
         # One block reduces over the shape the composed ops see, so its
         # partials match theirs to the bit.
         bsh = sh if len(rows) == 1 else (-1, wide)
@@ -685,8 +777,12 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                 return gx, gg, gb, gw1, gb1, gs, gsh, gw2, gb2
             g2 = g.reshape(-1, c_out)
             xh2 = xh.reshape(-1, c)
-            gy = None
-            for r in rows:
+
+            def block(r: slice) -> tuple:
+                """The block's rows of the partial of ``y``, then its terms of
+                the partials of w2, shift, scale, b1 and w1; ``None`` for
+                those ``need`` does not ask for."""
+                gyr = pw2 = psh = ps = pb1 = pw1 = None
                 gr = g2[r]
                 hr = _affine(xh2[r], gd, bd) @ w1d
                 hr += b1d
@@ -695,17 +791,17 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                     h = hr * hr
                     h *= sd
                     h += shd
-                    gw2 = _summed(gw2, h.T @ gr)
+                    pw2 = h.T @ gr
                     del h
                 if not any(need[:7]):
-                    continue
+                    return gyr, pw2, psh, ps, pb1, pw1
                 gh = gr @ w2d.T
                 if need[6]:
-                    gsh = _summed(gsh, _unbroadcast(gh.reshape(bsh), ssh))
+                    psh = _unbroadcast(gh.reshape(bsh), ssh)
                 if need[5]:
                     r2 = hr * hr
                     r2 *= gh
-                    gs = _summed(gs, _unbroadcast(r2.reshape(bsh), ss))
+                    ps = _unbroadcast(r2.reshape(bsh), ss)
                     del r2
                 # The x-partial of StarReLU, in gh's buffer: 2 * scale * relu * g.
                 gh *= sd
@@ -713,15 +809,22 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                 gh *= 2.0
                 del hr
                 if need[4]:
-                    gb1 = _summed(gb1, _unbroadcast(gh.reshape(bsh), sb1))
+                    pb1 = _unbroadcast(gh.reshape(bsh), sb1)
                 if need[3]:
                     # The block's y again, not kept beside its hidden layer.
-                    gw1 = _summed(gw1, _affine(xh2[r], gd, bd).T @ gh)
+                    pw1 = _affine(xh2[r], gd, bd).T @ gh
                 if any(need[:3]):
-                    if gy is None:
-                        gy = np.empty((n, c))
-                    np.matmul(gh, w1d.T, out=gy[r])
-                del gh
+                    gyr = gh @ w1d.T
+                return gyr, pw2, psh, ps, pb1, pw1
+
+            gy = None
+            # The weight partials sum over the blocks in block order.
+            for r, (gyr, pw2, psh, ps, pb1, pw1) in zip(rows, _each_block(block, rows)):
+                if gyr is not None:
+                    gy = _put_rows(gy, gyr, r, n)
+                gw2, gsh, gs = _summed(gw2, pw2), _summed(gsh, psh), _summed(gs, ps)
+                gb1, gw1 = _summed(gb1, pb1), _summed(gw1, pw1)
+                gyr = pw2 = psh = ps = pb1 = pw1 = None  # not kept through the next block
             if gy is not None:
                 gx, gg, gb = _norm_partials(gy.reshape(sx), xh, inv, gd, need[:3], overwrite_g=True)
             return gx, gg, gb, gw1, gb1, gs, gsh, gw2, gb2
@@ -730,9 +833,20 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
     return out
 
 
-def _summed(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+def _put_rows(whole: np.ndarray | None, block: np.ndarray, r: slice, n: int) -> np.ndarray:
+    """``whole``, allocated at the first block, with ``block`` written over
+    its rows ``r`` of ``n``; ``block`` itself when ``r`` holds every row."""
+    if r == slice(None):
+        return block
+    if whole is None:
+        whole = np.empty((n,) + block.shape[1:])
+    whole[r] = block
+    return whole
+
+
+def _summed(total: np.ndarray | None, part: np.ndarray | None) -> np.ndarray | None:
     """``total + part``, added in ``total``'s buffer; ``part`` when ``total``
-    is ``None``, the first block's."""
+    is ``None``, the first block's (``None`` for a partial no block takes)."""
     if total is None:
         return part
     total += part
@@ -825,10 +939,16 @@ def _window_pieces(start: int, size: int, m: int) -> tuple[tuple[slice, slice], 
 
 
 def _pruned_irfftn(
-    f: np.ndarray, lengths: tuple[int, ...], axes: tuple[int, ...], starts: tuple[int, ...], sizes: tuple[int, ...]
+    f: np.ndarray,
+    lengths: tuple[int, ...],
+    axes: tuple[int, ...],
+    starts: tuple[int, ...],
+    sizes: tuple[int, ...],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Entries (start + s) mod M, s < size, on each of ``axes`` of
-    ``irfftn(f, s=lengths, axes=axes)``, overwriting the half spectrum ``f``.
+    ``irfftn(f, s=lengths, axes=axes)``, overwriting the half spectrum ``f``;
+    written into ``out`` when it is given.
 
     Over each axis but the last the ``ifft`` writes into ``f``'s own buffer,
     and only the rows the window reads go on to the next axis.  A window that
@@ -859,13 +979,14 @@ def _pruned_irfftn(
         rows = rows[at(ax, keep)]
         pieces.append(window)
     full = np.fft.irfft(rows, n=lengths[-1], axis=axes[-1])
-    if all(len(p) == 1 for p in pieces) and (starts[-1], sizes[-1]) == (0, lengths[-1]):
+    if out is None and all(len(p) == 1 for p in pieces) and (starts[-1], sizes[-1]) == (0, lengths[-1]):
         return full
     pieces.append(_window_pieces(starts[-1], sizes[-1], lengths[-1]))
-    shape = list(f.shape)
-    for ax, size in zip(axes, sizes):
-        shape[ax] = size
-    out = np.empty(shape)
+    if out is None:
+        shape = list(f.shape)
+        for ax, size in zip(axes, sizes):
+            shape[ax] = size
+        out = np.empty(shape)
     for combo in itertools.product(*pieces):
         src = dst = every
         for ax, (s, d) in zip(axes, combo):
@@ -877,18 +998,6 @@ def _pruned_irfftn(
 def _sliced(shape: tuple[int, ...], sl: slice) -> tuple[int, ...]:
     """``shape`` with its trailing axis cut to ``sl``."""
     return shape[:-1] + (len(range(shape[-1])[sl]),)
-
-
-def _put_block(whole: np.ndarray | None, block: np.ndarray, sl: slice, n: int) -> np.ndarray:
-    """``whole``, allocated at the first block, with ``block`` written over
-    entries ``sl`` of its trailing axis of length ``n``; ``block`` itself
-    when ``sl`` is the whole axis."""
-    if sl == slice(None):
-        return block
-    if whole is None:
-        whole = np.empty(block.shape[:-1] + (n,))
-    whole[..., sl] = block
-    return whole
 
 
 def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
@@ -919,11 +1028,14 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     kernel partial, no spectrum of ``x``.
 
     When the trailing axis holds channels, not convolved and of the same
-    length in ``x`` and ``h``, the forward pass and both partials loop over
-    blocks of those channels (``_blocks``), each transforming at most
-    ``_BLOCK_BYTES`` of spectrum, and write each block into one output.
-    Every channel goes through the same transforms in any block, so the
-    results are the same to the bit; the op still records one node.
+    length in ``x`` and ``h``, the forward pass and both partials run over
+    blocks of those channels (``_blocks``) on the worker pool of
+    ``_each_block``, each block transforming at most ``_BLOCK_BYTES //
+    _IN_FLIGHT`` of spectrum and writing its channels of one output.  A
+    block of the kernel partial holds two spectra of the batch and then the
+    first pass of one inverse, so its channels are cut by all three.  Every
+    channel goes through the same transforms in any block, so the results
+    are the same to the bit; the op still records one node.
     """
     x = _lift(x)
     spectral = isinstance(h, KernelSpectrum)
@@ -952,27 +1064,53 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
     need = _needs(x) if spectral else _needs(x, h)
     hf = h.data if spectral else np.fft.rfftn(h.data, axes=h_axes)
-    chans = [slice(None)]
+    chans, out, per_channel = [slice(None)], None, 0
     if x.ndim - 1 not in x_axes and h.shape[-1] == sx[-1]:  # channels that x and h share
         spec = np.broadcast_shapes(tuple(1 if ax in x_axes else n for ax, n in enumerate(sx)), hf.shape)
-        chans = _blocks(sx[-1], 16 * math.prod(spec[:-1]))
-    out = None
-    for sl in chans:
-        xf = _mul_spectrum(np.fft.rfftn(x.data[..., sl], s=lengths, axes=x_axes), hf[..., sl])
-        if sl is chans[-1] and not (need and need[0]):
-            hf = None  # a kernel spectrum taken here is freed before the last inverse allocates
-        out = _put_block(out, _pruned_irfftn(xf, lengths, x_axes, out_starts, sizes), sl, sx[-1])
-        del xf
-    out = Tensor(out)
+        per_channel = 16 * math.prod(spec[:-1])  # bytes of one channel's spectrum
+        chans = _blocks(sx[-1], per_channel)
+        if len(chans) > 1:  # one output, each block writing its channels
+            out = np.empty(tuple(sizes[x_axes.index(ax)] if ax in x_axes else n for ax, n in enumerate(spec)))
+    # Each block takes its own view of the kernel spectrum and drops it once
+    # multiplied, so a spectrum taken here and not kept for the x-partial is
+    # freed before one block's inverse allocates.
+    hf_blocks = [hf[..., sl] for sl in chans]
+    if not (need and need[0]):
+        hf = None
+
+    def forward(i: int) -> np.ndarray:
+        hb, hf_blocks[i] = hf_blocks[i], None
+        xf = _mul_spectrum(np.fft.rfftn(x.data[..., chans[i]], s=lengths, axes=x_axes), hb)
+        del hb
+        dest = None if out is None else out[..., chans[i]]
+        return _pruned_irfftn(xf, lengths, x_axes, out_starts, sizes, out=dest)
+
+    [first, *_] = _each_block(forward, range(len(chans)))
+    out = Tensor(first if out is None else out)
     if need:
         xd = x.data if not spectral and need[1] else None
         last = h_axes[-1]
         hf_shape = h.shape[:last] + (lengths[-1] // 2 + 1,) + h.shape[last + 1 :]
         shifts = [-n for n in sizes]
+        sh = h.shape
+        # A block of the kernel partial holds two spectra of the batch at
+        # once, G and X, and then the first pass of the summed spectrum's
+        # inverse beside them.
+        grad_chans = chans
+        if per_channel and not spectral and need[1]:
+            grad_chans = _blocks(sx[-1], 2 * per_channel + 16 * math.prod(hf_shape[:-1]))
 
         def vjp(g):
-            gx = gh = None
-            for sl in chans:
+            # With several blocks, each writes its channels of the partials.
+            several = len(grad_chans) > 1
+            gx = np.empty(g.shape) if several and need[0] else None
+            gh = np.empty(sh) if several and not spectral and need[1] else None
+
+            def block(sl: slice) -> tuple:
+                """The block's channels of the x-partial and of the kernel
+                partial, each written into the whole partial when there are
+                several blocks; ``None`` where ``need`` does not ask for it."""
+                gxb = ghb = None
                 gf = np.fft.rfftn(g[..., sl], s=lengths, axes=x_axes)
                 if not spectral and need[1]:  # before the x-partial overwrites gf
                     # The correlation of g with x, summed down to h's shape on
@@ -981,17 +1119,23 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
                     # (k + L) mod M.
                     cf = np.fft.rfftn(xd[..., sl], s=lengths, axes=x_axes)
                     cf = _unbroadcast(_mul_spectrum(np.conjugate(cf, out=cf), gf), _sliced(hf_shape, sl))
-                    ghb = np.roll(np.fft.irfftn(cf, s=lengths, axes=h_axes), shifts, axis=h_axes)
+                    cf = np.fft.irfftn(cf, s=lengths, axes=h_axes)  # the spectrum freed before the roll
+                    ghb = np.roll(cf, shifts, axis=h_axes)
                     del cf
-                    gh = _put_block(gh, ghb, sl, sx[-1])
+                    if gh is not None:
+                        gh[..., sl], ghb = ghb, None
                 if need[0]:
                     # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)),
                     # which needs no conjugate copy of H; the products are
                     # the same.
                     gf = _mul_spectrum(np.conjugate(gf, out=gf), hf[..., sl])
-                    gxb = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes)
-                    del gf
-                    gx = _put_block(gx, gxb, sl, sx[-1])
+                    dest = None if gx is None else gx[..., sl]
+                    gxb = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes, out=dest)
+                return gxb, ghb
+
+            [first, *_] = _each_block(block, grad_chans)
+            if not several:
+                gx, gh = first
             if need[0]:
                 gx = _unbroadcast(gx, sx)
             return (gx,) if spectral else (gx, gh)
@@ -1006,9 +1150,11 @@ class _Taps:
     broadcasting on the axes of the array after the convolved ones.
 
     The taps are scattered onto their bounding box, stretched to hold offset
-    0, as a dense grid with zero taps at missing offsets.  ``apply`` is one
+    0, as a dense grid with zero taps at missing offsets.  ``apply`` is an
     ``np.einsum`` of that grid with a sliding-window view of the array
-    zero-padded by ``pads``; the partials contract window views the same way.
+    zero-padded by ``pads``, run over blocks of output rows (``_contract``);
+    the partials contract window views the same way, the x-partial in
+    blocks too.
     """
 
     def __init__(self, shape: tuple[int, ...], w_shape: tuple[int, ...], offsets, axes):
@@ -1048,13 +1194,35 @@ class _Taps:
     def _windows(self, padded: np.ndarray) -> np.ndarray:
         return np.lib.stride_tricks.sliding_window_view(padded, self.box, axis=self.axes)
 
+    def _contract(self, padded: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """``np.einsum(self.conv, windows of padded, grid)``, over blocks of
+        rows of the first convolved axis (``_blocks``, at most
+        ``_BLOCK_BYTES // _IN_FLIGHT`` of output each).  A block's windows
+        reach ``box - 1`` rows past it, and each block writes its own rows of
+        one output; every output entry sums the same products in the same
+        order in any block."""
+        win = self._windows(padded)
+        ndim, ax = padded.ndim, self.axes[0]
+        blocks = _blocks(win.shape[ax], 8 * math.prod(win.shape[:ax] + win.shape[ax + 1 : ndim]))
+        if len(blocks) == 1:
+            return np.einsum(self.conv, win, grid)
+        out = np.empty(np.broadcast_shapes(win.shape[:ndim], grid.shape[len(self.axes) :]))
+        head = (slice(None),) * ax
+
+        def rows(r: slice) -> None:
+            np.einsum(self.conv, win[head + (r,)], grid, out=out[head + (r,)])
+
+        for _ in _each_block(rows, blocks):
+            pass
+        return out
+
     def apply(self, padded: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The convolution of the array that ``padded`` holds padded by ``pads``."""
-        return np.einsum(self.conv, self._windows(padded), self._grid(w)[self.flip])
+        return self._contract(padded, self._grid(w)[self.flip])
 
     def x_partial(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         # gx[i] = sum_k grid[k] g[i + lo + k]: g padded by (-lo, hi).
-        return np.einsum(self.conv, self._windows(np.pad(g, self.g_pads)), self._grid(w))
+        return self._contract(np.pad(g, self.g_pads), self._grid(w))
 
     def w_partial(self, padded: np.ndarray, g: np.ndarray, w_shape: tuple[int, ...]) -> np.ndarray:
         """The partial of taps of ``w_shape``, ``padded`` as in ``apply``."""
@@ -1071,7 +1239,8 @@ def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]
     per axis in ``axes``.  ``w`` is [T, C] (or [T] scalars) broadcasting on
     the axes of x after the convolved ones.  y is one ``np.einsum`` of the
     taps' dense grid with a sliding-window view of x zero-padded once
-    (``_Taps``), and the VJP contracts window views the same way.  Used for
+    (``_Taps``), run over blocks of rows of the first convolved axis on the
+    worker pool, and the VJP contracts window views the same way.  Used for
     the causal long convolution.  Each output sums only the positions its
     taps reach, so with offsets 0..T-1 no output reads a later position and
     the Jacobian above the diagonal is exactly zero.
@@ -1101,7 +1270,8 @@ def pointwise_depthwise(x, pw, pb, dw, db, offsets: Sequence[tuple[int, ...]], a
     [T, W], one row per offset as in ``shift_convolve``.  The GEMM
     ``x @ pw`` runs on contiguous rows, and its sum with ``pb`` goes into
     the interior of one buffer zero-padded for the taps, which the
-    depthwise einsum reads; ``db`` is added to the output in place.  That
+    depthwise einsum reads, over blocks of rows on the worker pool
+    (``_Taps``); ``db`` is added to the output in place.  That
     is the arithmetic of the composed ``linear``, ``shift_convolve`` and
     ``add``, in their order, so every bit matches, with no padded copy of
     the wide map.  The node keeps ``x`` and the parameter arrays, not the

@@ -1,5 +1,6 @@
 import gc
 import re
+import threading
 import tracemalloc
 import types
 
@@ -356,6 +357,68 @@ class TestInferenceMemory:
             tracemalloc.stop()
         # 18.4, 17.7 and 14.5 MB when each layer held its scratch arrays whole.
         assert peak <= 14.0e6
+
+
+class TestBlockPool:
+    """Which passes reach the pool of worker threads that runs the wide ops'
+    blocks, and what those workers may touch."""
+
+    @pytest.mark.parametrize("variant", ["global2d", "bidirectional", "local", "causal"])
+    def test_micro_training_pass_runs_every_op_as_one_block(self, rng, monkeypatch, variant):
+        blocks = []
+        each_block = nx._each_block
+        monkeypatch.setattr(nx, "_each_block", lambda fn, bs: blocks.append(len(bs)) or each_block(fn, bs))
+
+        def no_pool():
+            raise AssertionError("a micro-model op submitted blocks to the pool")
+
+        monkeypatch.setattr(nx, "_pool", no_pool)
+        m = mdl.build_model(mdl.micro_config(variant), seed=0)
+        x = Tensor(rng.normal(size=(32, 32, 32, 3)))
+        with GradTape() as tape:
+            loss = tr.cross_entropy_smoothed(m(x), rng.integers(0, 4, size=32), 0.1)
+        tape.gradient(loss, m.parameter_tensors())
+        assert blocks and set(blocks) == {1}
+
+    def test_micro_ffn_vjp_sits_exactly_at_one_blocks_share(self):
+        # The stage-1 FFN of a batch-32 micro model: 2048 rows whose VJP holds
+        # two 32-wide hidden rows each, 1 MiB, all of one block's share.
+        assert 2048 * 2 * 32 * 8 == nx._BLOCK_BYTES // nx._IN_FLIGHT
+        assert nx._blocks(2048, 2 * 32 * 8) == [slice(None)]
+        assert len(nx._blocks(2049, 2 * 32 * 8)) == 2
+
+    def test_tensors_and_tape_nodes_are_made_on_the_calling_thread(self, rng, monkeypatch):
+        monkeypatch.setattr(nx, "_WORKERS", 2)
+        pool, submits, threads = nx._pool(), [], set()
+
+        class CountingPool:
+            def submit(self, fn, *args):
+                submits.append(fn)
+                return pool.submit(fn, *args)
+
+        init, record = nx.Tensor.__init__, nx._record
+
+        def tensor_init(tensor, *args, **kwargs):
+            threads.add(threading.get_ident())
+            init(tensor, *args, **kwargs)
+
+        def tape_record(*args):
+            threads.add(threading.get_ident())
+            record(*args)
+
+        m = mdl.build_model(mdl.preset_config("hpx-s4"), seed=0)
+        image = Tensor(rng.normal(size=(1, 224, 224, 3)))
+        monkeypatch.setattr(nx, "_pool", CountingPool)
+        monkeypatch.setattr(nx.Tensor, "__init__", tensor_init)
+        monkeypatch.setattr(nx, "_record", tape_record)
+        with GradTape() as tape:
+            x = mdl.patch_embed(image, m.stem)
+            for block in m.stages[0]:
+                x = block(x)
+            loss = nx.tensor_sum(x)
+        tape.gradient(loss, m.parameter_tensors())
+        assert len(submits) > 20
+        assert threads == {threading.get_ident()}
 
 
 class TestCheckpoint:

@@ -1,7 +1,12 @@
 import ast
 import copy
 import hashlib
+import os
 import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -403,6 +408,149 @@ class TestChannelBlocks:
             tracemalloc.stop()
         assert y.shape == x.shape
         assert peak < 5e6
+
+
+@pytest.fixture
+def pool_submits(monkeypatch):
+    """Two workers run the blocks; counts the blocks handed to them."""
+    monkeypatch.setattr(nx, "_WORKERS", 2)
+    pool, submits = nx._pool(), Counter()
+
+    class CountingPool:
+        def submit(self, fn, *args):
+            submits["blocks"] += 1
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(nx, "_pool", CountingPool)
+    return submits
+
+
+_FIVE_BY_FIVE = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)]
+_THREE_TAPS = [(-1,), (0,), (1,)]
+
+
+def _pool_case(name: str, rng):
+    """(op, input arrays, output shape) of a call whose forward pass and VJP
+    both run in several blocks."""
+    if name == "circular_convolve":  # five blocks of 24 channels
+        arrays = [rng.normal(size=(2, 24, 24, 120)), rng.normal(size=(48, 48, 120))]
+        return (lambda x, h: circular_convolve(x, h, dims=[-3, -2])), arrays, (2, 24, 24, 120)
+    if name == "feed_forward":  # the stage-1 map of a 224 px model
+        c = 64
+        arrays = [rng.normal(size=(1, 56, 56, c)), 1.0 + 0.1 * rng.normal(size=c), 0.1 * rng.normal(size=c),
+                  rng.normal(size=(c, 4 * c)) / 8.0, 0.1 * rng.normal(size=4 * c), np.float64(0.9),
+                  np.float64(-0.4), rng.normal(size=(4 * c, c)) / 16.0, 0.1 * rng.normal(size=c)]
+        return (lambda x, ga, be, *t: nx.feed_forward(x, ga, be, 1e-6, *t)), arrays, (1, 56, 56, c)
+    offsets, axes, shape = {
+        "pointwise_depthwise-2d": (_FIVE_BY_FIVE, (-3, -2), (1, 40, 40, 32)),
+        "pointwise_depthwise-1d": (_THREE_TAPS, (-2,), (2, 3000, 8)),
+        "shift_convolve-2d": (_FIVE_BY_FIVE, (-3, -2), (1, 64, 64, 48)),
+        "shift_convolve-1d": (_THREE_TAPS, (-2,), (2, 6000, 16)),
+    }[name]
+    c = shape[-1]
+    if name.startswith("shift_convolve"):
+        arrays = [rng.normal(size=shape), rng.normal(size=(len(offsets), c))]
+        return (lambda x, w: nx.shift_convolve(x, w, offsets, axes)), arrays, shape
+    arrays = [rng.normal(size=shape), rng.normal(size=(c, 3 * c)) / np.sqrt(c), 0.1 * rng.normal(size=3 * c),
+              0.2 * rng.normal(size=(len(offsets), 3 * c)), 0.1 * rng.normal(size=3 * c)]
+    return (lambda *t: nx.pointwise_depthwise(*t, offsets, axes)), arrays, shape[:-1] + (3 * c,)
+
+
+def _digests(op, arrays, g) -> list[str]:
+    """sha256 of ``op``'s output and of its partials at upstream ``g``."""
+    inputs = [Tensor(a) for a in arrays]
+    with GradTape(inputs) as tape:
+        y = op(*inputs)
+    return [_sha256(t.data) for t in [y, *tape.gradient(y, inputs, upstream=g)]]
+
+
+class TestBlockPool:
+    """The wide ops run their blocks on a pool of worker threads.  Block
+    boundaries do not depend on the workers, so the pooled results are the
+    serial ones to the bit."""
+
+    @pytest.mark.parametrize("name", ["circular_convolve", "feed_forward", "pointwise_depthwise-2d",
+                                      "pointwise_depthwise-1d", "shift_convolve-2d", "shift_convolve-1d"])
+    def test_pooled_equals_serial_bitwise(self, rng, monkeypatch, pool_submits, name):
+        op, arrays, out_shape = _pool_case(name, rng)
+        g = rng.normal(size=out_shape)
+        pooled = _digests(op, arrays, g)
+        # At least two blocks each way: the forward pass and the VJP.
+        assert pool_submits["blocks"] >= 4
+        monkeypatch.setattr(nx, "_WORKERS", 1)
+        submitted = pool_submits["blocks"]
+        assert _digests(op, arrays, g) == pooled
+        assert pool_submits["blocks"] == submitted
+
+    def test_more_workers_than_cores_with_fast_switching_stay_bitwise(self, rng, monkeypatch):
+        op, arrays, out_shape = _pool_case("feed_forward", rng)
+        g = rng.normal(size=out_shape)
+        monkeypatch.setattr(nx, "_WORKERS", 1)
+        serial = _digests(op, arrays, g)
+        monkeypatch.setattr(nx, "_WORKERS", 4)
+        monkeypatch.setattr(nx, "_POOL", None)  # a pool of four of its own
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_digests(op, arrays, g) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+            nx._pool().shutdown(wait=True)
+        assert runs == [serial] * 3
+
+    def test_block_exception_reaches_the_caller_unchanged(self, pool_submits):
+        err = ValueError("block 2 failed")
+        started, finished = [], []
+
+        def fn(i):
+            started.append(i)
+            try:
+                if i == 2:
+                    raise err
+                return i
+            finally:
+                finished.append(i)
+
+        with pytest.raises(ValueError) as info:
+            list(nx._each_block(fn, range(6)))
+        assert info.value is err
+        assert pool_submits["blocks"] >= 3
+        # Every block that started has finished by the time the caller sees it.
+        assert sorted(started) == sorted(finished) and 5 not in started
+
+    def test_blocks_of_a_block_run_on_its_worker(self, pool_submits):
+        caller = threading.get_ident()
+        seen = []
+
+        def inner(j):
+            return threading.get_ident()
+
+        def outer(i):
+            seen.append((threading.get_ident(), list(nx._each_block(inner, range(3)))))
+
+        runner = threading.Thread(target=lambda: list(nx._each_block(outer, range(4))))
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "a block waiting on blocks of its own deadlocked"
+        assert len(seen) == 4 and pool_submits["blocks"] == 4
+        for worker, inner_threads in seen:
+            assert worker != caller and inner_threads == [worker] * 3
+
+    def test_forked_child_runs_blocks(self, monkeypatch):
+        monkeypatch.setattr(nx, "_WORKERS", 2)
+        assert list(nx._each_block(lambda i: i * i, range(4))) == [0, 1, 4, 9]
+        assert nx._POOL is not None
+        pid = os.fork()
+        if pid == 0:  # the child has none of the parent's worker threads
+            ok = list(nx._each_block(lambda i: i * i, range(4))) == [0, 1, 4, 9]
+            os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def shift_direct(x: np.ndarray, w: np.ndarray, offsets, axes) -> np.ndarray:
