@@ -78,6 +78,13 @@ def _validate_train_payload(payload: dict) -> dict:
     return {"model": model_sec, "train": train_sec, "data": data_sec}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fftmix", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -101,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_erf = sub.add_parser("erf", help="effective receptive field map")
     p_erf.add_argument("--model", required=True)
     p_erf.add_argument("--images", default="synthetic")
-    p_erf.add_argument("--num", type=int, default=8)
+    p_erf.add_argument("--num", type=_positive_int, default=8)
     p_erf.add_argument("--out", required=True)
     p_erf.add_argument("--seed", type=int, default=0)
 

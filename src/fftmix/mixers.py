@@ -19,12 +19,8 @@ the depthwise taps read that buffer through a sliding window, and their
 bias is added in place, so no padded copy of the 3C-wide map is made, and
 a tape keeps the mixer's input rather than that map.  ``project_qkv`` then
 crops q, k and v.  The local mixer runs its expansion and 7x7 depthwise
-convolution through the same op.  Its depthwise taps, like each long
-convolution's channels, run in blocks under ``numerics._BLOCK_BYTES``
-(2 MiB for all the blocks in flight), on a pool of at most two worker
-threads; block boundaries are fixed by that budget alone, so a mixer's
-output is the same to the bit whatever the number of workers, and every
-micro-model shape runs as one block on the calling thread.
+convolution through the same op.  How those ops and the long convolutions
+cut their work into blocks is ``numerics``' decision alone.
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
 axes.  Only the centered variants use the FFT.  Each convolved axis of
@@ -54,7 +50,8 @@ spectra.  Every pass, cached or not, inverts only the rows of the
 transform that its output reads (``numerics.circular_convolve``), and the
 mixer drops ``q`` and ``k`` once their product exists, so off a tape
 neither outlives the product.  Passes whose tape tracks the filter
-parameters materialize the kernels and record their graph.
+parameters materialize the kernels and record their graph.  Cached or
+not, the long convolution runs through ``GatedConvMixer.long_conv``.
 """
 
 from __future__ import annotations
@@ -235,16 +232,6 @@ def _pad_to_fft_length(kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
     return nx.pad(kernel, pw) if any(lo for lo, _ in pw) else kernel
 
 
-def _run_passes(qk: Tensor, passes) -> Tensor:
-    """y[i] = sum_s qk[s] * h[i - s] along each pass's axes, one
-    ``circular_convolve`` of the unpadded ``qk`` per pass: the transform
-    zero-pads it to the kernel's length M and keeps the last L outputs,
-    which read no wrapped index."""
-    for kernel, axes in passes:
-        qk = nx.circular_convolve(qk, kernel, dims=axes)
-    return qk
-
-
 class GatedConvMixer:
     """y = out_proj(g(q * k) * v) with an implicit long-convolution g."""
 
@@ -303,14 +290,25 @@ class GatedConvMixer:
             k = nx.mul(k, Tensor(mask))
         return k
 
-    def long_conv(self, qk: Tensor, kernels) -> Tensor:
-        """The variant's long convolution of ``qk`` with materialized kernels."""
+    def long_conv(self, qk: Tensor, kernels=None) -> Tensor:
+        """The variant's long convolution of ``qk`` with materialized
+        ``kernels``; with none, a centered variant convolves with
+        ``_cached_spectra`` and ``causal`` materializes its kernel.
+
+        A centered pass is y[i] = sum_s qk[s] * h[i - s] along its axes, one
+        ``circular_convolve`` of the unpadded ``qk``: the transform zero-pads
+        it to the kernel's length M and keeps the last L outputs, which read
+        no wrapped index."""
         if self.config.variant == "causal":
-            taps = kernels[0].shape[0]
+            kernel = self.kernel(0) if kernels is None else kernels[0]
+            taps = kernel.shape[0]
             if taps > qk.shape[-2]:
                 raise ValueError("kernel longer than sequence")
-            return nx.shift_convolve(qk, kernels[0], _causal_offsets(taps), (-2,))
-        return _run_passes(qk, self._centered_passes(kernels))
+            return nx.shift_convolve(qk, kernel, _causal_offsets(taps), (-2,))
+        passes = self._cached_spectra() if kernels is None else self._centered_passes(kernels)
+        for kernel, axes in passes:
+            qk = nx.circular_convolve(qk, kernel, dims=axes)
+        return qk
 
     def _centered_passes(self, kernels) -> list:
         """(kernel shaped against the input, convolved axes) of each centered
@@ -364,16 +362,13 @@ class GatedConvMixer:
             if not isinstance(kernel_override, (list, tuple)):
                 kernel_override = [kernel_override]
             kernels = [kk if isinstance(kk, Tensor) else Tensor(kk) for kk in kernel_override]
-        elif self.config.variant == "causal" or self._tracked_filters():
+        elif self._tracked_filters():
             kernels = [self.kernel(i) for i in range(len(self.filters))]
         else:
             kernels = None
         qk = nx.mul(q, k)
         del q, k  # a tape keeps what its VJPs need; off a tape they are freed here
-        if kernels is None:
-            g = _run_passes(qk, self._cached_spectra())
-        else:
-            g = self.long_conv(qk, kernels)
+        g = self.long_conv(qk, kernels)
         return nx.matmul(nx.mul(g, v), self.out_proj)
 
     __call__ = forward

@@ -43,9 +43,11 @@ of its first convolved axis.  Blocks are cut at ``_BLOCK_BYTES //
 _IN_FLIGHT`` each, a constant, and run on a pool of ``min(2,
 os.cpu_count())`` worker threads (``_each_block``), at most two at a time;
 numpy's FFTs, GEMMs and ``einsum`` release the interpreter lock, so two
-blocks run on two cores.  A block writes only its own entries of the
-output, or hands them to the calling thread, which sums over blocks in
-block order, so no output depends on the number of workers: one worker
+blocks run on two cores.  Every blocked op has one shape, whether it
+runs one block or many: it allocates its outputs once, each block writes
+its own entries of them and may return terms of a sum, and
+``_over_blocks`` sums those terms over the blocks in block order on the
+calling thread, so no output depends on the number of workers: one worker
 gives the same bits.  Workers touch arrays only; each op still creates
 its ``Tensor`` and records its one node on the calling thread, whose tape
 it is.  Every channel and row goes through the arithmetic it would go
@@ -85,7 +87,9 @@ _REAL_KINDS = "biuf"
 # ``feed_forward`` holds at most that much hidden layer per block of rows, in
 # its forward pass and in its VJP, and the depthwise contraction of
 # ``shift_convolve`` and ``pointwise_depthwise`` writes at most that much
-# output per block of rows.  At most ``_IN_FLIGHT`` blocks run at once, so
+# output per block of rows.  Each op allocates its outputs once and its
+# blocks write into them (``_over_blocks``), so the budget counts only a
+# block's scratch arrays.  At most ``_IN_FLIGHT`` blocks run at once, so
 # the budget holds whatever the number of workers; the cut is a constant,
 # so block boundaries, and every output bit, never depend on that number or
 # on the machine.  Every micro-model shape runs as one block.
@@ -162,6 +166,28 @@ def _pooled(fn: Callable, blocks: Sequence) -> Iterator:
             yield pending.popleft().result()
     finally:
         wait(pending)
+
+
+def _over_blocks(fn: Callable, blocks: Sequence) -> tuple | None:
+    """Runs ``fn`` on each of ``blocks`` through ``_each_block`` and sums the
+    terms each call returns, a tuple of arrays or ``None``s, over the blocks
+    in block order (``_summed``): with one block, that block's own arrays.
+    ``fn`` writes its own entries of the outputs that the op allocated once;
+    a ``fn`` that returns nothing gives ``None``."""
+    total = None
+    for terms in _each_block(fn, blocks):
+        total = terms if total is None else tuple(map(_summed, total, terms))
+        del terms  # not kept through the next block
+    return total
+
+
+def _summed(total: np.ndarray | None, part: np.ndarray | None) -> np.ndarray | None:
+    """``total + part``, added in ``total``'s buffer; ``part`` when ``total``
+    is ``None``, the first block's (``None`` for a term no block takes)."""
+    if total is None:
+        return part
+    total += part
+    return total
 
 
 def _as_array(value) -> np.ndarray:
@@ -692,8 +718,8 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
     the same in any block.  ``scale`` and ``shift`` of more than one axis
     may vary along the rows, and then the rows run as one block.  With no
     tape, ``y`` is written into ``xh``'s buffer; on a tape each block's
-    ``y`` is a scratch array of its own.  Each block writes its own rows of
-    ``xh`` and of the output.
+    ``y`` is a scratch array of its own.  The output is allocated once, and
+    each block writes its own rows of ``xh`` and of the output.
 
     The node keeps what ``layer_norm`` keeps, ``xh`` and ``inv``, and the
     parameter arrays: not ``y`` and not the hidden layer.  The VJP runs over
@@ -702,10 +728,11 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
     share of the budget, and a third in turn, briefly, for the partials of
     ``w2`` and of the StarReLU scale.  Each block recomputes its rows of
     ``y`` with the forward pass's arithmetic, runs the composed ops' VJPs in
-    their order and returns its rows of the FFN's x-partial and its terms
-    of the partials of ``w1``, ``b1``, ``scale``, ``shift`` and ``w2``; the
-    calling thread sums those over the blocks in block order, and takes the
-    norm's partials from the whole x-partial (``_norm_partials``).  A block
+    their order, writes its rows of the FFN's x-partial into one array
+    allocated up front and returns its terms of the partials of ``w1``,
+    ``b1``, ``scale``, ``shift`` and ``w2``, which ``_over_blocks`` sums over
+    the blocks in block order; the norm's partials are taken from the whole
+    x-partial (``_norm_partials``).  A block
     holds its terms of the ``w1`` and ``w2`` partials until they are summed,
     so where the blocks in flight would hold more of those than the whole
     hidden layer (``_IN_FLIGHT * (C + C') >= 2 * rows``), the rows run as
@@ -742,8 +769,7 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
         h += shd
         np.matmul(h, w2d, out=y[r])
 
-    for _ in _each_block(forward, _blocks(n, 8 * wide) if per_row else [slice(None)]):
-        pass
+    _over_blocks(forward, _blocks(n, 8 * wide) if per_row else [slice(None)])
     y += b2.data
     out = Tensor(y.reshape(sx[:-1] + (c_out,)))
     if need:
@@ -765,9 +791,10 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
         # stages 3 and 4 of a 224 px model, the rows run as one block.
         if _IN_FLIGHT * (c * need[3] + c_out * need[7]) >= 2 * n:
             rows = [slice(None)]
-        # One block reduces over the shape the composed ops see, so its
-        # partials match theirs to the bit.
-        bsh = sh if len(rows) == 1 else (-1, wide)
+        # Partials of per-row parameters sum a block's rows as one axis;
+        # numpy sums the contiguous leading axes of the composed ops' arrays
+        # as one too, so one block's partials match theirs to the bit.
+        bsh = (-1, wide) if per_row else sh
 
         def vjp(g):
             gx = gg = gb = gw1 = gb1 = gs = gsh = gw2 = gb2 = None
@@ -777,12 +804,13 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                 return gx, gg, gb, gw1, gb1, gs, gsh, gw2, gb2
             g2 = g.reshape(-1, c_out)
             xh2 = xh.reshape(-1, c)
+            gy = np.empty((n, c)) if any(need[:3]) else None  # the partial of y
 
             def block(r: slice) -> tuple:
-                """The block's rows of the partial of ``y``, then its terms of
-                the partials of w2, shift, scale, b1 and w1; ``None`` for
-                those ``need`` does not ask for."""
-                gyr = pw2 = psh = ps = pb1 = pw1 = None
+                """Writes the block's rows of the partial of ``y`` and returns
+                its terms of the partials of w2, shift, scale, b1 and w1;
+                ``None`` for those ``need`` does not ask for."""
+                pw2 = psh = ps = pb1 = pw1 = None
                 gr = g2[r]
                 hr = _affine(xh2[r], gd, bd) @ w1d
                 hr += b1d
@@ -794,7 +822,7 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                     pw2 = h.T @ gr
                     del h
                 if not any(need[:7]):
-                    return gyr, pw2, psh, ps, pb1, pw1
+                    return pw2, psh, ps, pb1, pw1
                 gh = gr @ w2d.T
                 if need[6]:
                     psh = _unbroadcast(gh.reshape(bsh), ssh)
@@ -813,44 +841,17 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                 if need[3]:
                     # The block's y again, not kept beside its hidden layer.
                     pw1 = _affine(xh2[r], gd, bd).T @ gh
-                if any(need[:3]):
-                    gyr = gh @ w1d.T
-                return gyr, pw2, psh, ps, pb1, pw1
+                if gy is not None:
+                    np.matmul(gh, w1d.T, out=gy[r])
+                return pw2, psh, ps, pb1, pw1
 
-            gy = None
-            # The weight partials sum over the blocks in block order.
-            for r, (gyr, pw2, psh, ps, pb1, pw1) in zip(rows, _each_block(block, rows)):
-                if gyr is not None:
-                    gy = _put_rows(gy, gyr, r, n)
-                gw2, gsh, gs = _summed(gw2, pw2), _summed(gsh, psh), _summed(gs, ps)
-                gb1, gw1 = _summed(gb1, pb1), _summed(gw1, pw1)
-                gyr = pw2 = psh = ps = pb1 = pw1 = None  # not kept through the next block
+            gw2, gsh, gs, gb1, gw1 = _over_blocks(block, rows)
             if gy is not None:
                 gx, gg, gb = _norm_partials(gy.reshape(sx), xh, inv, gd, need[:3], overwrite_g=True)
             return gx, gg, gb, gw1, gb1, gs, gsh, gw2, gb2
 
         _record("feed_forward", out, (x, gamma, beta, w1, b1, scale, shift, w2, b2), need, vjp)
     return out
-
-
-def _put_rows(whole: np.ndarray | None, block: np.ndarray, r: slice, n: int) -> np.ndarray:
-    """``whole``, allocated at the first block, with ``block`` written over
-    its rows ``r`` of ``n``; ``block`` itself when ``r`` holds every row."""
-    if r == slice(None):
-        return block
-    if whole is None:
-        whole = np.empty((n,) + block.shape[1:])
-    whole[r] = block
-    return whole
-
-
-def _summed(total: np.ndarray | None, part: np.ndarray | None) -> np.ndarray | None:
-    """``total + part``, added in ``total``'s buffer; ``part`` when ``total``
-    is ``None``, the first block's (``None`` for a partial no block takes)."""
-    if total is None:
-        return part
-    total += part
-    return total
 
 
 def cross_entropy(logits, targets) -> Tensor:
@@ -944,11 +945,11 @@ def _pruned_irfftn(
     axes: tuple[int, ...],
     starts: tuple[int, ...],
     sizes: tuple[int, ...],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Entries (start + s) mod M, s < size, on each of ``axes`` of
-    ``irfftn(f, s=lengths, axes=axes)``, overwriting the half spectrum ``f``;
-    written into ``out`` when it is given.
+    out: np.ndarray,
+) -> None:
+    """Writes into ``out`` entries (start + s) mod M, s < size, on each of
+    ``axes`` of ``irfftn(f, s=lengths, axes=axes)``, overwriting the half
+    spectrum ``f``.
 
     Over each axis but the last the ``ifft`` writes into ``f``'s own buffer,
     and only the rows the window reads go on to the next axis.  A window that
@@ -958,10 +959,8 @@ def _pruned_irfftn(
     once, on the kept rows alone.  Every kept entry goes through the same
     transforms as in ``irfftn``, so the two agree bit for bit.
     """
-    every = (slice(None),) * f.ndim
-
-    def at(ax: int, sl: slice, index: tuple = every) -> tuple:
-        return index[:ax] + (sl,) + index[ax + 1 :]
+    def at(ax: int, sl: slice) -> tuple:
+        return (slice(None),) * ax + (sl,)
 
     rows, pieces = f, []  # the rows still needed; where each piece of them goes
     for ax, m, start, size in zip(axes[:-1], lengths, starts, sizes):
@@ -978,21 +977,18 @@ def _pruned_irfftn(
             keep, window = slice(0, m), _window_pieces(start, size, m)
         rows = rows[at(ax, keep)]
         pieces.append(window)
-    full = np.fft.irfft(rows, n=lengths[-1], axis=axes[-1])
-    if out is None and all(len(p) == 1 for p in pieces) and (starts[-1], sizes[-1]) == (0, lengths[-1]):
-        return full
     pieces.append(_window_pieces(starts[-1], sizes[-1], lengths[-1]))
-    if out is None:
-        shape = list(f.shape)
-        for ax, size in zip(axes, sizes):
-            shape[ax] = size
-        out = np.empty(shape)
+    _copy_window(np.fft.irfft(rows, n=lengths[-1], axis=axes[-1]), out, axes, pieces)
+
+
+def _copy_window(src: np.ndarray, out: np.ndarray, axes: tuple[int, ...], pieces) -> None:
+    """``out[dst] = src[s]`` for each combination of one (s, dst) slice pair
+    per axis of ``axes``, ``pieces`` holding each axis's pairs."""
     for combo in itertools.product(*pieces):
-        src = dst = every
+        at_src, at_dst = [slice(None)] * src.ndim, [slice(None)] * src.ndim
         for ax, (s, d) in zip(axes, combo):
-            src, dst = at(ax, s, src), at(ax, d, dst)
-        out[dst] = full[src]
-    return out
+            at_src[ax], at_dst[ax] = s, d
+        out[tuple(at_dst)] = src[tuple(at_src)]
 
 
 def _sliced(shape: tuple[int, ...], sl: slice) -> tuple[int, ...]:
@@ -1027,13 +1023,15 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     (k + L) mod M.  A tape keeps H for the x-partial and ``x`` for the
     kernel partial, no spectrum of ``x``.
 
+    The output and each partial are allocated once, and every pass runs
+    over blocks of channels (``_over_blocks``), each block writing its
+    channels of them: the inverses are copied straight into their windows.
     When the trailing axis holds channels, not convolved and of the same
-    length in ``x`` and ``h``, the forward pass and both partials run over
-    blocks of those channels (``_blocks``) on the worker pool of
-    ``_each_block``, each block transforming at most ``_BLOCK_BYTES //
-    _IN_FLIGHT`` of spectrum and writing its channels of one output.  A
-    block of the kernel partial holds two spectra of the batch and then the
-    first pass of one inverse, so its channels are cut by all three.  Every
+    length in ``x`` and ``h``, those blocks are cut by ``_blocks``, each
+    transforming at most ``_BLOCK_BYTES // _IN_FLIGHT`` of spectrum, and
+    run on the worker pool; otherwise all channels are one block.  A block
+    of the kernel partial holds two spectra of the batch and then the first
+    pass of one inverse, so its channels are cut by all three.  Every
     channel goes through the same transforms in any block, so the results
     are the same to the bit; the op still records one node.
     """
@@ -1064,13 +1062,12 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
     need = _needs(x) if spectral else _needs(x, h)
     hf = h.data if spectral else np.fft.rfftn(h.data, axes=h_axes)
-    chans, out, per_channel = [slice(None)], None, 0
+    spec = np.broadcast_shapes(tuple(1 if ax in x_axes else n for ax, n in enumerate(sx)), hf.shape)
+    chans, per_channel = [slice(None)], 0
     if x.ndim - 1 not in x_axes and h.shape[-1] == sx[-1]:  # channels that x and h share
-        spec = np.broadcast_shapes(tuple(1 if ax in x_axes else n for ax, n in enumerate(sx)), hf.shape)
         per_channel = 16 * math.prod(spec[:-1])  # bytes of one channel's spectrum
         chans = _blocks(sx[-1], per_channel)
-        if len(chans) > 1:  # one output, each block writing its channels
-            out = np.empty(tuple(sizes[x_axes.index(ax)] if ax in x_axes else n for ax, n in enumerate(spec)))
+    y = np.empty(tuple(sizes[x_axes.index(ax)] if ax in x_axes else n for ax, n in enumerate(spec)))
     # Each block takes its own view of the kernel spectrum and drops it once
     # multiplied, so a spectrum taken here and not kept for the x-partial is
     # freed before one block's inverse allocates.
@@ -1078,20 +1075,18 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     if not (need and need[0]):
         hf = None
 
-    def forward(i: int) -> np.ndarray:
+    def forward(i: int) -> None:
         hb, hf_blocks[i] = hf_blocks[i], None
         xf = _mul_spectrum(np.fft.rfftn(x.data[..., chans[i]], s=lengths, axes=x_axes), hb)
         del hb
-        dest = None if out is None else out[..., chans[i]]
-        return _pruned_irfftn(xf, lengths, x_axes, out_starts, sizes, out=dest)
+        _pruned_irfftn(xf, lengths, x_axes, out_starts, sizes, y[..., chans[i]])
 
-    [first, *_] = _each_block(forward, range(len(chans)))
-    out = Tensor(first if out is None else out)
+    _over_blocks(forward, range(len(chans)))
+    out = Tensor(y)
     if need:
         xd = x.data if not spectral and need[1] else None
         last = h_axes[-1]
         hf_shape = h.shape[:last] + (lengths[-1] // 2 + 1,) + h.shape[last + 1 :]
-        shifts = [-n for n in sizes]
         sh = h.shape
         # A block of the kernel partial holds two spectra of the batch at
         # once, G and X, and then the first pass of the summed spectrum's
@@ -1101,42 +1096,32 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
             grad_chans = _blocks(sx[-1], 2 * per_channel + 16 * math.prod(hf_shape[:-1]))
 
         def vjp(g):
-            # With several blocks, each writes its channels of the partials.
-            several = len(grad_chans) > 1
-            gx = np.empty(g.shape) if several and need[0] else None
-            gh = np.empty(sh) if several and not spectral and need[1] else None
+            gx = np.empty(g.shape) if need[0] else None
+            gh = np.empty(sh) if not spectral and need[1] else None
 
-            def block(sl: slice) -> tuple:
-                """The block's channels of the x-partial and of the kernel
-                partial, each written into the whole partial when there are
-                several blocks; ``None`` where ``need`` does not ask for it."""
-                gxb = ghb = None
+            def block(sl: slice) -> None:
+                """Writes the block's channels of the x-partial and of the
+                kernel partial, of those ``need`` asks for."""
                 gf = np.fft.rfftn(g[..., sl], s=lengths, axes=x_axes)
-                if not spectral and need[1]:  # before the x-partial overwrites gf
+                if gh is not None:  # before the x-partial overwrites gf
                     # The correlation of g with x, summed down to h's shape on
                     # the spectrum.  G holds g at the head of the transform,
                     # where the output was its tail, so tap k is entry
                     # (k + L) mod M.
                     cf = np.fft.rfftn(xd[..., sl], s=lengths, axes=x_axes)
                     cf = _unbroadcast(_mul_spectrum(np.conjugate(cf, out=cf), gf), _sliced(hf_shape, sl))
-                    cf = np.fft.irfftn(cf, s=lengths, axes=h_axes)  # the spectrum freed before the roll
-                    ghb = np.roll(cf, shifts, axis=h_axes)
+                    cf = np.fft.irfftn(cf, s=lengths, axes=h_axes)  # the spectrum freed before the copy
+                    _copy_window(cf, gh[..., sl], h_axes, [_window_pieces(n % m, m, m) for n, m in zip(sizes, lengths)])
                     del cf
-                    if gh is not None:
-                        gh[..., sl], ghb = ghb, None
-                if need[0]:
+                if gx is not None:
                     # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)),
                     # which needs no conjugate copy of H; the products are
                     # the same.
                     gf = _mul_spectrum(np.conjugate(gf, out=gf), hf[..., sl])
-                    dest = None if gx is None else gx[..., sl]
-                    gxb = _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes, out=dest)
-                return gxb, ghb
+                    _pruned_irfftn(np.conjugate(gf, out=gf), lengths, x_axes, gx_starts, sizes, gx[..., sl])
 
-            [first, *_] = _each_block(block, grad_chans)
-            if not several:
-                gx, gh = first
-            if need[0]:
+            _over_blocks(block, grad_chans)
+            if gx is not None:
                 gx = _unbroadcast(gx, sx)
             return (gx,) if spectral else (gx, gh)
 
@@ -1152,9 +1137,10 @@ class _Taps:
     The taps are scattered onto their bounding box, stretched to hold offset
     0, as a dense grid with zero taps at missing offsets.  ``apply`` is an
     ``np.einsum`` of that grid with a sliding-window view of the array
-    zero-padded by ``pads``, run over blocks of output rows (``_contract``);
-    the partials contract window views the same way, the x-partial in
-    blocks too.
+    zero-padded by ``pads``, run over blocks of output rows (``_contract``),
+    each block writing its rows of one output allocated up front; the
+    partials contract window views the same way, the x-partial in blocks
+    too.
     """
 
     def __init__(self, shape: tuple[int, ...], w_shape: tuple[int, ...], offsets, axes):
@@ -1197,23 +1183,20 @@ class _Taps:
     def _contract(self, padded: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """``np.einsum(self.conv, windows of padded, grid)``, over blocks of
         rows of the first convolved axis (``_blocks``, at most
-        ``_BLOCK_BYTES // _IN_FLIGHT`` of output each).  A block's windows
-        reach ``box - 1`` rows past it, and each block writes its own rows of
-        one output; every output entry sums the same products in the same
-        order in any block."""
+        ``_BLOCK_BYTES // _IN_FLIGHT`` of output each; one block or many run
+        the same lines).  A block's windows reach ``box - 1`` rows past it,
+        and each block writes its own rows of one output; every output entry
+        sums the same products in the same order in any block."""
         win = self._windows(padded)
         ndim, ax = padded.ndim, self.axes[0]
         blocks = _blocks(win.shape[ax], 8 * math.prod(win.shape[:ax] + win.shape[ax + 1 : ndim]))
-        if len(blocks) == 1:
-            return np.einsum(self.conv, win, grid)
         out = np.empty(np.broadcast_shapes(win.shape[:ndim], grid.shape[len(self.axes) :]))
         head = (slice(None),) * ax
 
         def rows(r: slice) -> None:
             np.einsum(self.conv, win[head + (r,)], grid, out=out[head + (r,)])
 
-        for _ in _each_block(rows, blocks):
-            pass
+        _over_blocks(rows, blocks)
         return out
 
     def apply(self, padded: np.ndarray, w: np.ndarray) -> np.ndarray:

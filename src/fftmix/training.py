@@ -67,6 +67,14 @@ class DatasetSpec:
             raise ValueError("source must be 'synthetic' or 'directory'")
         if self.source == "directory" and not self.path:
             raise ValueError("directory source requires a path")
+        for key in ("train_size", "val_size"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        # A synthetic blob's centre is drawn from [margin, size / 2 - margin].
+        if self.source == "synthetic" and self.image_size < 8:
+            raise ValueError(f"image_size must be at least 8 for synthetic images, got {self.image_size}")
 
     def to_dict(self) -> dict:
         return asdict(self)

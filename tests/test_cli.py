@@ -104,6 +104,15 @@ class TestParse:
                 cli.parse_args(["train", "--config", str(cfg), "--out", str(tmp_path)])
             assert exc.value.code == 2, model
 
+    @pytest.mark.parametrize("key,value", [("train_size", -5), ("val_size", -1), ("num_classes", 0),
+                                           ("image_size", 7)])
+    def test_data_sizes_that_break_training_exit_2(self, tmp_path, capsys, key, value):
+        data = {"train_size": 32, "val_size": 16, "image_size": 32, "num_classes": 4, "seed": 1, key: value}
+        cfg = write_config(tmp_path, data=data)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"fftmix train: invalid config: {key} must" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_non_object_config_exits_2(self, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text("[]")
@@ -203,6 +212,19 @@ class TestSubcommands:
         )
         assert code == 0
         assert hpxio.read_hpx1(out / "erf.hpx1").shape == (32, 32)
+
+    @pytest.mark.parametrize("num", ["-1", "0"])
+    def test_erf_num_below_one_exits_2(self, trained_run, tmp_path, capsys, num):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        for i in range(3):
+            hpxio.write_hpx1(imgdir / f"img{i}.hpx1", np.zeros((32, 32, 3)))
+        out = tmp_path / "o"
+        code = cli.main(["erf", "--model", str(trained_run / "checkpoint"), "--images", str(imgdir),
+                         "--num", num, "--out", str(out)])
+        assert code == 2
+        assert f"argument --num: must be at least 1, got {num}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_erf_truncated_image_exits_1(self, trained_run, tmp_path, capsys):
         # A cut header, and a header alone that claims a 16 GiB payload.

@@ -261,7 +261,8 @@ class TestPrunedInverse:
         f *= np.fft.rfftn(rng.normal(size=lengths + (3,)), axes=axes)
         full = np.fft.irfftn(f, s=lengths, axes=axes)
         for start in (m - size, size % m):
-            got = nx._pruned_irfftn(f.copy(), lengths, axes, (start,) * len(axes), (size,) * len(axes))
+            got = np.empty((size,) * len(axes) + (3,))
+            nx._pruned_irfftn(f.copy(), lengths, axes, (start,) * len(axes), (size,) * len(axes), got)
             assert np.array_equal(got, self.window(full, axes, start, size)), start
 
     @pytest.mark.parametrize("dims,size", [((0,), 6), ((0, 1), 5)])
@@ -497,6 +498,35 @@ class TestBlockPool:
             sys.setswitchinterval(interval)
             nx._pool().shutdown(wait=True)
         assert runs == [serial] * 3
+
+    def test_one_block_returns_its_own_terms_uncopied(self):
+        terms = (np.ones(3), None, np.zeros((2, 2)))
+        got = nx._over_blocks(lambda b: terms, [slice(None)])
+        assert got is terms
+        assert nx._over_blocks(lambda b: None, [slice(None)]) is None
+
+    def test_several_blocks_sum_in_block_order_into_the_first_blocks_buffers(self, pool_submits):
+        parts = [(np.array([v]), None) for v in (1.0, 2.0**53, -(2.0**53), 1.0)]
+        first = parts[0][0]
+        gw, none = nx._over_blocks(lambda i: parts[i], range(4))
+        assert gw is first and none is None
+        # ((1 + 2**53) + -2**53) + 1 rounds to 1; from the last block back it
+        # would be 2.
+        assert gw.tolist() == [1.0]
+        assert pool_submits["blocks"] == 4
+
+    def test_summed_terms_pooled_equal_serial_bitwise(self, rng, monkeypatch, pool_submits):
+        a = rng.normal(size=(9, 64, 8))
+        scale = 10.0 ** rng.integers(-8, 8, size=(9, 1, 8))
+
+        def run():
+            return [_sha256(t) for t in nx._over_blocks(lambda i: (a[i] * scale[i], a[i].T @ a[i]), range(9))]
+
+        pooled = run()
+        assert pool_submits["blocks"] == 9
+        monkeypatch.setattr(nx, "_WORKERS", 1)
+        assert run() == pooled
+        assert pool_submits["blocks"] == 9
 
     def test_block_exception_reaches_the_caller_unchanged(self, pool_submits):
         err = ValueError("block 2 failed")
