@@ -58,5 +58,5 @@ print("global2d: impulse kernel reproduces x*x*x:",
 # --- separable: horizontal then vertical 1D kernels -----------------------
 cfg = MixerConfig("separable2d", channels=3, extent=(8, 8), embed_dim=4)
 mixer = build_mixer(cfg, rng)
-print("separable2d: two 1D kernels of", [f.grid_shape() for f in mixer.filters],
+print("separable2d: two 1D kernels of", [f.basis.grid for f in mixer.filters],
       "replace one", (15, 15), "kernel")

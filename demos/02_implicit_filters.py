@@ -3,9 +3,13 @@
 # Long kernels are never stored tap-by-tap.  A fixed sin/cos basis over the
 # kernel grid goes through a small sine-activated network (one output per
 # channel), and the result is shaped by an exponential-decay window whose
-# per-channel rate is learnable.  Because everything is a function of
-# normalized grid coordinates, the same weights can be re-evaluated on a
-# larger grid ("resampling") when the input resolution grows.
+# per-channel rate is learnable.  1D and 2D filters share one basis type,
+# ``PositionalBasis``, whose ``grid`` is (L,) or (2Ly-1, 2Lx-1).  The basis
+# harmonics span one period of whatever grid they are built on, but the
+# window reads each tap's offset in taps, so a filter simply rebuilt on a
+# larger grid keeps its decay length in taps.  ``resample_filter`` also
+# rescales those offsets by old/new extent, so the same weights give the
+# trained continuous filter, resampled, when the input resolution grows.
 
 import numpy as np
 
@@ -41,7 +45,7 @@ basis2 = build_basis_2d(extent, extent, K)
 ffn = init_filter_ffn(K, 2 * K, channels, basis2.features.shape[0], rng)
 window = init_window_params(channels, extent, "radial2d", rng)
 kernel = materialize_filter(basis2, ffn, window).data
-grid = kernel.reshape(2 * extent - 1, 2 * extent - 1, channels)
+grid = kernel.reshape(*basis2.grid, channels)  # (27, 27, channels)
 print("materialized kernel:", grid.shape)
 write_pgm("demo_kernel_mean.pgm", grid.mean(axis=-1))
 print("wrote demo_kernel_mean.pgm (mean over channels, 27x27)")

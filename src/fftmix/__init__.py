@@ -18,8 +18,7 @@ from .numerics import (  # noqa: F401
 from .filters import (  # noqa: F401
     FilterFFN,
     ImplicitFilter,
-    PositionalBasis1D,
-    PositionalBasis2D,
+    PositionalBasis,
     WindowParams,
     build_basis_1d,
     build_basis_2d,

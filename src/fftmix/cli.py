@@ -100,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_info.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset")
     src.add_argument("--checkpoint")
-    p_info.add_argument("--input-size", type=int, default=224)
-    p_info.add_argument("--num-classes", type=int, default=1000)
+    p_info.add_argument("--input-size", type=_positive_int, default=224)
+    p_info.add_argument("--num-classes", type=_positive_int, default=1000)
     p_info.add_argument("--out")
     p_info.add_argument("--seed", type=int, default=0)
 
@@ -212,13 +212,10 @@ def _load_model(ckpt_dir) -> mdl.Model:
 
 
 def _synthetic_images(model: mdl.Model, num: int, seed: int) -> np.ndarray:
-    spec = training.DatasetSpec(
-        image_size=model.config.input_size[0],
-        num_classes=model.config.num_classes,
-        train_size=num,
-        val_size=0,
-        seed=seed,
-    )
+    """``num`` quadrant-task images of the model's input size, drawn from
+    the task's four classes whatever the model's class count: an ERF map
+    reads no label."""
+    spec = training.DatasetSpec(image_size=model.config.input_size[0], train_size=num, val_size=0, seed=seed)
     images, _, _, _ = training.synthetic_quadrant_dataset(spec)
     return images
 
@@ -241,10 +238,8 @@ def _cmd_model_info(cfg: CliConfig) -> int:
     if cfg.args.get("checkpoint"):
         model = _load_model(cfg.args["checkpoint"])
     else:
-        size = int(cfg.args.get("input_size") or 224)
-        config = mdl.preset_config(
-            cfg.args["preset"], input_size=(size, size), num_classes=int(cfg.args["num_classes"])
-        )
+        size = cfg.args["input_size"]
+        config = mdl.preset_config(cfg.args["preset"], input_size=(size, size), num_classes=cfg.args["num_classes"])
         model = mdl.build_model(config, seed=cfg.seed)
     config = model.config
     echo = json.dumps(config.to_dict(), sort_keys=True)
@@ -356,7 +351,7 @@ def _cmd_filters_dump(cfg: CliConfig) -> int:
             for i, f in enumerate(mixer.filters):
                 kernel = mixer.kernel(i).data  # [P, C]
                 tag = f"s{s + 1}b{b + 1}" + (f"f{i}" if len(mixer.filters) > 1 else "")
-                kernels.append((tag, kernel.reshape(*f.grid_shape(), kernel.shape[-1])))
+                kernels.append((tag, kernel.reshape(*f.basis.grid, kernel.shape[-1])))
     if not kernels:
         raise ValueError("model contains no implicit-filter mixers")
     out = _out_dir(cfg)

@@ -1,9 +1,11 @@
 """Implicitly parameterized long-convolution kernels.
 
-A kernel is never stored tap-by-tap.  Instead a fixed sinusoidal positional
-basis is pushed through a small sine-activated FFN (one output per channel)
-and multiplied by an exponential-decay window.  The basis follows the grid:
-its harmonics have one period over the kernel grid, whatever its size.  The
+A kernel is never stored tap-by-tap.  One recipe serves 1D sequences and 2D
+grids: a fixed sinusoidal ``PositionalBasis`` over the kernel grid, (L,) or
+(2Ly-1, 2Lx-1), is pushed through a small sine-activated FFN (one output per
+channel) and multiplied by an exponential-decay window; the grid's length
+alone tells a 1D filter from a 2D one.  The basis follows the grid: its
+harmonics have one period over the kernel grid, whatever its size.  The
 window reads each tap's offset from the kernel origin, in taps, from the
 basis positions.  So a filter built for one grid and evaluated on another,
 as a model loaded at another input size is, keeps its decay length in taps.
@@ -30,37 +32,27 @@ WINDOW_VARIANTS = ("causal", "bidirectional", "radial2d")
 
 
 @dataclass
-class PositionalBasis1D:
-    """Sin/cos harmonics of t over one period of the grid.
+class PositionalBasis:
+    """Feature rows of a kernel grid, one per tap.
 
-    ``features`` is [L_filter, 2K-1]: a constant column for the zeroth mode,
-    then (sin, cos) pairs of 2*pi*k*t/L_filter for k = 1..K-1.
+    ``grid`` is the kernel grid's shape, (L,) or (2Ly-1, 2Lx-1); the rows
+    run over it in row-major order.  ``positions`` holds each tap's offset
+    from the kernel origin, [P] for a 1D grid and [P, 2] rows of (t_y, t_x)
+    for a 2D one, and ``features`` is [P, feature dimension].
     """
 
-    L_filter: int
+    grid: tuple[int, ...]
     positions: np.ndarray
     features: np.ndarray
 
 
-@dataclass
-class PositionalBasis2D:
-    """Per-direction sin/cos features on a centered 2D kernel grid.
+def build_basis_1d(L_filter: int, K: int, centered: bool = False) -> PositionalBasis:
+    """Sin/cos harmonics of t over one period of the (L_filter,) grid.
 
-    Rows cover the (2L_y-1) x (2L_x-1) grid in row-major (t_y outer) order
-    with coordinates relative to the kernel center; the first K/2 feature
-    columns encode the vertical offset, the rest the horizontal offset.
-    """
-
-    L_x: int
-    L_y: int
-    positions: np.ndarray  # [P, 2] rows of (t_y, t_x)
-    features: np.ndarray  # [P, K]
-
-
-def build_basis_1d(L_filter: int, K: int, centered: bool = False) -> PositionalBasis1D:
-    """Basis rows for t = 0..L_filter-1, or centered offsets when requested.
-
-    Centered grids require odd L_filter and index t = -(L-1)/2 .. (L-1)/2.
+    ``features`` is [L_filter, 2K-1]: a constant column for the zeroth mode,
+    then (sin, cos) pairs of 2*pi*k*t/L_filter for k = 1..K-1.  The rows are
+    t = 0..L_filter-1, or, when ``centered``, t = -(L-1)/2 .. (L-1)/2, which
+    requires odd L_filter.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -79,11 +71,16 @@ def build_basis_1d(L_filter: int, K: int, centered: bool = False) -> PositionalB
         phase = 2.0 * np.pi * k * t / L_filter
         feats[:, 2 * k - 1] = np.sin(phase)
         feats[:, 2 * k] = np.cos(phase)
-    return PositionalBasis1D(L_filter, t, feats)
+    return PositionalBasis((L_filter,), t, feats)
 
 
-def build_basis_2d(L_x: int, L_y: int, K: int) -> PositionalBasis2D:
-    """Centered kernel-grid basis; K must be even (vertical/horizontal halves)."""
+def build_basis_2d(L_x: int, L_y: int, K: int) -> PositionalBasis:
+    """Per-direction sin/cos features on the centered (2L_y-1, 2L_x-1) grid.
+
+    Positions are offsets from the kernel center, t_y outer.  K must be
+    even: the first K/2 feature columns encode the vertical offset, the rest
+    the horizontal offset.
+    """
     if K < 2 or K % 2 != 0:
         raise ValueError("K must be even and at least 2")
     if L_x < 1 or L_y < 1:
@@ -101,7 +98,7 @@ def build_basis_2d(L_x: int, L_y: int, K: int) -> PositionalBasis2D:
         phase_x = 2.0 * np.pi * m * positions[:, 1] / kx
         feats[:, j] = np.sin(phase_y) if j % 2 == 0 else np.cos(phase_y)
         feats[:, half + j] = np.sin(phase_x) if j % 2 == 0 else np.cos(phase_x)
-    return PositionalBasis2D(L_x, L_y, positions, feats)
+    return PositionalBasis((ky, kx), positions, feats)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +231,13 @@ def eval_window(params: WindowParams, positions: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def materialize_filter(basis, ffn: FilterFFN, window: WindowParams) -> Tensor:
+def materialize_filter(basis: PositionalBasis, ffn: FilterFFN, window: WindowParams) -> Tensor:
     """Kernel [positions, C] = FFN(basis) * window, evaluated on the basis grid."""
     if ffn.channels != window.channels:
         raise ValueError(
             f"ffn outputs {ffn.channels} channels but window has {window.channels}"
         )
-    if isinstance(basis, PositionalBasis2D):
+    if len(basis.grid) == 2:
         if window.variant != "radial2d":
             raise ValueError("2D basis requires a radial2d window")
     elif window.variant == "radial2d":
@@ -291,14 +288,10 @@ def resample_filter(ffn: FilterFFN, window: WindowParams, old_size, new_size) ->
 class ImplicitFilter:
     """A basis, FFN, and window bound to one long-convolution kernel."""
 
-    basis: PositionalBasis1D | PositionalBasis2D
+    basis: PositionalBasis
     ffn: FilterFFN
     window: WindowParams
     name: str = "filter"
-
-    @property
-    def num_positions(self) -> int:
-        return self.basis.features.shape[0]
 
     def materialize(self) -> Tensor:
         return materialize_filter(self.basis, self.ffn, self.window)
@@ -312,11 +305,6 @@ class ImplicitFilter:
         """
         pos = self.basis.positions
         return np.abs(pos).reshape(pos.shape[0], -1).max(axis=1)
-
-    def grid_shape(self) -> tuple[int, ...]:
-        if isinstance(self.basis, PositionalBasis2D):
-            return (2 * self.basis.L_y - 1, 2 * self.basis.L_x - 1)
-        return (self.basis.L_filter,)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [

@@ -65,7 +65,6 @@ from .filters import make_implicit_filter_1d, make_implicit_filter_2d
 from .numerics import Tensor
 
 MIXER_VARIANTS = ("causal", "bidirectional", "global2d", "separable2d", "local")
-_VARIANTS_1D = ("causal", "bidirectional")
 _VARIANTS_2D = ("global2d", "separable2d", "local")
 LOCAL_KERNEL = 7  # side of the local mixer's depthwise kernel
 EXPAND_RATIO = 2  # the local mixer's hidden width over its channel count
@@ -77,7 +76,10 @@ class MixerConfig:
 
     ``extent`` is the sequence length L for 1D variants or (Ly, Lx) feature
     extents for 2D variants.  ``embed_dim`` is the positional embedding
-    dimension K of the implicit filter.
+    dimension K of the implicit filter: even and at least 2 for
+    ``global2d``, whose basis gives half its columns to each axis, and at
+    least 1 for the other filtered variants.  Each error message starts with
+    the name of the field it rejects.
     """
 
     variant: str
@@ -87,15 +89,16 @@ class MixerConfig:
 
     def __post_init__(self):
         if self.variant not in MIXER_VARIANTS:
-            raise ValueError(f"unknown mixer variant {self.variant!r}")
+            raise ValueError(f"variant {self.variant!r} is not one of {MIXER_VARIANTS}")
         if self.channels < 1:
-            raise ValueError("channels must be positive")
-        if self.is_2d:
-            ey, ex = self.extents
-            if ey < 1 or ex < 1:
-                raise ValueError("extent smaller than 1")
-        elif int(self.extent) < 1:
-            raise ValueError("extent smaller than 1")
+            raise ValueError(f"channels must be at least 1, got {self.channels}")
+        if min(self.extents if self.is_2d else (int(self.extent),)) < 1:
+            raise ValueError(f"extent must be at least 1 per axis, got {self.extent}")
+        k = self.embed_dim
+        if self.variant == "global2d" and (k < 2 or k % 2):
+            raise ValueError(f"embed_dim must be even and at least 2 for global2d, got {k}")
+        if self.variant != "local" and k < 1:
+            raise ValueError(f"embed_dim must be at least 1, got {k}")
 
     @property
     def is_2d(self) -> bool:
@@ -107,6 +110,16 @@ class MixerConfig:
             raise ValueError("extents is only defined for 2D variants")
         e = self.extent
         return (int(e[0]), int(e[1])) if np.ndim(e) else (int(e), int(e))
+
+    def check_input(self, x: Tensor) -> None:
+        """A ``ValueError`` unless ``x`` is [..., Ly, Lx, C] for a 2D variant
+        or [L, C] or [N, L, C] for a 1D one, with this config's extents and
+        channels."""
+        want = (*self.extents, self.channels) if self.is_2d else (int(self.extent), self.channels)
+        rank_ok = x.ndim >= 3 if self.is_2d else x.ndim in (2, 3)
+        if not rank_ok or x.shape[-len(want):] != want:
+            layout = "[..., Ly, Lx, C]" if self.is_2d else "[L, C] or [N, L, C]"
+            raise ValueError(f"{self.variant} mixer expects {layout} input ending in {want}, got {x.shape}")
 
     def filter_extent(self):
         """Kernel grid extent: L, 2L-1, (2Ly-1, 2Lx-1), or the local k x k."""
@@ -262,26 +275,6 @@ class GatedConvMixer:
         # ``_cached_spectra``.
         self._spectra: tuple[list, list] | None = None
 
-    def _check_input(self, x: Tensor) -> None:
-        cfg = self.config
-        if cfg.is_2d:
-            if x.ndim < 3:
-                raise ValueError("2D mixer expects [Ly, Lx, C] input")
-            ey, ex = cfg.extents
-            if x.shape[-3] != ey or x.shape[-2] != ex or x.shape[-1] != cfg.channels:
-                raise ValueError(
-                    f"input {x.shape[-3:]} does not match config "
-                    f"({ey}, {ex}, {cfg.channels})"
-                )
-        else:
-            if x.ndim < 2 or x.ndim > 3:
-                raise ValueError("1D mixer expects [L, C] input")
-            if x.shape[-2] != int(cfg.extent) or x.shape[-1] != cfg.channels:
-                raise ValueError(
-                    f"input {x.shape[-2:]} does not match config "
-                    f"({cfg.extent}, {cfg.channels})"
-                )
-
     def kernel(self, index: int = 0) -> Tensor:
         """Materialize filter ``index`` as [P, C], with any truncation mask."""
         k = self.filters[index].materialize()
@@ -356,7 +349,7 @@ class GatedConvMixer:
         with no ``kernel_override``, whose filter parameters no active tape
         tracks, convolves with ``_cached_spectra``; the output is the same to
         the bit."""
-        self._check_input(x)
+        self.config.check_input(x)
         q, k, v = project_qkv(x, self.proj)
         if kernel_override is not None:
             if not isinstance(kernel_override, (list, tuple)):
@@ -434,10 +427,7 @@ class LocalConvMixer:
         self.contract_b = Tensor(np.zeros(c), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        cfg = self.config
-        ey, ex = cfg.extents
-        if x.ndim < 3 or x.shape[-3] != ey or x.shape[-2] != ex or x.shape[-1] != cfg.channels:
-            raise ValueError("input does not match local mixer config")
+        self.config.check_input(x)
         h = nx.pointwise_depthwise(
             x, self.expand_w, self.expand_b, self.depthwise_w, self.depthwise_b, self.offsets, (-3, -2)
         )

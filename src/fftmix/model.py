@@ -40,6 +40,11 @@ LAYOUT_PRESETS = {
 }
 DEFAULT_CHANNELS = (64, 128, 320, 512)
 DEFAULT_EMBED_DIMS = (32, 32, 48, 64)
+# The config key behind each ``MixerConfig`` field, whose name starts each of
+# its error messages.
+_MIXER_KEYS = {
+    "variant": "mixer_layout", "channels": "stage_channels", "extent": "input_size", "embed_dim": "embed_dims"
+}
 
 
 @dataclass
@@ -66,6 +71,12 @@ class ModelConfig:
             )
         if self.num_classes < 1:
             raise ValueError(f"config key 'num_classes' must be at least 1, got {self.num_classes}")
+        for stage in range(n):
+            try:
+                self.mixer_config(stage)
+            except ValueError as exc:
+                key = _MIXER_KEYS[str(exc).split()[0]]
+                raise ValueError(f"config key {key!r} at stage {stage + 1}: {exc}") from None
 
     def stage_extents(self) -> list[tuple[int, int]]:
         h, w = self.input_size

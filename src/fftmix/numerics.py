@@ -708,18 +708,17 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
 
     ``x`` is [..., C], ``gamma`` and ``beta`` [C] as in ``layer_norm``,
     ``w1`` [C, H], ``b1`` [H], ``w2`` [H, C'] and ``b2`` [C']; ``scale`` and
-    ``shift`` broadcast to the hidden layer as in ``star_relu``.  The forward
+    ``shift`` are scalars or [H], the same for every row.  The forward
     pass normalises ``x`` to ``xh`` as ``layer_norm`` does, then runs over
     blocks of rows (``_blocks``, ``_BLOCK_BYTES // _IN_FLIGHT`` of hidden
     layer each, on the worker pool of ``_each_block``):
     ``y = xh * gamma + beta``, ``h = y @ w1 + b1``, StarReLU in ``h``'s
     buffer, then ``h @ w2 + b2``.  That is the arithmetic of the composed
     ops, in their order, so every bit matches, and each row's arithmetic is
-    the same in any block.  ``scale`` and ``shift`` of more than one axis
-    may vary along the rows, and then the rows run as one block.  With no
-    tape, ``y`` is written into ``xh``'s buffer; on a tape each block's
-    ``y`` is a scratch array of its own.  The output is allocated once, and
-    each block writes its own rows of ``xh`` and of the output.
+    the same in any block.  With no tape, ``y`` is written into ``xh``'s
+    buffer; on a tape each block's ``y`` is a scratch array of its own.  The
+    output is allocated once, and each block writes its own rows of ``xh``
+    and of the output.
 
     The node keeps what ``layer_norm`` keeps, ``xh`` and ``inv``, and the
     parameter arrays: not ``y`` and not the hidden layer.  The VJP runs over
@@ -751,13 +750,12 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
     for name, s, n in (("b1", sb1, wide), ("b2", sb2, c_out)):
         if s != (n,):
             raise ValueError(f"feed_forward: {name} must have shape ({n},), got {s}")
-    _check_star_relu_parameters("feed_forward", "the hidden layer", sh, ss, ssh)
+    _check_star_relu_parameters("feed_forward", "a hidden row", (wide,), ss, ssh)
     need = _needs(x, gamma, beta, w1, b1, scale, shift, w2, b2)
     xh, inv = _normalize(x.data, eps)
     gd, bd, w1d, b1d, sd, shd, w2d = gamma.data, beta.data, w1.data, b1.data, scale.data, shift.data, w2.data
     xh2 = xh.reshape(-1, c)
     n = len(xh2)
-    per_row = max(sd.ndim, shd.ndim) <= 1
     y = np.empty((n, c_out))
 
     def forward(r: slice) -> None:
@@ -769,7 +767,7 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
         h += shd
         np.matmul(h, w2d, out=y[r])
 
-    _over_blocks(forward, _blocks(n, 8 * wide) if per_row else [slice(None)])
+    _over_blocks(forward, _blocks(n, 8 * wide))
     y += b2.data
     out = Tensor(y.reshape(sx[:-1] + (c_out,)))
     if need:
@@ -784,17 +782,13 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
             shd = None
         if not need[0]:
             inv = None
-        rows = _blocks(n, 16 * wide) if per_row else [slice(None)]
+        rows = _blocks(n, 16 * wide)
         # A block holds its terms of the w1 and w2 partials, 8 * wide * (c +
         # c_out) bytes, until they are summed: where those of the blocks in
         # flight would outweigh the whole hidden layer's two arrays, as at
         # stages 3 and 4 of a 224 px model, the rows run as one block.
         if _IN_FLIGHT * (c * need[3] + c_out * need[7]) >= 2 * n:
             rows = [slice(None)]
-        # Partials of per-row parameters sum a block's rows as one axis;
-        # numpy sums the contiguous leading axes of the composed ops' arrays
-        # as one too, so one block's partials match theirs to the bit.
-        bsh = (-1, wide) if per_row else sh
 
         def vjp(g):
             gx = gg = gb = gw1 = gb1 = gs = gsh = gw2 = gb2 = None
@@ -824,12 +818,15 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                 if not any(need[:7]):
                     return pw2, psh, ps, pb1, pw1
                 gh = gr @ w2d.T
+                # Partials of per-row parameters sum a block's rows as one
+                # axis; numpy sums the contiguous leading axes of the composed
+                # ops' arrays as one too, so one block's partials match theirs.
                 if need[6]:
-                    psh = _unbroadcast(gh.reshape(bsh), ssh)
+                    psh = _unbroadcast(gh, ssh)
                 if need[5]:
                     r2 = hr * hr
                     r2 *= gh
-                    ps = _unbroadcast(r2.reshape(bsh), ss)
+                    ps = _unbroadcast(r2, ss)
                     del r2
                 # The x-partial of StarReLU, in gh's buffer: 2 * scale * relu * g.
                 gh *= sd
@@ -837,7 +834,7 @@ def feed_forward(x, gamma, beta, eps: float, w1, b1, scale, shift, w2, b2) -> Te
                 gh *= 2.0
                 del hr
                 if need[4]:
-                    pb1 = _unbroadcast(gh.reshape(bsh), sb1)
+                    pb1 = _unbroadcast(gh, sb1)
                 if need[3]:
                     # The block's y again, not kept beside its hidden layer.
                     pw1 = _affine(xh2[r], gd, bd).T @ gh
@@ -1381,10 +1378,10 @@ def strided_conv2d(x, weight, bias, stride: int, padding: int) -> Tensor:
     return out
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    """x @ weight (+ bias) with x of shape [..., Cin]."""
-    y = matmul(x, weight)
-    return y if bias is None else add(y, bias)
+def linear(x, weight, bias) -> Tensor:
+    """``x @ weight + bias`` with x of shape [..., Cin], as a ``matmul`` and
+    an ``add``."""
+    return add(matmul(x, weight), bias)
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,12 @@ class DatasetSpec:
                 raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
-        # A synthetic blob's centre is drawn from [margin, size / 2 - margin].
+        # A synthetic blob's centre is drawn from [margin, size / 2 - margin]
+        # of the class's quadrant, and an image has four quadrants.
         if self.source == "synthetic" and self.image_size < 8:
             raise ValueError(f"image_size must be at least 8 for synthetic images, got {self.image_size}")
+        if self.source == "synthetic" and self.num_classes > 4:
+            raise ValueError(f"num_classes must be at most 4 for synthetic images, got {self.num_classes}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -188,7 +191,9 @@ def adamw_step(
 def synthetic_quadrant_dataset(spec: DatasetSpec):
     """Seeded blob-in-quadrant images; class-balanced, train/val disjoint.
 
-    Returns (train_x, train_y, val_x, val_y) with images [N, S, S, 3].
+    Image i has label ``i % num_classes``, and label q's blob lies in
+    quadrant ``divmod(q, 2)``, which is why ``DatasetSpec`` allows at most
+    four synthetic classes.  Returns (train_x, train_y, val_x, val_y) with images [N, S, S, 3].
     """
     rng = np.random.default_rng(spec.seed)
     size = spec.image_size

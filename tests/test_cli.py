@@ -105,12 +105,24 @@ class TestParse:
             assert exc.value.code == 2, model
 
     @pytest.mark.parametrize("key,value", [("train_size", -5), ("val_size", -1), ("num_classes", 0),
-                                           ("image_size", 7)])
+                                           ("image_size", 7), ("num_classes", 8)])
     def test_data_sizes_that_break_training_exit_2(self, tmp_path, capsys, key, value):
         data = {"train_size": 32, "val_size": 16, "image_size": 32, "num_classes": 4, "seed": 1, key: value}
         cfg = write_config(tmp_path, data=data)
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert f"fftmix train: invalid config: {key} must" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("input_size", [0, 0]),
+        ("stage_channels", [8, 0, 8, 8]),
+        ("mixer_layout", ["global2d", "global2d", "attention", "global2d"]),
+        ("embed_dims", [3, 3, 3, 3]),
+    ])
+    def test_model_geometry_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, model={**MICRO_MODEL, key: value})
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"fftmix train: invalid config: config key '{key}' at stage" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_non_object_config_exits_2(self, tmp_path):
@@ -162,6 +174,12 @@ class TestModelInfo:
 
     def test_unknown_preset_is_runtime_error(self):
         assert cli.main(["model", "info", "--preset", "vgg-16"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--input-size", "--num-classes"])
+    def test_sizes_below_one_exit_2(self, capsys, flag):
+        # --input-size 0 once printed a 224 px model and exited 0.
+        assert cli.main(["model", "info", "--preset", "hpx-s4", flag, "0"]) == 2
+        assert f"{flag}: must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -381,6 +399,31 @@ def copy_checkpoint(src, dst, manifest_text):
     shutil.copytree(src, dst)
     (dst / hpxio.CHECKPOINT_MANIFEST).write_text(manifest_text)
     return dst
+
+
+class TestManyClasses:
+    """A model of more than four classes, for which the quadrant task has no
+    data: labels 4 and up once put their blob outside the image."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        model = mdl.build_model(mdl.config_from_dict({**MICRO_MODEL, "num_classes": 8}), seed=0)
+        return hpxio.save_checkpoint(
+            tmp_path_factory.mktemp("ckpt8") / "checkpoint", model.config.to_dict(), model.parameters()
+        )
+
+    def test_synthetic_erf_images_each_hold_a_blob(self, checkpoint, tmp_path):
+        images = cli._synthetic_images(cli._load_model(checkpoint), 8, seed=0)
+        assert images.shape == (8, 32, 32, 3)
+        assert images.max(axis=(1, 2, 3)).min() > 1.5  # blob amplitudes are 2-3, noise 0.05
+        assert cli.main(["erf", "--model", str(checkpoint), "--num", "8", "--out", str(tmp_path / "erf")]) == 0
+
+    def test_truncate_eval_exits_1_naming_the_key(self, checkpoint, tmp_path, capsys):
+        argv = ["truncate", "--model", str(checkpoint), "--stage", "4", "--rel", "0.5", "--eval",
+                "--out", str(tmp_path / "tr")]
+        assert cli.main(argv) == 1
+        assert "error: num_classes must be at most 4 for synthetic images, got 8" in capsys.readouterr().err
+        assert not (tmp_path / "tr").exists()
 
 
 class TestCheckpointManifest:

@@ -95,7 +95,7 @@ def identity_projection(proj):
 
 def centered_impulse_kernel(mixer, index=0):
     f = mixer.filters[index]
-    kernel = np.zeros((f.num_positions, mixer.config.channels))
+    kernel = np.zeros((len(f.basis.features), mixer.config.channels))
     pos = f.basis.positions
     if pos.ndim == 1:
         center = int(np.where(pos == 0)[0][0])
@@ -410,6 +410,42 @@ class TestConfig:
         assert mx.MixerConfig("causal", 2, 10, 2).filter_extent() == 10
         assert mx.MixerConfig("bidirectional", 2, 10, 2).filter_extent() == 19
         assert mx.MixerConfig("global2d", 2, (4, 6), 2).filter_extent() == (7, 11)
+
+    @pytest.mark.parametrize("variant,extent", [
+        ("causal", 10), ("bidirectional", 10), ("global2d", (4, 6)), ("separable2d", (4, 6)),
+    ])
+    def test_filter_grids_are_the_config_extent(self, rng, variant, extent):
+        # The grid ``filters dump`` shapes each kernel to is the one the mixer
+        # reshapes it to: (ky, kx) for global2d, kx then ky for separable2d.
+        cfg = mx.MixerConfig(variant, 2, extent, embed_dim=4)
+        mixer = mx.GatedConvMixer(cfg, rng)
+        ext = cfg.filter_extent()
+        if variant == "global2d":
+            want = [ext]
+        elif variant == "separable2d":
+            want = [(ext[1],), (ext[0],)]
+        else:
+            want = [(ext,)]
+        assert [f.basis.grid for f in mixer.filters] == want
+        for i, f in enumerate(mixer.filters):
+            assert mixer.kernel(i).shape == (int(np.prod(f.basis.grid)), 2)
+
+    @pytest.mark.parametrize("variant,embed_dim", [("global2d", 3), ("global2d", 0), ("bidirectional", 0), ("causal", -1)])
+    def test_embed_dim_checked_for_the_variant(self, variant, embed_dim):
+        with pytest.raises(ValueError, match=rf"^embed_dim must .*got {embed_dim}$"):
+            mx.MixerConfig(variant, 2, (4, 4) if variant == "global2d" else 16, embed_dim)
+
+    @pytest.mark.parametrize("variant,extent,shape", [
+        ("bidirectional", 6, (2, 2, 6, 3)),
+        ("causal", 6, (6, 4)),
+        ("global2d", (4, 5), (5, 4, 3)),
+        ("local", (4, 5), (20, 3)),
+    ])
+    def test_check_input_names_the_layout_and_shape(self, rng, variant, extent, shape):
+        cfg = mx.MixerConfig(variant, 3, extent, embed_dim=4)
+        mixer = mx.build_mixer(cfg, rng)
+        with pytest.raises(ValueError, match=rf"^{variant} mixer expects .* got \({shape[0]}, "):
+            mixer.forward(Tensor(rng.normal(size=shape)))
 
 
 class TestFullContext:

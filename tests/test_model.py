@@ -243,6 +243,18 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             mdl.config_from_dict([["num_classes", 4]])
 
+    @pytest.mark.parametrize("key,value", [
+        ("input_size", [0, 0]),
+        ("stage_channels", [8, 0, 8, 8]),
+        ("mixer_layout", ["global2d", "global2d", "attention", "global2d"]),
+        ("embed_dims", [3, 3, 3, 3]),
+    ])
+    def test_mixer_geometry_rejected_naming_the_key(self, key, value):
+        # Once each of these passed the config and failed only in the model
+        # builder, with a message that named no key.
+        with pytest.raises(ValueError, match=rf"^config key '{key}' at stage \d: "):
+            mdl.config_from_dict({**mdl.micro_config().to_dict(), key: value})
+
     def test_degenerate_counts_rejected(self):
         # Once: [-1, 1, 1, 1] built an empty stage, 0 classes gave (1, 0)
         # logits, and -3 failed inside numpy.

@@ -1082,11 +1082,16 @@ class TestFusedOps:
     cross_entropy each record one node whose closed-form VJP matches the
     composed maths."""
 
-    @pytest.mark.parametrize("shape", [(1, 56, 56, 64), (2, 8, 8, 8)])
-    def test_feed_forward_is_bit_identical_to_the_composed_ffn(self, rng, shape):
+    @pytest.mark.parametrize(
+        "shape,act_shape",
+        [((1, 56, 56, 64), ()), ((2, 8, 8, 8), ()), ((1, 56, 56, 64), (256,))],
+        ids=["shape0", "shape1", "shape0-act_per_channel"],
+    )
+    def test_feed_forward_is_bit_identical_to_the_composed_ffn(self, rng, shape, act_shape):
         # The composed graph is the block's second norm, then the FFN.  The
         # VJP runs the 56 x 56 map in several blocks of rows and sums the
-        # weight partials over them; the 8 x 8 maps run as one block.
+        # weight partials over them; the 8 x 8 maps run as one block.  The
+        # StarReLU scale and shift are scalars, as the model's are, or [H].
         c = shape[-1]
         arrays = [
             rng.normal(size=shape) * 2.0 + 0.5,
@@ -1100,6 +1105,8 @@ class TestFusedOps:
             rng.normal(size=c) * 0.1,
         ]
         g = rng.normal(size=shape)
+        if act_shape:
+            arrays[5:7] = [a + 0.1 * rng.normal(size=act_shape) for a in arrays[5:7]]
         op = lambda x, ga, be, *t: nx.feed_forward(x, ga, be, 1e-6, *t)
         y, partials = _fused_partials(op, [Tensor(a) for a in arrays], g)
         x, ga, be, w1, b1, s, b, w2, b2 = inputs = [Tensor(a) for a in arrays]
@@ -1199,6 +1206,8 @@ class TestFusedOps:
         ([(2, 4), (4, 16), (1, 16), (), (), (16, 4), (4,)], r"b1 must have shape \(16,\)"),
         ([(2, 4), (4, 16), (16,), (), (), (16, 4), (3,)], r"b2 must have shape \(4,\)"),
         ([(2, 4), (4, 16), (16,), (3,), (), (16, 4), (4,)], r"scale of shape \(3,\) does not broadcast"),
+        ([(2, 4), (4, 16), (16,), (1, 16), (), (16, 4), (4,)], r"scale of shape \(1, 16\) does not broadcast"),
+        ([(2, 4), (4, 16), (16,), (), (1, 16), (16, 4), (4,)], r"shift of shape \(1, 16\) does not broadcast"),
     ])
     def test_feed_forward_shapes_named(self, rng, shapes, match):
         x, *params = [Tensor(rng.normal(size=s)) for s in shapes]
@@ -1503,46 +1512,56 @@ UNCALLED_BY_PACKAGE = {
 REPO = Path(nx.__file__).resolve().parents[2]
 
 
-def _definitions() -> set[str]:
-    """``module.function`` and ``module.Class.method`` for every module-level
-    function and every method but a dunder, private ones included."""
-    found = set()
+def _definitions() -> tuple[set[str], set[str], set[str]]:
+    """``module.function`` for every module-level function,
+    ``module.Class.method`` for every method but a dunder, and
+    ``module.NAME`` for every module-level constant, private ones included."""
+    functions, methods, constants = set(), set(), set()
     for path in Path(nx.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
-                found.add(f"{path.stem}.{node.name}")
+                functions.add(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.ClassDef):
-                found |= {
+                methods |= {
                     f"{path.stem}.{node.name}.{item.name}"
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 }
-    return found
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants |= {f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+    return functions, methods, constants
 
 
-def _names_the_package_reads() -> set[str]:
-    """Every name loaded or attribute read in ``src/fftmix``, ``demos`` and
-    the benchmark harness (not its tests); a definition or a re-export in
-    ``__init__`` is not a read."""
+def _names_the_package_reads() -> tuple[set[str], set[str]]:
+    """The names loaded and the attributes read in ``src/fftmix``, ``demos``
+    and the benchmark harness (not its tests); a definition or a re-export
+    in ``__init__`` is not a read."""
     paths = [*Path(nx.__file__).parent.glob("*.py"), *(REPO / "demos").glob("*.py")]
     paths += [p for p in (REPO / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    used = set()
+    loaded, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-    return used
+                loaded.add(node.id)
+    return loaded, attributes
 
 
 def test_every_public_primitive_has_a_caller_in_the_package():
-    # Private helpers too: one that loses its last caller is dead code.
-    defined = _definitions()
-    public = {name for name in defined if not any(part.startswith("_") for part in name.split(".")[1:])}
+    # Private helpers too: one that loses its last caller is dead code.  A
+    # method is reached only through an attribute read, so a local variable
+    # or parameter of the same name does not count as a call of it; a
+    # function or constant is reached through either kind of read.
+    functions, methods, constants = _definitions()
+    public = {name for name in functions | methods if not any(part.startswith("_") for part in name.split(".")[1:])}
     assert set(UNCALLED_BY_PACKAGE) <= public
-    used = _names_the_package_reads()
-    uncalled = {name for name in defined if name.rsplit(".", 1)[-1] not in used}
+    loaded, attributes = _names_the_package_reads()
+    last = lambda name: name.rsplit(".", 1)[-1]
+    read = loaded | attributes
+    uncalled = {name for name in functions | constants if last(name) not in read}
+    uncalled |= {name for name in methods if last(name) not in attributes}
     uncalled -= set(UNCALLED_BY_PACKAGE)
-    assert not uncalled, f"functions and methods without a caller: {sorted(uncalled)}"
+    assert not uncalled, f"functions, methods and constants without a reader: {sorted(uncalled)}"

@@ -231,7 +231,7 @@ class TestSyntheticData:
             tr.DatasetSpec(source="directory")
 
     @pytest.mark.parametrize("key,value", [("train_size", -5), ("val_size", -1), ("num_classes", 0),
-                                           ("image_size", 7)])
+                                           ("image_size", 7), ("num_classes", 5)])
     def test_sizes_that_break_training_are_rejected_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key} must"):
             tr.DatasetSpec(**{key: value})
@@ -240,6 +240,7 @@ class TestSyntheticData:
         tx, _, vx, _ = tr.synthetic_quadrant_dataset(tr.DatasetSpec(train_size=0, val_size=2, image_size=8))
         assert tx.shape == (0, 8, 8, 3) and vx.shape == (2, 8, 8, 3)
         tr.DatasetSpec(source="directory", path="images", image_size=4)
+        tr.DatasetSpec(source="directory", path="images", num_classes=8)
 
     def test_directory_labels_follow_train_classes(self, tmp_path):
         def write_split(split, classes):
