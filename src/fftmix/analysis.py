@@ -112,8 +112,8 @@ def kernel_effective_diameter(window_values, reach, threshold: float) -> float:
     threshold, plus one element, so a fully surviving centred grid reports
     its own side.  Returns 0 when nothing survives.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be a positive finite number, got {threshold}")
     vals = window_values.data if isinstance(window_values, Tensor) else np.asarray(window_values)
     mask = vals >= threshold
     if not mask.any():

@@ -39,19 +39,19 @@ algorithm.  ``causal`` runs the direct sum over offsets
 reads a later position, so its Jacobian above the diagonal is exactly zero
 rather than zero up to rounding.
 
-A centered mixer called with no ``kernel_override``, and with no active
-``GradTape`` or one that does not track its filter parameters, convolves
-with kernel spectra kept from its previous such call, so it neither
-materializes its kernels nor transforms them.  The spectra are keyed on
-values: a copy of every filter parameter and kernel mask, compared with
-``np.array_equal`` on each call, so any change to them (an optimizer step,
-``load_params``, a ``.data`` write, a truncation mask) rebuilds the
-spectra.  Every pass, cached or not, inverts only the rows of the
-transform that its output reads (``numerics.circular_convolve``), and the
-mixer drops ``q`` and ``k`` once their product exists, so off a tape
-neither outlives the product.  Passes whose tape tracks the filter
-parameters materialize the kernels and record their graph.  Cached or
-not, the long convolution runs through ``GatedConvMixer.long_conv``.
+``GatedConvMixer.long_conv`` alone picks the kernels a long convolution
+uses.  Kernels handed to it (``forward``'s ``kernel_override``) are used as
+given.  With none, it materializes the filters when the variant is
+``causal`` or the active ``GradTape`` tracks a filter parameter, and the
+tape records their graph; otherwise a centered mixer convolves with kernel
+spectra kept from its previous such call, so it neither materializes its
+kernels nor transforms them.  The spectra are keyed on values: a copy of
+every filter parameter and kernel mask, compared with ``np.array_equal`` on
+each call, so any change to them (an optimizer step, ``load_params``, a
+``.data`` write, a truncation mask) rebuilds the spectra.  Every pass,
+cached or not, inverts only the rows of the transform that its output
+reads (``numerics.circular_convolve``), and the mixer drops ``q`` and ``k``
+once their product exists, so off a tape neither outlives the product.
 """
 
 from __future__ import annotations
@@ -74,17 +74,18 @@ EXPAND_RATIO = 2  # the local mixer's hidden width over its channel count
 class MixerConfig:
     """Which mixer to build: variant, channel count, and grid geometry.
 
-    ``extent`` is the sequence length L for 1D variants or (Ly, Lx) feature
-    extents for 2D variants.  ``embed_dim`` is the positional embedding
-    dimension K of the implicit filter: even and at least 2 for
-    ``global2d``, whose basis gives half its columns to each axis, and at
-    least 1 for the other filtered variants.  Each error message starts with
-    the name of the field it rejects.
+    ``extent`` is stored as a tuple of ints, one per axis the variant mixes
+    along: (L,) for a 1D variant, (Ly, Lx) for a 2D one.  It is given as
+    that many ints, or as one int for every axis.  ``embed_dim`` is the
+    positional embedding dimension K of the implicit filter: even and at
+    least 2 for ``global2d``, whose basis gives half its columns to each
+    axis, and at least 1 for the other filtered variants.  Each error
+    message starts with the name of the field it rejects.
     """
 
     variant: str
     channels: int
-    extent: int | tuple[int, int]
+    extent: int | tuple[int, ...]
     embed_dim: int = 8
 
     def __post_init__(self):
@@ -92,8 +93,15 @@ class MixerConfig:
             raise ValueError(f"variant {self.variant!r} is not one of {MIXER_VARIANTS}")
         if self.channels < 1:
             raise ValueError(f"channels must be at least 1, got {self.channels}")
-        if min(self.extents if self.is_2d else (int(self.extent),)) < 1:
-            raise ValueError(f"extent must be at least 1 per axis, got {self.extent}")
+        axes = 2 if self.is_2d else 1
+        e = self.extent
+        sides = tuple(e) if isinstance(e, (list, tuple)) else (e,) * axes
+        whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sides)
+        if len(sides) != axes or not whole:
+            raise ValueError(f"extent must be an int, or one int per axis ({axes}) for {self.variant}, got {e!r}")
+        if min(sides) < 1:
+            raise ValueError(f"extent must be at least 1 per axis, got {e!r}")
+        self.extent = tuple(int(n) for n in sides)
         k = self.embed_dim
         if self.variant == "global2d" and (k < 2 or k % 2):
             raise ValueError(f"embed_dim must be even and at least 2 for global2d, got {k}")
@@ -104,18 +112,11 @@ class MixerConfig:
     def is_2d(self) -> bool:
         return self.variant in _VARIANTS_2D
 
-    @property
-    def extents(self) -> tuple[int, int]:
-        if not self.is_2d:
-            raise ValueError("extents is only defined for 2D variants")
-        e = self.extent
-        return (int(e[0]), int(e[1])) if np.ndim(e) else (int(e), int(e))
-
     def check_input(self, x: Tensor) -> None:
         """A ``ValueError`` unless ``x`` is [..., Ly, Lx, C] for a 2D variant
-        or [L, C] or [N, L, C] for a 1D one, with this config's extents and
+        or [L, C] or [N, L, C] for a 1D one, with this config's extent and
         channels."""
-        want = (*self.extents, self.channels) if self.is_2d else (int(self.extent), self.channels)
+        want = (*self.extent, self.channels)
         rank_ok = x.ndim >= 3 if self.is_2d else x.ndim in (2, 3)
         if not rank_ok or x.shape[-len(want):] != want:
             layout = "[..., Ly, Lx, C]" if self.is_2d else "[L, C] or [N, L, C]"
@@ -124,12 +125,12 @@ class MixerConfig:
     def filter_extent(self):
         """Kernel grid extent: L, 2L-1, (2Ly-1, 2Lx-1), or the local k x k."""
         if self.variant == "causal":
-            return int(self.extent)
+            return self.extent[0]
         if self.variant == "bidirectional":
-            return 2 * int(self.extent) - 1
+            return 2 * self.extent[0] - 1
         if self.variant == "local":
             return (LOCAL_KERNEL, LOCAL_KERNEL)
-        ey, ex = self.extents
+        ey, ex = self.extent
         return (2 * ey - 1, 2 * ex - 1)
 
 
@@ -256,7 +257,7 @@ class GatedConvMixer:
         c, k = config.channels, config.embed_dim
         ext = config.filter_extent()
         if config.variant == "global2d":
-            self.filters = [make_implicit_filter_2d(*config.extents, c, k, rng)]
+            self.filters = [make_implicit_filter_2d(*config.extent, c, k, rng)]
         elif config.variant == "separable2d":  # horizontal then vertical
             self.filters = [
                 make_implicit_filter_1d(ext[1], c, k, rng, name="filter_h"),
@@ -284,20 +285,26 @@ class GatedConvMixer:
         return k
 
     def long_conv(self, qk: Tensor, kernels=None) -> Tensor:
-        """The variant's long convolution of ``qk`` with materialized
-        ``kernels``; with none, a centered variant convolves with
-        ``_cached_spectra`` and ``causal`` materializes its kernel.
+        """The variant's long convolution of ``qk``, with the one rule for
+        its kernels: given ``kernels`` (one array or ``Tensor``, or a list of
+        them) are used; with none, the filters are materialized when the
+        variant is ``causal`` or the active tape tracks a filter parameter,
+        and a centered variant otherwise convolves with ``_cached_spectra``.
 
         A centered pass is y[i] = sum_s qk[s] * h[i - s] along its axes, one
         ``circular_convolve`` of the unpadded ``qk``: the transform zero-pads
         it to the kernel's length M and keeps the last L outputs, which read
         no wrapped index."""
+        if kernels is not None:
+            listed = kernels if isinstance(kernels, (list, tuple)) else [kernels]
+            kernels = [nx._lift(k) for k in listed]
+        elif self.config.variant == "causal" or self._tracked_filters():
+            kernels = [self.kernel(i) for i in range(len(self.filters))]
         if self.config.variant == "causal":
-            kernel = self.kernel(0) if kernels is None else kernels[0]
-            taps = kernel.shape[0]
+            taps = kernels[0].shape[0]
             if taps > qk.shape[-2]:
                 raise ValueError("kernel longer than sequence")
-            return nx.shift_convolve(qk, kernel, _causal_offsets(taps), (-2,))
+            return nx.shift_convolve(qk, kernels[0], _causal_offsets(taps), (-2,))
         passes = self._cached_spectra() if kernels is None else self._centered_passes(kernels)
         for kernel, axes in passes:
             qk = nx.circular_convolve(qk, kernel, dims=axes)
@@ -345,23 +352,13 @@ class GatedConvMixer:
         )
 
     def forward(self, x: Tensor, kernel_override=None) -> Tensor:
-        """Project, long convolution, gate, ``out_proj``.  A centered variant
-        with no ``kernel_override``, whose filter parameters no active tape
-        tracks, convolves with ``_cached_spectra``; the output is the same to
-        the bit."""
+        """Project, long convolution, gate, ``out_proj``; ``long_conv`` picks
+        the kernels, given ``kernel_override`` or not."""
         self.config.check_input(x)
         q, k, v = project_qkv(x, self.proj)
-        if kernel_override is not None:
-            if not isinstance(kernel_override, (list, tuple)):
-                kernel_override = [kernel_override]
-            kernels = [kk if isinstance(kk, Tensor) else Tensor(kk) for kk in kernel_override]
-        elif self._tracked_filters():
-            kernels = [self.kernel(i) for i in range(len(self.filters))]
-        else:
-            kernels = None
         qk = nx.mul(q, k)
         del q, k  # a tape keeps what its VJPs need; off a tape they are freed here
-        g = self.long_conv(qk, kernels)
+        g = self.long_conv(qk, kernel_override)
         return nx.matmul(nx.mul(g, v), self.out_proj)
 
     __call__ = forward

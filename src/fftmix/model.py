@@ -57,11 +57,7 @@ class ModelConfig:
     input_size: tuple = (224, 224)
 
     def __post_init__(self):
-        n = len(self.stage_channels)
-        if n != 4:
-            raise ValueError("expected four stages")
-        if not (len(self.stage_blocks) == len(self.mixer_layout) == len(self.embed_dims) == n):
-            raise ValueError("per-stage fields must all have four entries")
+        check_field_types(self)
         h, w = self.input_size
         if h % 32 or w % 32:
             raise ValueError("input extents must be divisible by 32")
@@ -71,7 +67,7 @@ class ModelConfig:
             )
         if self.num_classes < 1:
             raise ValueError(f"config key 'num_classes' must be at least 1, got {self.num_classes}")
-        for stage in range(n):
+        for stage in range(4):
             try:
                 self.mixer_config(stage)
             except ValueError as exc:
@@ -108,7 +104,9 @@ _RETIRED_KEYS = {
 
 def _typed_value(key: str, value, like):
     """``value`` checked against ``like``, the key's default: the same
-    scalar type, or a list or tuple of that many items of its item type."""
+    scalar type, or a list or tuple of that many items of its item type.  A
+    float key also takes an int and rejects NaN and infinities, a key whose
+    default is None takes a string, and no key takes a bool."""
     if isinstance(like, tuple):
         kind = type(like[0])
         if not (
@@ -118,9 +116,20 @@ def _typed_value(key: str, value, like):
         ):
             raise ValueError(f"config key {key!r} must hold {len(like)} values of type {kind.__name__}")
         return tuple(value)
-    if type(value) is not type(like):
-        raise ValueError(f"config key {key!r} must be of type {type(like).__name__}")
+    kind = str if like is None else type(like)
+    kinds = {float, int} if kind is float else {kind}
+    if type(value) not in kinds and not (like is None and value is None):
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}")
+    if type(value) is float and not np.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {value}")
     return value
+
+
+def check_field_types(config) -> None:
+    """Each field of the dataclass ``config`` set to what ``_typed_value``
+    makes of it against the field's default, so a list becomes a tuple."""
+    for name, field in config.__dataclass_fields__.items():
+        setattr(config, name, _typed_value(name, getattr(config, name), field.default))
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -135,8 +144,7 @@ def config_from_dict(d: dict) -> ModelConfig:
     for key, fixed in _RETIRED_KEYS.items():
         if key in d and _typed_value(key, d[key], fixed) != fixed:
             raise ValueError(f"config key {key!r} is fixed at {fixed}, got {d[key]}")
-    kwargs = {k: _typed_value(k, v, fields[k].default) for k, v in d.items() if k in fields}
-    return ModelConfig(**kwargs)
+    return ModelConfig(**{k: v for k, v in d.items() if k in fields})
 
 
 def preset_config(name: str, input_size=(224, 224), num_classes: int = 1000) -> ModelConfig:
@@ -222,21 +230,6 @@ class ConvNormLayer:
         ]
 
 
-def patch_embed(image: Tensor, layer: ConvNormLayer) -> Tensor:
-    """Overlapping patch stem: kernel 7, stride 4, padding 2, then norm."""
-    h, w = image.shape[-3], image.shape[-2]
-    if h % 32 or w % 32:
-        raise ValueError("input extents must be divisible by 32")
-    return layer(image)
-
-
-def downsample(x: Tensor, layer: ConvNormLayer) -> Tensor:
-    """Overlapping merge: kernel 3, stride 2, padding 1, channel change, norm."""
-    if x.shape[-3] % 2 or x.shape[-2] % 2:
-        raise ValueError("downsample requires even feature extents")
-    return layer(x)
-
-
 class FeedForward:
     """The block's second norm, then linear -> StarReLU -> linear at
     expansion 4, run as the one op ``numerics.feed_forward``: a tape keeps
@@ -281,7 +274,6 @@ class Block:
         self.mixer = build_mixer(mixer_cfg, rng)
         self.norm2 = init_layer_norm(channels)
         self.ffn = FeedForward(channels, rng)
-        self.mixer_is_1d = not mixer_cfg.is_2d
         if use_res_scale:
             self.res_scale1 = Tensor(np.ones(channels), requires_grad=True)
             self.res_scale2 = Tensor(np.ones(channels), requires_grad=True)
@@ -290,7 +282,7 @@ class Block:
             self.res_scale2 = None
 
     def _mix(self, x: Tensor) -> Tensor:
-        if not self.mixer_is_1d:
+        if self.mixer.config.is_2d:
             return self.mixer(x)
         fy, fx, c = x.shape[-3], x.shape[-2], x.shape[-1]
         flat_shape = x.shape[:-3] + (fy * fx, c)
@@ -363,12 +355,12 @@ class Model:
             raise ValueError(
                 f"model built for {h}x{w} inputs, got {images.shape[1]}x{images.shape[2]}"
             )
-        x = patch_embed(images, self.stem)
+        x = self.stem(images)
         for s in range(4):
             for block in self.stages[s]:
                 x = block(x)
             if s < 3:
-                x = downsample(x, self.downsamples[s])
+                x = self.downsamples[s](x)
         return x
 
     def head(self, feats: Tensor) -> Tensor:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import hpxio
 from . import numerics as nx
-from .model import Model
+from .model import Model, check_field_types
 from .numerics import GradTape, Tensor
 
 ADAM_BETAS = (0.9, 0.999)
@@ -37,6 +37,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        for key in ("lr_peak", "lr_final", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be at least 0, got {getattr(self, key)}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label smoothing must lie in [0, 1)")
         if self.batch_size < 1:
@@ -47,9 +51,6 @@ class TrainConfig:
             raise ValueError("warmup_epochs must be non-negative")
         if not self.warmup_epochs < self.total_epochs:
             raise ValueError("warmup must be shorter than the run")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -63,6 +64,7 @@ class DatasetSpec:
     path: str | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.source not in ("synthetic", "directory"):
             raise ValueError("source must be 'synthetic' or 'directory'")
         if self.source == "directory" and not self.path:
@@ -78,9 +80,6 @@ class DatasetSpec:
             raise ValueError(f"image_size must be at least 8 for synthetic images, got {self.image_size}")
         if self.source == "synthetic" and self.num_classes > 4:
             raise ValueError(f"num_classes must be at most 4 for synthetic images, got {self.num_classes}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

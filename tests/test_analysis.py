@@ -224,6 +224,12 @@ class TestCoverage:
         local_rows = [r for r in report.rows if r.stage in (1, 2)]
         assert all(r.diameter == 7.0 for r in local_rows)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -0.05])
+    def test_threshold_that_is_not_positive_and_finite_rejected(self, threshold):
+        model = mdl.build_model(mdl.micro_config("global2d"), seed=0)
+        with pytest.raises(ValueError, match=rf"^threshold must be a positive finite number, got {threshold}"):
+            an.coverage_report(model, threshold=threshold)
+
     def test_all_local_model_rejected(self):
         model = mdl.build_model(mdl.micro_config("local"), seed=0)
         with pytest.raises(ValueError):

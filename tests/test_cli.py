@@ -113,6 +113,24 @@ class TestParse:
         assert f"fftmix train: invalid config: {key} must" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "lr_peak", "0.001"),
+        ("train", "lr_peak", float("nan")),
+        ("train", "weight_decay", -1.0),
+        ("train", "batch_size", 2.5),
+        ("data", "train_size", 2.5),
+        ("data", "image_size", 32.0),
+        ("data", "seed", "x"),
+    ])
+    def test_wrongly_typed_or_negative_values_exit_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        base = {"train": {"total_epochs": 1, "warmup_epochs": 0},
+                "data": {"train_size": 32, "val_size": 16, "image_size": 32, "num_classes": 4, "seed": 1}}
+        cfg = write_config(tmp_path, **{section: {**base[section], key: value}})
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "fftmix train: invalid config: " in err and (f"'{key}'" in err or f" {key} must" in err)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("input_size", [0, 0]),
         ("stage_channels", [8, 0, 8, 8]),
@@ -305,6 +323,14 @@ class TestSubcommands:
         lines = (out / "coverage.csv").read_text().splitlines()
         assert lines[0] == "stage,block,diameter,coverage"
         assert len(lines) == 5  # one per block
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_coverage_threshold_that_is_not_positive_and_finite_exits_1(self, trained_run, tmp_path, capsys, threshold):
+        out = tmp_path / "cov"
+        argv = ["coverage", "--model", str(trained_run / "checkpoint"), "--threshold", threshold, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: threshold must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncate_eval(self, trained_run, tmp_path):
         out = tmp_path / "tr"

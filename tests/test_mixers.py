@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -435,6 +436,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^embed_dim must .*got {embed_dim}$"):
             mx.MixerConfig(variant, 2, (4, 4) if variant == "global2d" else 16, embed_dim)
 
+    @pytest.mark.parametrize("variant,extent", [
+        ("global2d", (4, 5, 9)), ("global2d", 4.5), ("bidirectional", 7.9), ("causal", True),
+        ("bidirectional", (7, 7)), ("separable2d", (4, True)), ("local", "8"),
+    ])
+    def test_bad_extent_is_rejected_naming_it(self, variant, extent):
+        with pytest.raises(ValueError, match=r"^extent "):
+            mx.MixerConfig(variant, 2, extent, embed_dim=4)
+
+    @pytest.mark.parametrize("variant,extent,stored", [
+        ("causal", 10, (10,)), ("bidirectional", [10], (10,)), ("global2d", 6, (6, 6)),
+        ("separable2d", [4, 6], (4, 6)), ("local", (np.int64(4), 6), (4, 6)),
+    ])
+    def test_extent_is_stored_as_a_tuple_of_ints(self, variant, extent, stored):
+        cfg = mx.MixerConfig(variant, 2, extent, embed_dim=4)
+        assert cfg.extent == stored and type(cfg.extent) is tuple
+        assert all(type(n) is int for n in cfg.extent)
+
     @pytest.mark.parametrize("variant,extent,shape", [
         ("bidirectional", 6, (2, 2, 6, 3)),
         ("causal", 6, (6, 4)),
@@ -514,6 +532,31 @@ class TestKernelSpectrumCache:
         y = mixer(x, kernel_override=impulse).data
         assert np.abs(y - oracle_global2d(x.data, mixer, impulse)).max() < 1e-10
         assert np.abs(mixer(x).data - oracle_global2d(x.data, mixer)).max() < 1e-10
+
+
+class TestLongConvKernels:
+    """``long_conv`` alone picks its kernels: called with none under a tape
+    that tracks the filter parameters, it materializes them, so the filters
+    get the partials that kernels handed to it get."""
+
+    @pytest.mark.parametrize("variant,extent", [
+        ("bidirectional", 7), ("global2d", (5, 6)), ("separable2d", (4, 5)), ("causal", 9),
+    ])
+    def test_filter_partials_without_kernels_equal_those_with_them(self, rng, variant, extent):
+        mixer = mx.GatedConvMixer(mx.MixerConfig(variant, 3, extent, embed_dim=4), rng)
+        params = [p for f in mixer.filters for _, p in f.parameters()]
+        qk_data = rng.normal(size=mixer.config.extent + (3,))
+        mixer.long_conv(Tensor(qk_data))  # fills the spectra cache a tracked call must not use
+        digests = []
+        for given in (False, True):
+            qk = Tensor(qk_data)
+            with GradTape(params + [qk]) as tape:
+                kernels = [mixer.kernel(i) for i in range(len(mixer.filters))] if given else None
+                loss = nx.tensor_sum(nx.square(mixer.long_conv(qk, kernels)))
+            grads = tape.gradient(loss, params)
+            digests.append([hashlib.sha256(g.data.tobytes()).hexdigest() for g in grads])
+            assert all(np.abs(g.data).max() > 0 for g in grads)
+        assert digests[0] == digests[1]
 
 
 def is_smooth(n):

@@ -67,38 +67,28 @@ class TestLayerNorm:
 class TestStemAndMerge:
     def test_stem_224_gives_56(self, rng):
         stem = mdl.ConvNormLayer(3, 64, 7, 4, 2, rng)
-        y = mdl.patch_embed(Tensor(rng.normal(size=(1, 224, 224, 3))), stem)
+        y = stem(Tensor(rng.normal(size=(1, 224, 224, 3))))
         assert y.shape == (1, 56, 56, 64)
 
     def test_stem_64_gives_16(self, rng):
         stem = mdl.ConvNormLayer(3, 8, 7, 4, 2, rng)
-        y = mdl.patch_embed(Tensor(rng.normal(size=(1, 64, 64, 3))), stem)
+        y = stem(Tensor(rng.normal(size=(1, 64, 64, 3))))
         assert y.shape == (1, 16, 16, 8)
 
     def test_constant_image_constant_interior(self, rng):
         stem = mdl.ConvNormLayer(3, 4, 7, 4, 2, rng)
-        y = mdl.patch_embed(Tensor(np.full((1, 64, 64, 3), 0.5)), stem).data[0]
+        y = stem(Tensor(np.full((1, 64, 64, 3), 0.5))).data[0]
         interior = y[2:-2, 2:-2]
         spread = np.abs(interior - interior[0, 0]).max()
         assert spread < 1e-10
 
-    def test_indivisible_input_rejected(self, rng):
-        stem = mdl.ConvNormLayer(3, 4, 7, 4, 2, rng)
-        with pytest.raises(ValueError):
-            mdl.patch_embed(Tensor(rng.normal(size=(1, 60, 60, 3))), stem)
-
     def test_downsample_shapes(self, rng):
         layer = mdl.ConvNormLayer(64, 128, 3, 2, 1, rng)
-        y = mdl.downsample(Tensor(rng.normal(size=(1, 56, 56, 64))), layer)
+        y = layer(Tensor(rng.normal(size=(1, 56, 56, 64))))
         assert y.shape == (1, 28, 28, 128)
         layer2 = mdl.ConvNormLayer(320, 512, 3, 2, 1, rng)
-        y2 = mdl.downsample(Tensor(rng.normal(size=(1, 14, 14, 320))), layer2)
+        y2 = layer2(Tensor(rng.normal(size=(1, 14, 14, 320))))
         assert y2.shape == (1, 7, 7, 512)
-
-    def test_downsample_odd_extent_rejected(self, rng):
-        layer = mdl.ConvNormLayer(4, 8, 3, 2, 1, rng)
-        with pytest.raises(ValueError):
-            mdl.downsample(Tensor(rng.normal(size=(1, 7, 7, 4))), layer)
 
     def test_shape_ladder_all_stages(self):
         config = mdl.preset_config("hpx-s18")
@@ -242,6 +232,24 @@ class TestBuildModel:
                 mdl.config_from_dict({**mdl.micro_config().to_dict(), key: value})
         with pytest.raises(ValueError):
             mdl.config_from_dict([["num_classes", 4]])
+
+    @pytest.mark.parametrize("key,value", [
+        ("stage_channels", (8, 8, 8)),
+        ("stage_blocks", (1.5, 1, 1, 1)),
+        ("mixer_layout", ("global2d",) * 3 + (4,)),
+        ("input_size", 32),
+        ("num_classes", 2.5),
+        ("num_classes", True),
+    ])
+    def test_wrongly_typed_values_rejected_from_python(self, key, value):
+        # Once: an int input_size raised a bare TypeError, and a float class
+        # or block count passed the config.
+        with pytest.raises(ValueError, match=rf"^config key '{key}' must"):
+            mdl.ModelConfig(**{**mdl.micro_config().to_dict(), key: value})
+
+    def test_lists_become_tuples(self):
+        config = mdl.ModelConfig(**{**mdl.micro_config().to_dict(), "input_size": [32, 32]})
+        assert config == mdl.micro_config() and config.input_size == (32, 32)
 
     @pytest.mark.parametrize("key,value", [
         ("input_size", [0, 0]),
@@ -424,7 +432,7 @@ class TestBlockPool:
         monkeypatch.setattr(nx.Tensor, "__init__", tensor_init)
         monkeypatch.setattr(nx, "_record", tape_record)
         with GradTape() as tape:
-            x = mdl.patch_embed(image, m.stem)
+            x = m.stem(image)
             for block in m.stages[0]:
                 x = block(x)
             loss = nx.tensor_sum(x)

@@ -1,6 +1,8 @@
 import ast
 import copy
 import hashlib
+import importlib
+import json
 import os
 import re
 import signal
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 from conftest import FFT_ENTRY_POINTS
 
+from fftmix import analysis, cli, hpxio
+from fftmix import model as mdl
 from fftmix import numerics as nx
 from fftmix.numerics import GradTape, Tensor, circular_convolve, grad_check
 
@@ -1006,7 +1010,7 @@ class TestTapeAndVjp:
     ])
     def test_real_input_becomes_float64(self, value):
         t = Tensor(value)
-        assert t.dtype == np.float64 and np.array_equal(t.data, np.asarray(value, dtype=np.float64))
+        assert t.data.dtype == np.float64 and np.array_equal(t.data, np.asarray(value, dtype=np.float64))
 
     def test_float64_input_is_not_copied(self, rng):
         # grad_check perturbs inputs through their arrays.
@@ -1565,3 +1569,100 @@ def test_every_public_primitive_has_a_caller_in_the_package():
     uncalled |= {name for name in methods if last(name) not in attributes}
     uncalled -= set(UNCALLED_BY_PACKAGE)
     assert not uncalled, f"functions, methods and constants without a reader: {sorted(uncalled)}"
+
+
+# Methods and properties of package classes that no run of the package
+# enters, each with the reason it stays.
+UNENTERED_BY_PACKAGE = {
+    "numerics.GradTape.nodes": "the benchmark harness's per-layer tracer reads each tape's nodes",
+}
+
+
+def _method_code() -> dict:
+    """``module.Class.name`` -> the code objects of every method but a
+    dunder, and of every property accessor, that a class of the package
+    defines in the package's own source."""
+    package = Path(nx.__file__).parent
+    found = {}
+    for path in package.glob("*.py"):
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"fftmix.{path.stem}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            for name, attr in vars(cls).items():
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                funcs = [attr.fget, attr.fset, attr.fdel] if isinstance(attr, property) else [attr]
+                codes = [getattr(getattr(f, "__func__", f), "__code__", None) for f in funcs]
+                codes = [c for c in codes if c is not None and Path(c.co_filename).parent == package]
+                if codes:
+                    found[f"{path.stem}.{cls.__name__}.{name}"] = codes
+    return found
+
+
+def _run_every_subcommand(tmp_path) -> None:
+    """Each CLI subcommand in-process on micro checkpoints, then one 224 px
+    ``erf_map`` on ``hpx-s4``, whose wide layers run their blocks on the pool."""
+    rng = np.random.default_rng(0)
+    images = tmp_path / "data"
+    for split in ("train", "val"):
+        for label in ("a", "b"):
+            (images / split / label).mkdir(parents=True)
+            for i in range(2):
+                hpxio.write_hpx1(images / split / label / f"{i}.hpx1", rng.normal(size=(32, 32, 3)))
+    micro = mdl.micro_config().to_dict()
+    every_mixer = {**micro, "mixer_layout": ["local", "separable2d", "causal", "bidirectional"], "num_classes": 2}
+    train = {"total_epochs": 1, "warmup_epochs": 0}
+    runs = {
+        "synthetic": {"model": micro, "train": train, "data": {"train_size": 16, "val_size": 8}},
+        "directory": {"model": every_mixer, "train": train,
+                      "data": {"source": "directory", "path": str(images), "num_classes": 2}},
+    }
+    for name, config in runs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    argvs = [["train", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)] for name in runs]
+    synthetic, directory = (str(tmp_path / name / "checkpoint") for name in runs)
+    argvs += [
+        ["model", "info", "--checkpoint", directory],
+        ["model", "info", "--preset", "chpx-s4", "--input-size", "64", "--out", str(tmp_path / "info")],
+        ["erf", "--model", synthetic, "--num", "2", "--out", str(tmp_path / "erf")],
+        ["erf", "--model", directory, "--images", str(images / "val" / "a"), "--out", str(tmp_path / "erf_dir")],
+        ["coverage", "--model", directory, "--out", str(tmp_path / "coverage")],
+        ["truncate", "--model", synthetic, "--stage", "2", "--rel", "1.0", "--eval", "--out", str(tmp_path / "trunc")],
+        ["bench", "--variants", ",".join(analysis.BENCH_VARIANTS), "--extents", "3,4", "--channels", "2",
+         "--out", str(tmp_path / "bench")],
+        ["filters", "dump", "--model", directory, "--per-channel", "--out", str(tmp_path / "filters")],
+    ]
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    model = mdl.build_model(mdl.preset_config("hpx-s4"), seed=0)
+    analysis.erf_map(model, rng.normal(size=(1, 224, 224, 3)))
+
+
+def test_every_method_and_property_is_entered_by_a_run_of_the_package(tmp_path, monkeypatch):
+    # The static test above counts a method as read when any attribute of
+    # its name is, such as ``.dtype`` of an array or ``to_dict`` of another
+    # class; this one requires each method's own code to run.
+    code = _method_code()
+    assert set(UNENTERED_BY_PACKAGE) <= set(code)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    monkeypatch.setattr(nx, "_POOL", None)  # a pool whose threads start under the profile
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        _run_every_subcommand(tmp_path)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        if nx._POOL is not None:
+            nx._POOL.shutdown()
+    unentered = {name for name, codes in code.items() if not entered.issuperset(codes)}
+    unentered -= set(UNENTERED_BY_PACKAGE)
+    assert not unentered, f"methods and properties that no run enters: {sorted(unentered)}"

@@ -236,6 +236,27 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=rf"^{key} must"):
             tr.DatasetSpec(**{key: value})
 
+    @pytest.mark.parametrize("cls,key,value", [
+        (tr.TrainConfig, "lr_peak", "0.001"),
+        (tr.TrainConfig, "lr_peak", float("nan")),
+        (tr.TrainConfig, "lr_final", float("inf")),
+        (tr.TrainConfig, "lr_final", -1e-5),
+        (tr.TrainConfig, "weight_decay", -1.0),
+        (tr.TrainConfig, "batch_size", 2.5),
+        (tr.TrainConfig, "total_epochs", True),
+        (tr.DatasetSpec, "train_size", 2.5),
+        (tr.DatasetSpec, "image_size", 32.0),
+        (tr.DatasetSpec, "seed", "x"),
+        (tr.DatasetSpec, "path", 5),
+    ])
+    def test_wrongly_typed_or_negative_values_are_rejected_naming_the_key(self, cls, key, value):
+        with pytest.raises(ValueError, match=rf"^(config key '{key}'|{key}) must"):
+            cls(**{key: value})
+
+    def test_float_keys_take_ints_and_path_takes_a_string(self):
+        assert tr.TrainConfig(lr_peak=1, lr_final=0, weight_decay=0).lr_peak == 1
+        assert tr.DatasetSpec(source="directory", path="images").path == "images"
+
     def test_zero_sizes_and_small_directory_images_stay_legal(self):
         tx, _, vx, _ = tr.synthetic_quadrant_dataset(tr.DatasetSpec(train_size=0, val_size=2, image_size=8))
         assert tx.shape == (0, 8, 8, 3) and vx.shape == (2, 8, 8, 3)
