@@ -375,16 +375,14 @@ _DISPATCH = {
     "coverage": _cmd_coverage,
     "truncate": _cmd_truncate,
     "bench": _cmd_bench,
+    "model": _cmd_model_info,
+    "filters": _cmd_filters_dump,
 }
 
 
 def run(config: CliConfig) -> int:
     """Dispatch a parsed CliConfig; module errors surface as exit code 1."""
     try:
-        if config.subcommand == "model":
-            return _cmd_model_info(config)
-        if config.subcommand == "filters":
-            return _cmd_filters_dump(config)
         return _DISPATCH[config.subcommand](config)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"fftmix {config.subcommand}: error: {exc}", file=sys.stderr)

@@ -221,8 +221,7 @@ def eval_window(params: WindowParams, positions: np.ndarray) -> Tensor:
     if np.any(params.alpha.data < 0):
         raise ValueError("alpha must be non-negative")
     d = window_distances(params, positions)
-    d_col = Tensor(d[:, None])
-    decay = nx.exp(nx.neg(nx.mul(params.alpha, d_col)))
+    decay = nx.exp(nx.mul(params.alpha, Tensor(-d[:, None])))
     return nx.add(decay, params.bias)
 
 

@@ -23,21 +23,14 @@ convolution through the same op.  How those ops and the long convolutions
 cut their work into blocks is ``numerics``' decision alone.
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
-axes.  Only the centered variants use the FFT.  Each convolved axis of
-the kernel is zero-padded at its front from 2L-1 to M, the smallest
-2^a 3^b 5^c 7^d >= 2L-1 (``_fft_length``), so offset -(L-1) sits at index
-M-(2L-1).  One ``numerics.circular_convolve`` per pass then takes the
-unpadded input of length L: the transform zero-pads it to M and the op
-returns only the last L outputs of the length-M circular convolution,
-which are exactly y[i] = sum_s x[s] * h[i - s], since no index of that
-sum wraps around.  No padded input and no full-length output is kept, on
-a tape or off it.  A smooth M keeps the transform on pocketfft's radix
-kernels, where lengths with a larger prime factor, such as ``hb-s4``'s
-6271, 1567, 391 = 17 * 23 and 97 at 224 px, go through Bluestein's
-algorithm.  ``causal`` runs the direct sum over offsets
-0..L-1, one windowed contraction in ``numerics.shift_convolve``; no output
-reads a later position, so its Jacobian above the diagonal is exactly zero
-rather than zero up to rounding.
+axes.  Only the centered variants use the FFT: each pass is one
+``numerics.circular_convolve``, the centred convolution of the input with
+its unpadded kernel of 2L-1 taps per convolved axis, which picks its
+transform length and pads the kernel itself.  ``causal`` runs the direct
+sum over offsets 0..L-1, one windowed contraction in
+``numerics.shift_convolve``; no output reads a later position, so its
+Jacobian above the diagonal is exactly zero rather than zero up to
+rounding.
 
 ``GatedConvMixer.long_conv`` alone picks the kernels a long convolution
 uses.  Kernels handed to it (``forward``'s ``kernel_override``) are used as
@@ -221,31 +214,6 @@ def project_qkv(x: Tensor, params: GateProjection) -> tuple[Tensor, Tensor, Tens
 # ---------------------------------------------------------------------------
 
 
-def _fft_length(n: int) -> int:
-    """The smallest 2^a 3^b 5^c 7^d >= ``n``."""
-    m = max(n, 1)
-    while True:
-        r = m
-        for p in (2, 3, 5, 7):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return m
-        m += 1
-
-
-def _pad_to_fft_length(kernel: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """``kernel`` zero-padded at the front of each of ``axes`` to its
-    ``_fft_length`` M; ``kernel`` itself when every such length is already
-    smooth.  A centered kernel of 2L-1 taps then holds offset -(L-1) at
-    index M-(2L-1), so the last L outputs of a length-M circular
-    convolution of an input of length L are the centered ones."""
-    pw = [(0, 0)] * kernel.ndim
-    for ax in axes:
-        pw[ax] = (_fft_length(kernel.shape[ax]) - kernel.shape[ax], 0)
-    return nx.pad(kernel, pw) if any(lo for lo, _ in pw) else kernel
-
-
 class GatedConvMixer:
     """y = out_proj(g(q * k) * v) with an implicit long-convolution g."""
 
@@ -292,9 +260,8 @@ class GatedConvMixer:
         and a centered variant otherwise convolves with ``_cached_spectra``.
 
         A centered pass is y[i] = sum_s qk[s] * h[i - s] along its axes, one
-        ``circular_convolve`` of the unpadded ``qk``: the transform zero-pads
-        it to the kernel's length M and keeps the last L outputs, which read
-        no wrapped index."""
+        ``circular_convolve`` of ``qk`` with a kernel of 2L-1 taps; a kernel
+        of any other length is an error."""
         if kernels is not None:
             listed = kernels if isinstance(kernels, (list, tuple)) else [kernels]
             kernels = [nx._lift(k) for k in listed]
@@ -312,18 +279,15 @@ class GatedConvMixer:
 
     def _centered_passes(self, kernels) -> list:
         """(kernel shaped against the input, convolved axes) of each centered
-        pass, in the order they run.  Each convolved axis is zero-padded at
-        its front from 2L-1 to ``_fft_length(2L-1)``."""
+        pass, in the order they run."""
         cfg = self.config
         if cfg.variant == "bidirectional":
-            passes = [(kernels[0], (-2,))]
-        elif cfg.variant == "global2d":
+            return [(kernels[0], (-2,))]
+        if cfg.variant == "global2d":
             ky, kx = cfg.filter_extent()
-            passes = [(nx.reshape(kernels[0], (ky, kx, cfg.channels)), (-3, -2))]
-        else:  # separable2d: horizontal, then vertical
-            ky, _ = cfg.filter_extent()
-            passes = [(kernels[0], (-2,)), (nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))]
-        return [(_pad_to_fft_length(k, axes), axes) for k, axes in passes]
+            return [(nx.reshape(kernels[0], (ky, kx, cfg.channels)), (-3, -2))]
+        ky, _ = cfg.filter_extent()  # separable2d: horizontal, then vertical
+        return [(kernels[0], (-2,)), (nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))]
 
     def _cached_spectra(self) -> list:
         """The centered passes with each kernel replaced by its spectrum.

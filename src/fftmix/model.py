@@ -13,6 +13,7 @@ sequence; 2D mixers see it as is.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,8 +106,9 @@ _RETIRED_KEYS = {
 def _typed_value(key: str, value, like):
     """``value`` checked against ``like``, the key's default: the same
     scalar type, or a list or tuple of that many items of its item type.  A
-    float key also takes an int and rejects NaN and infinities, a key whose
-    default is None takes a string, and no key takes a bool."""
+    float key also takes an int, and rejects NaN, infinities and any int too
+    large for a float; a key whose default is None takes a string, and no
+    key takes a bool."""
     if isinstance(like, tuple):
         kind = type(like[0])
         if not (
@@ -120,8 +122,9 @@ def _typed_value(key: str, value, like):
     kinds = {float, int} if kind is float else {kind}
     if type(value) not in kinds and not (like is None and value is None):
         raise ValueError(f"config key {key!r} must be of type {kind.__name__}")
-    if type(value) is float and not np.isfinite(value):
-        raise ValueError(f"config key {key!r} must be finite, got {value}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, infinities, ints no float holds
+        shown = value if type(value) is float else f"an int of {len(str(abs(value)))} digits"
+        raise ValueError(f"config key {key!r} must be finite, got {shown}")
     return value
 
 

@@ -14,8 +14,8 @@ graph of the values it treats as constants.  A recorded op keeps only the
 arrays its vector-Jacobian product reads, never a tensor.
 
 The primitives are the elementwise and reduction ops (``add``, ``mul``,
-``neg``, ``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape
-ops (``reshape``, ``pad``, ``crop``), ``matmul``/``linear``, the
+``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape ops
+(``reshape``, ``crop``), ``matmul``/``linear``, the
 convolutions (``circular_convolve`` with ``kernel_spectrum``,
 ``shift_convolve``, ``strided_conv2d``) and five fused layers:
 ``layer_norm``, ``star_relu`` and ``cross_entropy`` each record one op with
@@ -27,11 +27,13 @@ and the hidden layer in the backward pass; and
 ``pointwise_depthwise`` (linear, ``shift_convolve``, add) records one op in
 place of 4, writing its pointwise layer into the zero-padded buffer its
 depthwise taps read and recomputing that layer for the taps' partial.
-``circular_convolve`` has one path, whether it is given a kernel or a
-kernel spectrum (the constant kernel of a pass that leaves the kernels
-as they are): it transforms no zero padding of its own, inverts only
-the rows that its output, or its x-partial, reads, and takes the kernel
-partial with one inverse transform, after summing over the batch.
+``circular_convolve`` is the centred convolution of an L-long map with a
+kernel of 2L-1 taps on each convolved axis, and picks its transform length
+itself.  It has one path, whether it is given a kernel or a kernel spectrum
+(the constant kernel of a pass that leaves the kernels as they are): it
+pads only the kernel, inverts only the rows that its output, or its
+x-partial, reads, and takes the kernel partial with one inverse transform,
+after summing over the batch.
 
 The wide layers work in independent blocks under one byte budget,
 ``_BLOCK_BYTES`` (2 MiB), which covers every block in flight at once:
@@ -458,13 +460,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def neg(a) -> Tensor:
-    a = _lift(a)
-    out = Tensor(-a.data)
-    _record("neg", out, (a,), _needs(a), lambda g: (-g,))
-    return out
-
-
 def exp(a) -> Tensor:
     a = _lift(a)
     val = np.exp(a.data)
@@ -555,16 +550,6 @@ def matmul(a, b) -> Tensor:
             return ga, gb
 
         _record("matmul", out, (a, b), need, vjp)
-    return out
-
-
-def pad(a, pad_width: Sequence[tuple[int, int]]) -> Tensor:
-    """Zero-pad; ``pad_width`` is one (before, after) pair per axis."""
-    a = _lift(a)
-    pw = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-    out = Tensor(np.pad(a.data, pw))
-    slices = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
-    _record("pad", out, (a,), _needs(a), lambda g: (g[slices],))
     return out
 
 
@@ -890,8 +875,31 @@ def _normalize_axes(ndim: int, dims: Iterable[int]) -> tuple[int, ...]:
     return tuple(axes)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d >= ``n``."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _spectrum_of(h: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``rfftn`` of ``h`` zero-padded at the front of each of ``axes`` to its
+    ``_fft_length``; no copy is padded when every such length is smooth."""
+    pw = [(0, 0)] * h.ndim
+    for ax in axes:
+        pw[ax] = (_fft_length(h.shape[ax]) - h.shape[ax], 0)
+    return np.fft.rfftn(np.pad(h, pw) if any(lo for lo, _ in pw) else h, axes=axes)
+
+
 class KernelSpectrum(NamedTuple):
-    """``rfftn`` of a real kernel of ``shape`` over its ``axes``."""
+    """The transform ``circular_convolve`` takes of a real kernel of
+    ``shape`` over its ``axes``."""
 
     data: np.ndarray
     shape: tuple[int, ...]
@@ -910,7 +918,7 @@ def kernel_spectrum(h, dims: Sequence[int]) -> KernelSpectrum:
     """
     arr = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=DTYPE)
     axes = _normalize_axes(arr.ndim, dims)
-    return KernelSpectrum(np.fft.rfftn(arr, axes=axes), arr.shape, axes)
+    return KernelSpectrum(_spectrum_of(arr, axes), arr.shape, axes)
 
 
 def _mul_spectrum(f: np.ndarray, hf: np.ndarray) -> np.ndarray:
@@ -990,31 +998,39 @@ def _sliced(shape: tuple[int, ...], sl: slice) -> tuple[int, ...]:
 
 
 def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
-    """Circular convolution y[t] = sum_s x[s] * h[(t-s) mod M] along ``dims``,
-    M being ``h``'s length on each convolved axis.
+    """Centred convolution y[i] = sum_s x[s] * h[i - s + L - 1] along ``dims``,
+    L being ``x``'s length on each convolved axis, where ``h`` has exactly
+    2L-1 taps, for offsets -(L-1) .. L-1; any other length is an error.  The
+    output keeps ``x``'s length L.  ``h`` aligns with ``x`` from the trailing
+    axis and has no more axes than ``x``; other axes follow numpy
+    broadcasting.
+    ``h`` may be ``kernel_spectrum(h, dims)``, which skips the kernel's
+    transform on every call with the same kernel and makes the kernel a
+    constant.
 
-    ``x`` may be shorter than ``h`` on a convolved axis, never longer.  A
-    shorter ``x``, of length L, is zero-padded at its end to M inside the
-    transform, and the output keeps ``x``'s length: it holds the last L
-    entries of the length-M convolution, the ones overlap-save keeps, as a
-    copy, so no M-sized array outlives the call.  With equal lengths the
-    output is the whole circular convolution.  ``h`` aligns with ``x`` from
-    the trailing axis and has no more axes than ``x``; other axes follow
-    numpy broadcasting.  ``h`` may be ``kernel_spectrum(h, dims)``, which
-    skips the kernel's transform on every call with the same kernel and
-    makes the kernel a constant.
+    The op computes it as a circular convolution of length M, the smallest
+    2^a 3^b 5^c 7^d >= 2L-1 on each convolved axis (``_fft_length``).  The
+    kernel is zero-padded at its front from 2L-1 to M, so offset -(L-1) sits
+    at index M-(2L-1); no copy is padded when every M is 2L-1 already.  ``x``
+    is zero-padded at its end to M inside the transform, and the output is
+    the last L entries of the length-M convolution, which are exactly the
+    centred sum, since no index of it wraps around.  No padded input and no
+    full-length output is kept, on a tape or off it.  A smooth M keeps the
+    transform on pocketfft's radix kernels, where lengths with a larger
+    prime factor, such as ``hb-s4``'s 6271, 1567, 391 = 17 * 23 and 97 at
+    224 px, go through Bluestein's algorithm.
 
-    One path computes every call: H = ``rfftn(h)``, X = ``rfftn(x)`` over the
-    padded lengths, and the product X * H inverted over only the entries the
-    output keeps (``_pruned_irfftn``): an in-place ``ifft`` over each
-    convolved axis but the last, then one ``irfft`` of the kept rows.  The
-    x-partial is the correlation ``irfftn(G * conj(H))`` of G = ``rfftn(g)``,
-    ``g`` zero-padded at its end, read at entries (L + s) mod M with the same
-    pruned inverse.  The kernel partial is ``irfftn(sum(conj(X) * G))``, the
-    sum over the batch and every axis ``h`` broadcasts along taken on the
-    spectrum, so one inverse runs per kernel; its tap k is entry
-    (k + L) mod M.  A tape keeps H for the x-partial and ``x`` for the
-    kernel partial, no spectrum of ``x``.
+    One path computes every call: H = ``rfftn`` of the padded kernel, X =
+    ``rfftn(x)`` over the lengths M, and the product X * H inverted over only
+    the entries the output keeps (``_pruned_irfftn``): an in-place ``ifft``
+    over each convolved axis but the last, then one ``irfft`` of the kept
+    rows.  The x-partial is the correlation ``irfftn(G * conj(H))`` of G =
+    ``rfftn(g)``, ``g`` zero-padded at its end, read at entries (L + s) mod M
+    with the same pruned inverse.  The kernel partial is
+    ``irfftn(sum(conj(X) * G))``, the sum over the batch and every axis ``h``
+    broadcasts along taken on the spectrum, so one inverse runs per kernel;
+    its tap k is entry (k + L + M - (2L-1)) mod M.  A tape keeps H for the
+    x-partial and ``x`` for the kernel partial, no spectrum of ``x``.
 
     The output and each partial are allocated once, and every pass runs
     over blocks of channels (``_over_blocks``), each block writing its
@@ -1035,27 +1051,27 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     offset = x.ndim - h.ndim
     if offset < 0:
         raise ValueError(f"h has {h.ndim} axes, more than x's {x.ndim}")
-    for ax in x_axes:
-        h_ax = ax - offset
-        if h_ax < 0 or x.shape[ax] > h.shape[h_ax]:
-            raise ValueError(
-                f"convolved axis {ax}: x length {x.shape[ax]} does not match h "
-                "(x may be shorter than h, not longer)"
-            )
+    sx = x.shape
+    sizes = tuple(sx[ax] for ax in x_axes)
+    taps = tuple(2 * n - 1 for n in sizes)
+    for ax, n, k in zip(x_axes, sizes, taps):
+        got = h.shape[ax - offset] if ax >= offset else "none"
+        if got != k:
+            raise ValueError(f"convolved axis {ax}: x has length L = {n}, so h needs 2L-1 = {k} taps, got {got}")
     h_axes = tuple(ax - offset for ax in x_axes)
     if spectral and h.axes != h_axes:
         raise ValueError(f"kernel spectrum taken over axes {h.axes}, not {h_axes}")
-    lengths = tuple(h.shape[ax] for ax in h_axes)
-    sx = x.shape
+    lengths = tuple(_fft_length(k) for k in taps)
     # The output is entries M-L .. M-1 of the convolution.  The partials
-    # transform g zero-padded at its end, so its correlation with h sits L
-    # entries on: entries (L + s) mod M, which wrap once when M < 2L.
-    sizes = tuple(sx[ax] for ax in x_axes)
+    # transform g zero-padded at its end, so its correlation with the padded
+    # kernel sits L entries on: entries (L + s) mod M, which wrap once when
+    # M < 2L.
     out_starts = tuple(m - n for n, m in zip(sizes, lengths))
     gx_starts = tuple(n % m for n, m in zip(sizes, lengths))
     need = _needs(x) if spectral else _needs(x, h)
-    hf = h.data if spectral else np.fft.rfftn(h.data, axes=h_axes)
-    spec = np.broadcast_shapes(tuple(1 if ax in x_axes else n for ax, n in enumerate(sx)), hf.shape)
+    hf = h.data if spectral else _spectrum_of(h.data, h_axes)
+    hf_shape = hf.shape
+    spec = np.broadcast_shapes(tuple(1 if ax in x_axes else n for ax, n in enumerate(sx)), hf_shape)
     chans, per_channel = [slice(None)], 0
     if x.ndim - 1 not in x_axes and h.shape[-1] == sx[-1]:  # channels that x and h share
         per_channel = 16 * math.prod(spec[:-1])  # bytes of one channel's spectrum
@@ -1078,8 +1094,6 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
     out = Tensor(y)
     if need:
         xd = x.data if not spectral and need[1] else None
-        last = h_axes[-1]
-        hf_shape = h.shape[:last] + (lengths[-1] // 2 + 1,) + h.shape[last + 1 :]
         sh = h.shape
         # A block of the kernel partial holds two spectra of the batch at
         # once, G and X, and then the first pass of the summed spectrum's
@@ -1099,12 +1113,14 @@ def circular_convolve(x, h, dims: Sequence[int]) -> Tensor:
                 if gh is not None:  # before the x-partial overwrites gf
                     # The correlation of g with x, summed down to h's shape on
                     # the spectrum.  G holds g at the head of the transform,
-                    # where the output was its tail, so tap k is entry
-                    # (k + L) mod M.
+                    # where the output was its tail, so tap k of the padded
+                    # kernel is entry (k + L) mod M, and h's 2L-1 taps are
+                    # the last of its M.
                     cf = np.fft.rfftn(xd[..., sl], s=lengths, axes=x_axes)
                     cf = _unbroadcast(_mul_spectrum(np.conjugate(cf, out=cf), gf), _sliced(hf_shape, sl))
                     cf = np.fft.irfftn(cf, s=lengths, axes=h_axes)  # the spectrum freed before the copy
-                    _copy_window(cf, gh[..., sl], h_axes, [_window_pieces(n % m, m, m) for n, m in zip(sizes, lengths)])
+                    windows = [_window_pieces((m - n + 1) % m, 2 * n - 1, m) for n, m in zip(sizes, lengths)]
+                    _copy_window(cf, gh[..., sl], h_axes, windows)
                     del cf
                 if gx is not None:
                     # irfftn(G * conj(H)) taken as irfftn(conj(conj(G) * H)),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shutil
@@ -116,6 +117,7 @@ class TestParse:
     @pytest.mark.parametrize("section,key,value", [
         ("train", "lr_peak", "0.001"),
         ("train", "lr_peak", float("nan")),
+        pytest.param("train", "lr_peak", 10**400, id="train-lr_peak-int-beyond-float"),
         ("train", "weight_decay", -1.0),
         ("train", "batch_size", 2.5),
         ("data", "train_size", 2.5),
@@ -174,6 +176,10 @@ class TestParse:
 
     def test_main_maps_usage_errors_to_2(self):
         assert cli.main(["bogus"]) == 2
+
+    def test_one_dispatch_table_holds_every_subcommand(self):
+        (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(cli._DISPATCH) == set(sub.choices)
 
 
 class TestModelInfo:

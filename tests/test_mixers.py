@@ -245,6 +245,21 @@ class TestBidirectional:
         y = mixer.forward(Tensor(x)).data
         assert np.abs(y - oracle_bidirectional(x, mixer)).max() < 1e-10
 
+    @pytest.mark.parametrize("taps", [9, 10, 16, 18, 20, 40])
+    def test_kernel_of_another_length_than_2l_minus_1_is_rejected(self, rng, taps):
+        # L = 9: only 17 taps are centred.  The lengths tried include L
+        # itself, smooth lengths that need no padding (16, 18, 20) and
+        # lengths past 2L-1.
+        mixer = mx.GatedConvMixer(mx.MixerConfig("bidirectional", 2, 9, embed_dim=2), rng)
+        x = Tensor(rng.normal(size=(9, 2)))
+        bad = rng.normal(size=(taps, 2))
+        named = f"convolved axis 0: x has length L = 9, so h needs 2L-1 = 17 taps, got {taps}"
+        with pytest.raises(ValueError, match=named):
+            mixer.forward(x, kernel_override=bad)
+        with pytest.raises(ValueError, match=named):
+            mixer.long_conv(x, bad)
+        assert mixer.forward(x, kernel_override=rng.normal(size=(17, 2))).shape == x.shape
+
 
 class TestGlobal2D:
     def test_center_impulse_gives_elementwise_product(self, rng):
@@ -274,6 +289,19 @@ class TestSeparable:
         over = [centered_impulse_kernel(mixer, 0), centered_impulse_kernel(mixer, 1)]
         y = mixer.forward(Tensor(x), kernel_override=over).data
         assert np.abs(y - x * x * x).max() < 1e-12
+
+    @pytest.mark.parametrize("taps", [7, 12, 14, 16, 20])
+    def test_horizontal_kernel_of_another_length_than_2l_minus_1_is_rejected(self, rng, taps):
+        # Lx = 7 wants 13 taps; the lengths tried include Lx itself and
+        # smooth lengths on either side of 13.
+        mixer = mx.GatedConvMixer(mx.MixerConfig("separable2d", 2, (5, 7), embed_dim=2), rng)
+        x = Tensor(rng.normal(size=(5, 7, 2)))
+        kernels = [rng.normal(size=(taps, 2)), rng.normal(size=(9, 2))]
+        named = f"convolved axis 1: x has length L = 7, so h needs 2L-1 = 13 taps, got {taps}"
+        with pytest.raises(ValueError, match=named):
+            mixer.forward(x, kernel_override=kernels)
+        with pytest.raises(ValueError, match=named):
+            mixer.long_conv(x, kernels)
 
     def test_rank_one_kernel_equals_global2d(self, rng):
         ey, ex, c = 5, 6, 2
@@ -573,7 +601,7 @@ class TestSmoothFFTLength:
     def test_length_is_the_next_smooth_number(self):
         smooth = [m for m in range(1, 2100) if is_smooth(m)]
         for n in range(1, 2001):
-            assert mx._fft_length(n) == min(m for m in smooth if m >= n), n
+            assert nx._fft_length(n) == min(m for m in smooth if m >= n), n
 
     @pytest.mark.parametrize(
         "variant,extent",
@@ -598,9 +626,12 @@ class TestSmoothFFTLength:
         assert np.abs(y_taped - oracle(x.data, mixer)).max() < 1e-10
         assert np.array_equal(y_taped, y_cached)
         spectrum, axes = mixer._cached_spectra()[0]
-        lengths = [spectrum.shape[ax] for ax in axes]
-        ext = mixer.config.filter_extent()
-        assert lengths == [mx._fft_length(n) for n in (ext if np.ndim(ext) else [ext])]
+        taps = list(np.atleast_1d(mixer.config.filter_extent()))
+        lengths = [nx._fft_length(n) for n in taps]
+        # The spectrum keeps the kernel's own shape; its data is the half
+        # spectrum over M on every convolved axis.
+        assert [spectrum.shape[ax] for ax in axes] == taps
+        assert [spectrum.data.shape[ax] for ax in axes] == lengths[:-1] + [lengths[-1] // 2 + 1]
 
     @pytest.mark.parametrize("variant,extent", [("bidirectional", 12), ("global2d", (4, 6))])
     def test_gradient_through_padded_kernel(self, rng, variant, extent):
@@ -611,6 +642,24 @@ class TestSmoothFFTLength:
         params = [p for f in mixer.filters for _, p in f.parameters()]
         err = grad_check(lambda *ps: nx.tensor_sum(nx.square(mixer(x))), params)
         assert err < 1e-5
+
+    @pytest.mark.parametrize(
+        "preset,taps,lengths",
+        [
+            ("hb-s4", [(6271,), (1567,), (391,), (97,)], [(6272,), (1568,), (392,), (98,)]),
+            ("hpx-s4", [(111, 111), (55, 55), (27, 27), (13, 13)], [(112, 112), (56, 56), (27, 27), (14, 14)]),
+        ],
+    )
+    def test_224px_cached_spectra_have_the_pinned_lengths(self, preset, taps, lengths):
+        # Each stage's transform lengths M, on which every output bit
+        # depends, read from its cached spectra without a forward pass: the
+        # spectrum keeps the kernel's taps, its data M on the leading axes
+        # and M // 2 + 1 on the last.
+        model = mdl.build_model(mdl.preset_config(preset), seed=0)
+        for blocks, k, m in zip(model.stages, taps, lengths, strict=True):
+            spectrum, axes = blocks[0].mixer._cached_spectra()[0]
+            assert tuple(spectrum.shape[ax] for ax in axes) == k
+            assert tuple(spectrum.data.shape[ax] for ax in axes) == m[:-1] + (m[-1] // 2 + 1,)
 
     @pytest.mark.parametrize(
         "preset,lengths",

@@ -24,56 +24,52 @@ from fftmix import numerics as nx
 from fftmix.numerics import GradTape, Tensor, circular_convolve, grad_check
 
 
-def circ_direct_1d(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    y = np.zeros_like(x)
-    for s in range(len(x)):
-        y += x[s] * np.roll(h, s)
-    return y
-
-
-def circ_direct_2d(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    ny, nxx = x.shape
-    y = np.zeros_like(x)
-    for sy in range(ny):
-        for sx in range(nxx):
-            y += x[sy, sx] * np.roll(np.roll(h, sy, axis=0), sx, axis=1)
+def centred_direct(x: np.ndarray, h: np.ndarray, nconv: int) -> np.ndarray:
+    """y[i] = sum_s x[s] * h[i - s + L - 1] over the leading ``nconv`` axes,
+    ``h`` having 2L-1 taps on each; trailing axes broadcast."""
+    size = x.shape[:nconv]
+    y = np.zeros(np.broadcast_shapes(x.shape, size + h.shape[nconv:]))
+    for s in np.ndindex(size):
+        y += x[s] * h[tuple(slice(n - 1 - a, 2 * n - 1 - a) for n, a in zip(size, s))]
     return y
 
 
 class TestCircularConvolve:
-    def test_impulse_reproduces_kernel(self):
-        y = circular_convolve(Tensor([1.0, 0, 0, 0]), Tensor([1.0, 2, 3, 4]), dims=[0])
-        assert np.allclose(y.data, [1, 2, 3, 4], atol=1e-13)
+    """The centred convolution of an L-long x with a kernel of 2L-1 taps."""
+
+    def test_impulses(self, rng):
+        # A centre impulse returns x; an impulse x returns the taps for
+        # offsets 0 .. L-1.
+        x = rng.normal(size=4)
+        y = circular_convolve(Tensor(x), Tensor([0.0, 0, 0, 1, 0, 0, 0]), dims=[0])
+        assert np.allclose(y.data, x, atol=1e-13)
+        y = circular_convolve(Tensor([1.0, 0, 0, 0]), Tensor([1.0, 2, 3, 4, 5, 6, 7]), dims=[0])
+        assert np.allclose(y.data, [4, 5, 6, 7], atol=1e-13)
 
     def test_all_ones(self):
-        y = circular_convolve(Tensor([1.0, 1, 1, 1]), Tensor([1.0, 1, 1, 1]), dims=[0])
+        # Every output sums all L inputs.
+        y = circular_convolve(Tensor([1.0, 1, 1, 1]), Tensor(np.ones(7)), dims=[0])
         assert np.allclose(y.data, 4.0, atol=1e-13)
 
     def test_random_1d_vs_direct(self, rng):
-        x, h = rng.normal(size=64), rng.normal(size=64)
+        x, h = rng.normal(size=64), rng.normal(size=127)
         y = circular_convolve(Tensor(x), Tensor(h), dims=[0]).data
-        assert np.abs(y - circ_direct_1d(x, h)).max() < 1e-10
+        assert np.abs(y - centred_direct(x, h, 1)).max() < 1e-10
 
     def test_random_2d_vs_direct(self, rng):
-        x, h = rng.normal(size=(9, 13)), rng.normal(size=(9, 13))
+        x, h = rng.normal(size=(9, 13)), rng.normal(size=(17, 25))
         y = circular_convolve(Tensor(x), Tensor(h), dims=[0, 1]).data
-        assert np.abs(y - circ_direct_2d(x, h)).max() < 1e-10
+        assert np.abs(y - centred_direct(x, h, 2)).max() < 1e-10
 
-    @pytest.mark.parametrize("n", [111, 6271])
+    @pytest.mark.parametrize("n", [56, 3136])
     def test_paper_lengths_vs_direct(self, rng, n):
-        # Odd lengths used by the stage kernels (6271 is prime).
-        x, h = rng.normal(size=n), rng.normal(size=n)
+        # The stage kernels' 111 and 6271 taps (6271 is prime).
+        x, h = rng.normal(size=n), rng.normal(size=2 * n - 1)
         y = circular_convolve(Tensor(x), Tensor(h), dims=[0]).data
-        assert np.abs(y - circ_direct_1d(x, h)).max() < 1e-9
-
-    def test_commutative(self, rng):
-        x, h = rng.normal(size=33), rng.normal(size=33)
-        a = circular_convolve(Tensor(x), Tensor(h), dims=[0]).data
-        b = circular_convolve(Tensor(h), Tensor(x), dims=[0]).data
-        assert np.abs(a - b).max() < 1e-12
+        assert np.abs(y - centred_direct(x, h, 1)).max() < 1e-9
 
     def test_linear(self, rng):
-        x, z, h = rng.normal(size=17), rng.normal(size=17), rng.normal(size=17)
+        x, z, h = rng.normal(size=17), rng.normal(size=17), rng.normal(size=33)
         a, b = 1.7, -0.3
         lhs = circular_convolve(Tensor(a * x + b * z), Tensor(h), dims=[0]).data
         rhs = a * circular_convolve(Tensor(x), Tensor(h), dims=[0]).data
@@ -82,37 +78,37 @@ class TestCircularConvolve:
 
     def test_batch_broadcasting(self, rng):
         x = rng.normal(size=(5, 12, 3))
-        h = rng.normal(size=(12, 3))
+        h = rng.normal(size=(23, 3))
         y = circular_convolve(Tensor(x), Tensor(h), dims=[-2]).data
         for b in range(5):
             for c in range(3):
-                ref = circ_direct_1d(x[b, :, c], h[:, c])
+                ref = centred_direct(x[b, :, c], h[:, c], 1)
                 assert np.abs(y[b, :, c] - ref).max() < 1e-10
 
-    def test_length_mismatch_error(self, rng):
-        with pytest.raises(ValueError):
-            circular_convolve(Tensor(rng.normal(size=8)), Tensor(rng.normal(size=7)), dims=[0])
-
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_length_mismatch_error(self, rng, spectral):
+        # Only 2L-1 taps are centred: shorter kernels, L taps, smooth
+        # lengths and longer kernels are named errors on the axis they miss.
+        for taps in (7, 8, 14, 16, 30):
+            kernel = _kernel_or_spectrum(rng.normal(size=(taps, 2)), [0], spectral)
+            with pytest.raises(ValueError, match=rf"^convolved axis 0: x has length L = 8, so h needs 2L-1 = 15 taps, got {taps}$"):
+                circular_convolve(Tensor(rng.normal(size=(8, 2))), kernel, dims=[0])
+        kernel = _kernel_or_spectrum(rng.normal(size=(9, 12, 2)), [0, 1], spectral)
+        with pytest.raises(ValueError, match="convolved axis 2: x has length L = 6, so h needs 2L-1 = 11 taps, got 12"):
+            circular_convolve(Tensor(rng.normal(size=(3, 5, 6, 2))), kernel, dims=[1, 2])
 
     def test_kernel_spectrum_in_place_of_kernel(self, rng):
-        x, h = rng.normal(size=(2, 9, 13, 3)), rng.normal(size=(9, 13, 3))
+        x, h = rng.normal(size=(2, 9, 13, 3)), rng.normal(size=(17, 25, 3))
         ref = circular_convolve(Tensor(x), Tensor(h), dims=[-3, -2]).data
         spectrum = nx.kernel_spectrum(Tensor(h), [-3, -2])
-        assert spectrum.data.shape == (9, 7, 3) and spectrum.shape == (9, 13, 3)
+        # 17 taps are transformed at M = 18, front-padded; 25 is smooth.
+        assert spectrum.data.shape == (18, 13, 3) and spectrum.shape == (17, 25, 3)
         y = circular_convolve(Tensor(x), spectrum, dims=[-3, -2]).data
         assert np.array_equal(y, ref)
-        # A 12-long x (12 // 2 + 1 == 13 // 2 + 1) is zero-padded to the
-        # spectrum's true length 13; the output is the trailing 12 columns.
-        short = circular_convolve(Tensor(x[:, :, :12]), spectrum, dims=[-3, -2]).data
-        assert short.shape == (2, 9, 12, 3)
-        for b in range(2):
-            for c in range(3):
-                padded = np.pad(x[b, :, :12, c], [(0, 0), (0, 1)])
-                assert np.abs(short[b, :, :, c] - circ_direct_2d(padded, h[:, :, c])[:, 1:]).max() < 1e-10
-        with pytest.raises(ValueError, match="does not match h"):
-            circular_convolve(Tensor(rng.normal(size=(2, 9, 14, 3))), spectrum, dims=[-3, -2])
+        with pytest.raises(ValueError, match="needs 2L-1 = 23 taps, got 25"):
+            circular_convolve(Tensor(x[:, :, :12]), spectrum, dims=[-3, -2])
         with pytest.raises(ValueError, match="taken over axes"):
-            circular_convolve(Tensor(x), spectrum, dims=[-2])
+            circular_convolve(Tensor(rng.normal(size=(2, 13, 3))), spectrum, dims=[-2])
         # On a tape the spectrum is a constant: one node, x its only input.
         g = rng.normal(size=x.shape)
         xt = Tensor(x)
@@ -132,36 +128,37 @@ def _kernel_or_spectrum(h: np.ndarray, dims, spectral: bool):
     return nx.kernel_spectrum(Tensor(h), dims) if spectral else Tensor(h)
 
 
+def centred_x_partial(h: np.ndarray, g: np.ndarray, nconv: int) -> np.ndarray:
+    """dsum(g * y) / dx[s] = sum_i g[i] * h[i - s + L - 1]: the centred sum of
+    g with h reversed on the convolved axes."""
+    return centred_direct(g, np.flip(h, axis=tuple(range(nconv))), nconv)
+
+
 class TestUnpaddedInput:
-    """``circular_convolve`` of an ``x`` shorter than ``h``: the transform
-    zero-pads x at its end to h's length M and the output is the last L of
-    the M outputs, whether h is a kernel or its spectrum."""
+    """``circular_convolve`` takes x unpadded and its 2L-1-tap kernel as it
+    is, whether the kernel is given or its spectrum: the transform zero-pads
+    x at its end to M and the output keeps the last L of the M outputs."""
 
     @pytest.mark.parametrize("spectral", [False, True])
     def test_1d_vs_direct(self, rng, spectral):
-        x, h = rng.normal(size=(5, 3)), rng.normal(size=(12, 3))
+        x, h = rng.normal(size=(5, 3)), rng.normal(size=(9, 3))
         y = circular_convolve(Tensor(x), _kernel_or_spectrum(h, [0], spectral), dims=[0]).data
         assert y.shape == x.shape
-        for c in range(3):
-            ref = circ_direct_1d(np.pad(x[:, c], (0, 7)), h[:, c])[7:]
-            assert np.abs(y[:, c] - ref).max() < 1e-10
+        assert np.abs(y - centred_direct(x, h, 1)).max() < 1e-10
 
     @pytest.mark.parametrize("spectral", [False, True])
     def test_2d_vs_direct(self, rng, spectral):
-        x, h = rng.normal(size=(2, 4, 6, 2)), rng.normal(size=(9, 12, 2))
+        x, h = rng.normal(size=(2, 4, 6, 2)), rng.normal(size=(7, 11, 2))
         y = circular_convolve(Tensor(x), _kernel_or_spectrum(h, [-3, -2], spectral), dims=[-3, -2]).data
         assert y.shape == x.shape
         for b in range(2):
-            for c in range(2):
-                ref = circ_direct_2d(np.pad(x[b, :, :, c], [(0, 5), (0, 6)]), h[:, :, c])[5:, 6:]
-                assert np.abs(y[b, :, :, c] - ref).max() < 1e-10
+            assert np.abs(y[b] - centred_direct(x[b], h, 2)).max() < 1e-10
 
     def test_centered_window_is_the_direct_sum(self, rng):
-        # A 2L-1 kernel padded at its front to M: the output is the centered
-        # sum y[i] = sum_s x[s] * k[i - s + L - 1].
-        n, m = 6, 14
+        # 2L-1 = 11 is transformed at M = 12, with one zero at the kernel's front.
+        n = 6
         x, k = rng.normal(size=n), rng.normal(size=2 * n - 1)
-        y = circular_convolve(Tensor(x), Tensor(np.pad(k, (m - 2 * n + 1, 0))), dims=[0]).data
+        y = circular_convolve(Tensor(x), Tensor(k), dims=[0]).data
         ref = [sum(x[s] * k[i - s + n - 1] for s in range(n)) for i in range(n)]
         assert np.abs(y - ref).max() < 1e-12
 
@@ -172,43 +169,38 @@ class TestUnpaddedInput:
         assert y.data.base is None and y.data.flags.owndata
 
     @pytest.mark.parametrize("spectral", [False, True])
-    def test_x_partial_is_the_padded_partial_cropped(self, rng, spectral):
-        # The x-partial equals that of the explicitly padded input, first L kept.
-        x, h, g = rng.normal(size=(5, 2)), rng.normal(size=(11, 2)), rng.normal(size=(5, 2))
-        kernel = _kernel_or_spectrum(h, [0], spectral)
-        xt, xp = Tensor(x), Tensor(np.pad(x, [(0, 6), (0, 0)]))
+    @pytest.mark.parametrize("size", [5, 6, 14])
+    def test_x_partial_is_the_direct_correlation(self, rng, spectral, size):
+        # M = 2L - 1 at L = 5 and 14, where the partial's window wraps, and
+        # M = 12 > 2L - 1 at L = 6.
+        x, h, g = rng.normal(size=(size, 2)), rng.normal(size=(2 * size - 1, 2)), rng.normal(size=(size, 2))
+        xt = Tensor(x)
         with GradTape([xt]) as tape:
-            y = circular_convolve(xt, kernel, dims=[0])
+            y = circular_convolve(xt, _kernel_or_spectrum(h, [0], spectral), dims=[0])
         (gx,) = tape.gradient(y, [xt], upstream=g)
-        with GradTape([xp]) as tape:
-            yp = circular_convolve(xp, kernel, dims=[0])
-        (gp,) = tape.gradient(yp, [xp], upstream=np.pad(g, [(6, 0), (0, 0)]))
-        assert np.abs(y.data - yp.data[6:]).max() < 1e-12
-        assert np.abs(gx.data - gp.data[:5]).max() < 1e-12
+        assert np.abs(gx.data - centred_x_partial(h, g, 1)).max() < 1e-12
 
     def test_x_broadcasts_against_h(self, rng):
         # x has one channel and h three: the product is wider than x's spectrum.
-        x, h = rng.normal(size=(4, 1)), rng.normal(size=(9, 3))
+        x, h = rng.normal(size=(4, 1)), rng.normal(size=(7, 3))
         y = circular_convolve(Tensor(x), Tensor(h), dims=[0]).data
-        for c in range(3):
-            ref = circ_direct_1d(np.pad(x[:, 0], (0, 5)), h[:, c])[5:]
-            assert np.abs(y[:, c] - ref).max() < 1e-10
+        assert np.abs(y - centred_direct(x, h, 1)).max() < 1e-10
         f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0])))
         assert grad_check(f, [Tensor(x), Tensor(h)]) < 1e-5
 
     def test_spectral_gradient(self, rng):
         spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(9, 2))), [0])
         f = lambda a: nx.tensor_sum(nx.square(circular_convolve(a, spectrum, dims=[0])))
-        assert grad_check(f, [Tensor(rng.normal(size=(4, 2)))]) < 1e-5
+        assert grad_check(f, [Tensor(rng.normal(size=(5, 2)))]) < 1e-5
 
     @pytest.mark.parametrize("spectral", [False, True])
     def test_inverse_writes_into_the_product(self, rng, spectral):
-        # A padded 2D pass holds the spectra (the kernel's as well unless it
-        # is given as one) and its output, no third M-sized array for the
+        # A 2D pass at M = 32 holds the spectra (the kernel's as well unless
+        # it is given as one) and its output, no third M-sized array for the
         # inverse transform to write.
         x = Tensor(rng.normal(size=(1, 16, 16, 32)))
         kernel = _kernel_or_spectrum(rng.normal(size=(31, 31, 32)), [-3, -2], spectral)
-        spectrum_bytes = 31 * 16 * 32 * 16
+        spectrum_bytes = 32 * 17 * 32 * 16
         tracemalloc.start()
         try:
             y = circular_convolve(x, kernel, dims=[-3, -2])
@@ -222,7 +214,7 @@ class TestUnpaddedInput:
     def test_transposed_input_matches_its_contiguous_copy(self, rng, spectral):
         # A transposed x has a spectrum that is not C-contiguous, whose
         # buffer the inverse does not reuse; values and partials are the same.
-        x, h, g = rng.normal(size=(3, 6, 4)).T, rng.normal(size=(9, 11, 3)), rng.normal(size=(4, 6, 3))
+        x, h, g = rng.normal(size=(3, 6, 4)).T, rng.normal(size=(7, 11, 3)), rng.normal(size=(4, 6, 3))
         kernel = _kernel_or_spectrum(h, [0, 1], spectral)
         results = []
         for arr in (x, np.ascontiguousarray(x)):
@@ -236,11 +228,6 @@ class TestUnpaddedInput:
         # The output would otherwise be transformed along the wrong axis.
         with pytest.raises(ValueError, match="h has 2 axes, more than x's 1"):
             circular_convolve(Tensor(rng.normal(size=9)), Tensor(rng.normal(size=(2, 9))), dims=[0])
-
-    def test_longer_x_is_rejected(self, rng):
-        for h in (Tensor(rng.normal(size=(7, 2))), nx.kernel_spectrum(Tensor(rng.normal(size=(7, 2))), [0])):
-            with pytest.raises(ValueError, match="does not match h"):
-                circular_convolve(Tensor(rng.normal(size=(8, 2))), h, dims=[0])
 
 
 class TestPrunedInverse:
@@ -269,10 +256,11 @@ class TestPrunedInverse:
             nx._pruned_irfftn(f.copy(), lengths, axes, (start,) * len(axes), (size,) * len(axes), got)
             assert np.array_equal(got, self.window(full, axes, start, size)), start
 
-    @pytest.mark.parametrize("dims,size", [((0,), 6), ((0, 1), 5)])
+    @pytest.mark.parametrize("dims,size", [((0,), 14), ((0, 1), 5)])
     def test_wrapped_x_partial_is_the_direct_correlation(self, rng, dims, size):
-        # M = 2L - 1: the x-partial's window wraps.  dy[i] / dx[s] is
-        # h[(M - L + i - s) mod M], summed against the upstream gradient.
+        # M = 2L - 1 (27 and 9 are smooth): the x-partial's window wraps.
+        # dy[i] / dx[s] is h[(M - L + i - s) mod M], summed against the
+        # upstream gradient.
         m = 2 * size - 1
         shape, hshape = (size,) * len(dims) + (2,), (m,) * len(dims) + (2,)
         x, h, g = rng.normal(size=shape), rng.normal(size=hshape), rng.normal(size=shape)
@@ -291,7 +279,7 @@ class TestPrunedInverse:
         assert grad_check(f, [Tensor(x)]) < 1e-5
 
     def test_2d_x_partial_allocates_no_m_by_m_array(self, rng):
-        # L = 16, M = 31: the upstream gradient is transformed zero-padded
+        # L = 16, M = 32: the upstream gradient is transformed zero-padded
         # inside numpy, never placed in an M x M array, and only the 16 rows
         # the partial reads are inverted over the last axis.
         x = Tensor(rng.normal(size=(1, 16, 16, 32)))
@@ -299,7 +287,7 @@ class TestPrunedInverse:
         g = rng.normal(size=x.shape)
         with GradTape([x]) as tape:
             y = circular_convolve(x, spectrum, dims=[-3, -2])
-        spectrum_bytes, square_bytes = 31 * 16 * 32 * 16, 31 * 31 * 32 * 8
+        spectrum_bytes, square_bytes = 32 * 17 * 32 * 16, 32 * 32 * 32 * 8
         tracemalloc.start()
         try:
             (gx,) = tape.gradient(y, [x], upstream=g)
@@ -307,40 +295,41 @@ class TestPrunedInverse:
         finally:
             tracemalloc.stop()
         # The spectrum, the x-partial's window and the 16 kept rows over the
-        # last axis (126 KB) fit; another M x M array (246 KB) does not.
+        # last axis (139 KB) fit; another M x M array (262 KB) does not.
         assert peak < spectrum_bytes + square_bytes
         assert gx.shape == x.shape
 
 
 class TestKernelPartial:
     """The kernel partial is ``irfftn(sum(conj(X) * G))``: the correlation of
-    the upstream gradient with x, summed over the batch on the spectrum and
-    read at entries (k + L) mod M."""
+    the upstream gradient with x, summed over the batch on the spectrum, its
+    2L-1 taps read from the M entries of the padded kernel's partial."""
 
     @staticmethod
-    def direct(x: np.ndarray, g: np.ndarray, m: int, nconv: int) -> np.ndarray:
-        # dy[i] / dh[k] is x[s] where k = (M - L + i - s) mod M on each
-        # convolved axis (axes 1 .. nconv of x and g, 0 .. nconv - 1 of h).
+    def direct(x: np.ndarray, g: np.ndarray, nconv: int) -> np.ndarray:
+        # dy[i] / dh[k] is x[s] where k = i - s + L - 1 on each convolved
+        # axis (axes 1 .. nconv of x and g, 0 .. nconv - 1 of h).
         size = x.shape[1 : 1 + nconv]
-        ref = np.zeros((m,) * nconv + x.shape[1 + nconv :])
+        ref = np.zeros(tuple(2 * n - 1 for n in size) + x.shape[1 + nconv :])
         for s in np.ndindex(size):
             for i in np.ndindex(size):
-                tap = tuple((m - n + a - b) % m for n, a, b in zip(size, i, s))
+                tap = tuple(a - b + n - 1 for n, a, b in zip(size, i, s))
                 ref[tap] += (x[(slice(None),) + s] * g[(slice(None),) + i]).sum(axis=0)
         return ref
 
-    @pytest.mark.parametrize("size,m", [(5, 9), (5, 12)])
+    @pytest.mark.parametrize("size", [5, 6, 14])
     @pytest.mark.parametrize("dims", [(-2,), (-3, -2)])
-    def test_equals_the_direct_correlation(self, rng, dims, size, m):
-        # Batch 3; M = 2L - 1 (the window wraps) and M > 2L - 1.
+    def test_equals_the_direct_correlation(self, rng, dims, size):
+        # Batch 3; M = 2L - 1 at L = 5 and 14 (the window wraps) and
+        # M = 12 > 2L - 1 at L = 6.
         nconv = len(dims)
-        shape, hshape = (3,) + (size,) * nconv + (2,), (m,) * nconv + (2,)
+        shape, hshape = (3,) + (size,) * nconv + (2,), (2 * size - 1,) * nconv + (2,)
         x, h, g = rng.normal(size=shape), rng.normal(size=hshape), rng.normal(size=shape)
         ht = Tensor(h)
         with GradTape([ht]) as tape:
             y = circular_convolve(Tensor(x), ht, dims=dims)
         (gh,) = tape.gradient(y, [ht], upstream=g)
-        assert np.abs(gh.data - self.direct(x, g, m, nconv)).max() < 1e-12
+        assert np.abs(gh.data - self.direct(x, g, nconv)).max() < 1e-12
 
     def test_kernel_broadcast_over_an_axis_is_summed(self, rng):
         # separable2d's vertical kernel (ky, 1, C) against [B, H, W, C]: the
@@ -351,7 +340,7 @@ class TestKernelPartial:
             y = circular_convolve(Tensor(x), ht, dims=[-3])
         (gh,) = tape.gradient(y, [ht], upstream=g)
         assert gh.shape == h.shape
-        assert np.abs(gh.data - self.direct(x, g, 9, 1).sum(axis=1, keepdims=True)).max() < 1e-12
+        assert np.abs(gh.data - self.direct(x, g, 1).sum(axis=1, keepdims=True)).max() < 1e-12
         f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[-3])))
         assert grad_check(f, [Tensor(x), Tensor(h)]) < 1e-5
 
@@ -376,8 +365,9 @@ class TestChannelBlocks:
     through the same transforms as on its own."""
 
     def test_blocks_match_per_channel_calls_bitwise(self, rng, monkeypatch):
-        # 120 channels of a 2 x 48 x 25 half spectrum: 38 KB each, three blocks.
-        x, h, g = rng.normal(size=(2, 24, 24, 120)), rng.normal(size=(48, 48, 120)), rng.normal(size=(2, 24, 24, 120))
+        # 120 channels of a 2 x 48 x 25 half spectrum (47 taps at M = 48):
+        # 38 KB each, three blocks.
+        x, h, g = rng.normal(size=(2, 24, 24, 120)), rng.normal(size=(47, 47, 120)), rng.normal(size=(2, 24, 24, 120))
         xt, ht = Tensor(x), Tensor(h)
         calls = Counter()
         rfftn = np.fft.rfftn
@@ -404,7 +394,7 @@ class TestChannelBlocks:
         # of the whole map is 112 * 57 * 64 complex (6.5 MB), and the whole
         # transform peaked at 11.4 MB before the channels ran in blocks.
         x = Tensor(rng.normal(size=(1, 56, 56, 64)))
-        spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(112, 112, 64))), [-3, -2])
+        spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(111, 111, 64))), [-3, -2])
         tracemalloc.start()
         try:
             y = circular_convolve(x, spectrum, dims=[-3, -2])
@@ -438,7 +428,7 @@ def _pool_case(name: str, rng):
     """(op, input arrays, output shape) of a call whose forward pass and VJP
     both run in several blocks."""
     if name == "circular_convolve":  # five blocks of 24 channels
-        arrays = [rng.normal(size=(2, 24, 24, 120)), rng.normal(size=(48, 48, 120))]
+        arrays = [rng.normal(size=(2, 24, 24, 120)), rng.normal(size=(47, 47, 120))]
         return (lambda x, h: circular_convolve(x, h, dims=[-3, -2])), arrays, (2, 24, 24, 120)
     if name == "feed_forward":  # the stage-1 map of a 224 px model
         c = 64
@@ -764,28 +754,24 @@ def _retained_bytes(op, x, nodes=1, also=()):
 
 def _ops_on_an_intermediate(rng):
     """Ops whose tracked input is an activation the forward pass drops: the
-    output of a ``neg`` (or, for one spectral convolution row, the padded
-    input) of a [2, 16, 16, 32] x.  Every other operand is an untracked
-    constant.  The unpadded spectral row also checks that no 31 x 31 array
-    outlives the call."""
+    output of a ``mul`` by -1 of a [2, 16, 16, 32] x.  Every other operand is
+    an untracked constant.  The spectral convolution row also checks that no
+    32 x 32 array, at its transform length, outlives the call."""
     c, bias = Tensor(rng.normal(size=(2, 16, 16, 32))), Tensor(rng.normal(size=32))
     w = Tensor(rng.normal(size=(32, 8)))
     taps, offsets = Tensor(rng.normal(size=(9, 32))), [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
     cw, cb = Tensor(rng.normal(size=(3, 3, 32, 8))), Tensor(rng.normal(size=8))
     spectrum = nx.kernel_spectrum(Tensor(rng.normal(size=(31, 31, 32))), [-3, -2])
     return {
-        "add": lambda t: nx.add(nx.neg(t), bias),
-        "crop": lambda t: nx.crop(nx.neg(t), [slice(None), slice(0, 4)]),
-        "pad": lambda t: nx.pad(nx.neg(t), [(0, 0), (0, 1), (0, 1), (0, 0)]),
-        "reshape": lambda t: nx.reshape(nx.neg(t), (2, 256, 32)),
-        "mean": lambda t: nx.mean(nx.neg(t), axis=(1, 2)),
-        "mul": lambda t: nx.mul(nx.neg(t), c),
-        "matmul": lambda t: nx.matmul(nx.neg(t), w),
-        "shift_convolve": lambda t: nx.shift_convolve(nx.neg(t), taps, offsets, (-3, -2)),
-        "strided_conv2d": lambda t: nx.strided_conv2d(nx.neg(t), cw, cb, 2, 1),
-        "circular_convolve": lambda t: circular_convolve(
-            nx.pad(t, [(0, 0), (0, 15), (0, 15), (0, 0)]), spectrum, dims=[-3, -2]),
-        "circular_convolve_unpadded": lambda t: circular_convolve(nx.neg(t), spectrum, dims=[-3, -2]),
+        "add": lambda t: nx.add(nx.mul(t, -1.0), bias),
+        "crop": lambda t: nx.crop(nx.mul(t, -1.0), [slice(None), slice(0, 4)]),
+        "reshape": lambda t: nx.reshape(nx.mul(t, -1.0), (2, 256, 32)),
+        "mean": lambda t: nx.mean(nx.mul(t, -1.0), axis=(1, 2)),
+        "mul": lambda t: nx.mul(nx.mul(t, -1.0), c),
+        "matmul": lambda t: nx.matmul(nx.mul(t, -1.0), w),
+        "shift_convolve": lambda t: nx.shift_convolve(nx.mul(t, -1.0), taps, offsets, (-3, -2)),
+        "strided_conv2d": lambda t: nx.strided_conv2d(nx.mul(t, -1.0), cw, cb, 2, 1),
+        "circular_convolve": lambda t: circular_convolve(nx.mul(t, -1.0), spectrum, dims=[-3, -2]),
     }
 
 
@@ -827,7 +813,7 @@ class TestRecordedMemory:
         w1, b1 = Tensor(rng.normal(size=(32, 128))), Tensor(rng.normal(size=128))
         w2, b2 = Tensor(rng.normal(size=(128, 32))), Tensor(rng.normal(size=32))
         s, b = Tensor(1.3), Tensor(-0.2)
-        ffn = lambda t: nx.feed_forward(nx.neg(t), g, be, 1e-6, w1, b1, s, b, w2, b2)
+        ffn = lambda t: nx.feed_forward(nx.mul(t, -1.0), g, be, 1e-6, w1, b1, s, b, w2, b2)
         # The normalised negated input (128 KB), not the 4x-wide hidden layer (512 KB).
         assert _retained_bytes(ffn, x, nodes=2) < x.data.nbytes + 8_000
 
@@ -847,21 +833,22 @@ class TestRecordedMemory:
         pw, pb = Tensor(rng.normal(size=(32, 96))), Tensor(rng.normal(size=96))
         dw, db = Tensor(rng.normal(size=(25, 96))), Tensor(rng.normal(size=96))
         offsets = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)]
-        op = lambda t: nx.pointwise_depthwise(nx.neg(t), pw, pb, dw, db, offsets, (-3, -2))
+        op = lambda t: nx.pointwise_depthwise(nx.mul(t, -1.0), pw, pb, dw, db, offsets, (-3, -2))
         # dw's partial recomputes the wide map: the tape keeps the negated
         # input (128 KB), not the 3x-wide map (384 KB) or its padded copy.
         retained = _retained_bytes(op, x, nodes=2, also=[dw])
         assert x.data.nbytes <= retained < x.data.nbytes + 8_000
 
     def test_circular_convolve_keeps_the_kernel_spectrum_or_x(self, rng):
-        # An x-only tape keeps the kernel's spectrum (31 * 16 * 32 complex,
-        # 254 KB), not x (128 KB); an h-only tape keeps x and no spectrum.
+        # An x-only tape keeps the kernel's spectrum at M = 32 (32 * 17 * 32
+        # complex, 279 KB), not x (128 KB) or the padded kernel; an h-only
+        # tape keeps x and no spectrum.
         x = Tensor(rng.normal(size=(2, 16, 16, 32)))
         h = Tensor(rng.normal(size=(31, 31, 32)))
-        spectrum_bytes = 31 * 16 * 32 * 16
-        x_only = _retained_bytes(lambda t: circular_convolve(nx.neg(t), h, dims=[-3, -2]), x, nodes=2)
+        spectrum_bytes = 32 * 17 * 32 * 16
+        x_only = _retained_bytes(lambda t: circular_convolve(nx.mul(t, -1.0), h, dims=[-3, -2]), x, nodes=2)
         assert spectrum_bytes <= x_only < spectrum_bytes + 8_000
-        h_only = _retained_bytes(lambda t: circular_convolve(nx.neg(x), t, dims=[-3, -2]), h)
+        h_only = _retained_bytes(lambda t: circular_convolve(nx.mul(x, -1.0), t, dims=[-3, -2]), h)
         assert x.data.nbytes <= h_only < x.data.nbytes + 8_000
 
     def test_star_relu_keeps_nothing_but_its_output(self, rng):
@@ -871,8 +858,8 @@ class TestRecordedMemory:
 
     @pytest.mark.parametrize("name", sorted(_ops_on_an_intermediate(np.random.default_rng(0))))
     def test_untracked_operands_partial_keeps_no_intermediate(self, rng, name):
-        # The intermediate (128 KB, the padded one 492 KB) is freed with its
-        # Tensor unless the op's VJP captured it: none of these partials reads it.
+        # The intermediate (128 KB) is freed with its Tensor unless the op's
+        # VJP captured it: none of these partials reads it.
         x = Tensor(rng.normal(size=(2, 16, 16, 32)))
         assert _retained_bytes(_ops_on_an_intermediate(rng)[name], x, nodes=2) < 8_000
 
@@ -896,7 +883,7 @@ class TestRecordedMemory:
 class TestTapeAndVjp:
     def test_conv_with_impulse_passes_gradient(self, rng):
         x = Tensor(rng.normal(size=6), requires_grad=True)
-        h = Tensor([1.0, 0, 0, 0, 0, 0])
+        h = Tensor(np.eye(11)[5])  # the centre tap
         g = rng.normal(size=6)
         with GradTape() as tape:
             y = circular_convolve(x, h, dims=[0])
@@ -1036,8 +1023,7 @@ PRUNED_OPS = {
     "matmul": (lambda x, w: nx.matmul(x, w), [(2, 3, 4), (4, 5)]),
     "strided_conv2d": (lambda x, w, b: nx.strided_conv2d(x, w, b, 2, 1),
                        [(1, 6, 6, 2), (3, 3, 2, 4), (4,)]),
-    "circular_convolve": (lambda x, h: circular_convolve(x, h, dims=[0]), [(9, 2), (9, 2)]),
-    "circular_convolve_unpadded": (lambda x, h: circular_convolve(x, h, dims=[0]), [(5, 2), (9, 2)]),
+    "circular_convolve": (lambda x, h: circular_convolve(x, h, dims=[0]), [(5, 2), (9, 2)]),
     "shift_convolve": (lambda x, w: nx.shift_convolve(x, w, [(-1,), (0,), (2,)], (-2,)),
                        [(6, 2), (3, 2)]),
     "layer_norm": (lambda x, g, b: nx.layer_norm(x, g, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
@@ -1386,16 +1372,16 @@ class TestSourcePruning:
 
     def test_partial_added_to_an_earlier_one_freed_before_the_next_vjp(self, rng):
         # mul's partial for u joins add's in a new sum; neither it nor the
-        # sum it replaced is kept alive through neg's VJP.
+        # sum it replaced is kept alive through the VJP of the mul making u.
         x, c = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
         with GradTape([x]) as tape:
-            u = nx.neg(x)
+            u = nx.mul(x, -1.0)
             y = nx.tensor_sum(nx.add(u, nx.mul(u, c)))
-        neg_node, mul_node = tape.nodes[:2]
+        u_node, mul_node = tape.nodes[:2]
         seen, alive = [], []
-        mul_vjp, neg_vjp = mul_node._vjp, neg_node._vjp
+        mul_vjp, u_vjp = mul_node._vjp, u_node._vjp
         mul_node._vjp = lambda g: (lambda p: seen.append(weakref.ref(p[0])) or p)(mul_vjp(g))
-        neg_node._vjp = lambda g: alive.append(seen[0]() is not None) or neg_vjp(g)
+        u_node._vjp = lambda g: alive.append(seen[0]() is not None) or u_vjp(g)
         (gx,) = tape.gradient(y, [x])
         assert alive == [False]
         assert np.array_equal(gx.data, -(1.0 + c.data))
@@ -1469,9 +1455,8 @@ class TestGradCheck:
             ("mean", lambda a: nx.mean(nx.square(a)), [(4, 5)]),
             ("sum_axis", lambda a: nx.tensor_sum(nx.square(nx.tensor_sum(a, axis=0))), [(3, 4)]),
             ("reshape", lambda a: nx.tensor_sum(nx.square(nx.reshape(a, (6,)))), [(2, 3)]),
-            ("pad", lambda a: nx.tensor_sum(nx.square(nx.pad(a, [(1, 2)]))), [(5,)]),
             ("crop", lambda a: nx.tensor_sum(nx.square(nx.crop(a, [slice(1, 4)]))), [(6,)]),
-            ("circular_convolve_unpadded",
+            ("circular_convolve",
              lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0]))), [(5, 2), (9, 2)]),
             ("feed_forward",
              lambda x, g, b, *t: nx.tensor_sum(nx.square(nx.feed_forward(x, g, b, 1e-6, *t))),
@@ -1487,7 +1472,7 @@ class TestGradCheck:
 
     def test_conv_gradients(self, rng):
         f = lambda a, b: nx.tensor_sum(nx.square(circular_convolve(a, b, dims=[0])))
-        assert grad_check(f, [Tensor(rng.normal(size=9)), Tensor(rng.normal(size=9))]) < 1e-5
+        assert grad_check(f, [Tensor(rng.normal(size=9)), Tensor(rng.normal(size=17))]) < 1e-5
         offs = [(-1,), (0,), (1,)]
         f3 = lambda a, w: nx.tensor_sum(nx.square(nx.shift_convolve(a, w, offs, (-2,))))
         assert grad_check(f3, [Tensor(rng.normal(size=(6, 2))), Tensor(rng.normal(size=(3, 2)))]) < 1e-5

@@ -239,6 +239,7 @@ class TestSyntheticData:
     @pytest.mark.parametrize("cls,key,value", [
         (tr.TrainConfig, "lr_peak", "0.001"),
         (tr.TrainConfig, "lr_peak", float("nan")),
+        pytest.param(tr.TrainConfig, "lr_peak", 10**400, id="TrainConfig-lr_peak-int-beyond-float"),
         (tr.TrainConfig, "lr_final", float("inf")),
         (tr.TrainConfig, "lr_final", -1e-5),
         (tr.TrainConfig, "weight_decay", -1.0),
