@@ -13,14 +13,16 @@ They differ only in how the long convolution reads the sequence:
 * ``local``         - pointwise expand to 2C, 7x7 depthwise, activation,
   contract back to C (``EXPAND_RATIO``, ``LOCAL_KERNEL``)
 
-The q/k/v projection runs as one op, ``numerics.pointwise_depthwise``: the
-pointwise GEMM plus bias goes into the interior of one zero-padded buffer,
-the depthwise taps read that buffer through a sliding window, and their
-bias is added in place, so no padded copy of the 3C-wide map is made, and
-a tape keeps the mixer's input rather than that map.  ``project_qkv`` then
-crops q, k and v.  The local mixer runs its expansion and 7x7 depthwise
-convolution through the same op.  How those ops and the long convolutions
-cut their work into blocks is ``numerics``' decision alone.
+The q/k/v projection runs as one op, ``numerics.pointwise_depthwise``,
+which writes q, k and v as three tensors of one tape node: the pointwise
+GEMM plus bias goes into a zero-padded window of rows, the depthwise taps'
+halo included, that slides down the map, the taps read that window through
+a sliding view, and each part's rows go into its own output.  No 3C-wide
+map exists, padded or not, nothing is cropped,
+and a tape keeps the mixer's input rather than such a map.  The local
+mixer runs its expansion and 7x7 depthwise convolution through the same op,
+as one part.  How those ops and the long convolutions cut their work into
+blocks is ``numerics``' decision alone.
 
 Inputs are [L, C] or [Ly, Lx, C] feature maps, with optional leading batch
 axes.  Only the centered variants use the FFT: each pass is one
@@ -43,8 +45,11 @@ every filter parameter and kernel mask, compared with ``np.array_equal`` on
 each call, so any change to them (an optimizer step, ``load_params``, a
 ``.data`` write, a truncation mask) rebuilds the spectra.  Every pass,
 cached or not, inverts only the rows of the transform that its output
-reads (``numerics.circular_convolve``), and the mixer drops ``q`` and ``k``
-once their product exists, so off a tape neither outlives the product.
+reads (``numerics.circular_convolve``).  The mixer drops ``q`` and ``k``
+once their product exists, and ``q * k``, ``g`` and ``v`` once the gate
+exists, so off a tape none of them outlives its use.  Kernels that a
+2D pass reshapes are checked first, and one of the wrong size is a
+``ValueError`` that names the filter and the taps it wants.
 """
 
 from __future__ import annotations
@@ -191,22 +196,16 @@ def init_gate_projection(config: MixerConfig, rng: np.random.Generator) -> GateP
 
 def project_qkv(x: Tensor, params: GateProjection) -> tuple[Tensor, Tensor, Tensor]:
     """Pointwise to 3C, depthwise short conv (zero pad, stride 1), split in
-    channel order q, k, v.  The first two run as one
-    ``numerics.pointwise_depthwise``."""
+    channel order q, k, v: one ``numerics.pointwise_depthwise`` that writes
+    the three parts as three tensors."""
     c = params.channels
     if x.shape[-1] != c:
         raise ValueError(f"input has {x.shape[-1]} channels, projection expects {c}")
-    wide = nx.pointwise_depthwise(
+    q, k, v = nx.pointwise_depthwise(
         x, params.pointwise_w, params.pointwise_b, params.depthwise_w, params.depthwise_b,
-        params.offsets, params.axes,
+        params.offsets, params.axes, parts=3,
     )
-    full = [slice(None)] * wide.ndim
-    chunks = []
-    for i in range(3):
-        sl = list(full)
-        sl[-1] = slice(i * c, (i + 1) * c)
-        chunks.append(nx.crop(wide, sl))
-    return chunks[0], chunks[1], chunks[2]
+    return q, k, v
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +263,8 @@ class GatedConvMixer:
         of any other length is an error."""
         if kernels is not None:
             listed = kernels if isinstance(kernels, (list, tuple)) else [kernels]
+            if len(listed) != len(self.filters):
+                raise ValueError(f"a {self.config.variant} mixer takes {len(self.filters)} kernel(s), got {len(listed)}")
             kernels = [nx._lift(k) for k in listed]
         elif self.config.variant == "causal" or self._tracked_filters():
             kernels = [self.kernel(i) for i in range(len(self.filters))]
@@ -284,10 +285,23 @@ class GatedConvMixer:
         if cfg.variant == "bidirectional":
             return [(kernels[0], (-2,))]
         if cfg.variant == "global2d":
-            ky, kx = cfg.filter_extent()
-            return [(nx.reshape(kernels[0], (ky, kx, cfg.channels)), (-3, -2))]
+            return [(self._shaped(0, kernels[0], cfg.filter_extent()), (-3, -2))]
         ky, _ = cfg.filter_extent()  # separable2d: horizontal, then vertical
-        return [(kernels[0], (-2,)), (nx.reshape(kernels[1], (ky, 1, cfg.channels)), (-3,))]
+        return [(kernels[0], (-2,)), (self._shaped(1, kernels[1], (ky, 1)), (-3,))]
+
+    def _shaped(self, index: int, kernel: Tensor, taps: tuple[int, int]) -> Tensor:
+        """The [P, C] ``kernel`` of filter ``index`` reshaped to ``taps +
+        (C,)``, checked before the reshape: a ``ValueError`` naming the
+        filter and the taps it wants when it holds another number of
+        values."""
+        c, p = self.config.channels, taps[0] * taps[1]
+        if kernel.size != p * c:
+            grid = " x ".join(str(t) for t in taps if t > 1) or "1"
+            raise ValueError(
+                f"{self.filters[index].name}: a {self.config.variant} mixer of extent {self.config.extent} "
+                f"wants a [{p}, {c}] kernel, {grid} taps of {c} channels, got shape {kernel.shape}"
+            )
+        return nx.reshape(kernel, taps + (c,))
 
     def _cached_spectra(self) -> list:
         """The centered passes with each kernel replaced by its spectrum.
@@ -323,7 +337,9 @@ class GatedConvMixer:
         qk = nx.mul(q, k)
         del q, k  # a tape keeps what its VJPs need; off a tape they are freed here
         g = self.long_conv(qk, kernel_override)
-        return nx.matmul(nx.mul(g, v), self.out_proj)
+        gated = nx.mul(g, v)
+        del qk, g, v  # likewise, before out_proj allocates its output
+        return nx.matmul(gated, self.out_proj)
 
     __call__ = forward
 
@@ -389,7 +405,7 @@ class LocalConvMixer:
 
     def forward(self, x: Tensor) -> Tensor:
         self.config.check_input(x)
-        h = nx.pointwise_depthwise(
+        (h,) = nx.pointwise_depthwise(
             x, self.expand_w, self.expand_b, self.depthwise_w, self.depthwise_b, self.offsets, (-3, -2)
         )
         h = star_relu(h, self.act)

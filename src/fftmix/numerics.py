@@ -11,7 +11,9 @@ computed from them; ``GradTape()`` tracks every tensor with
 ``requires_grad`` set and everything computed from those.  Operations on
 untracked tensors record nothing, so a tape told its sources keeps no
 graph of the values it treats as constants.  A recorded op keeps only the
-arrays its vector-Jacobian product reads, never a tensor.
+arrays its vector-Jacobian product reads, never a tensor.  An op may have
+several outputs, recorded as one node (``TapeNode``) whose VJP gets one
+cotangent per output.
 
 The primitives are the elementwise and reduction ops (``add``, ``mul``,
 ``exp``, ``sin``, ``square``, ``tensor_sum``, ``mean``), the shape ops
@@ -24,9 +26,11 @@ a closed-form VJP, where composing them from the elementary ops would take
 a MetaFormer block's second norm and its FFN) records one op in place of
 6, keeping the norm's normalised input and recomputing the norm's output
 and the hidden layer in the backward pass; and
-``pointwise_depthwise`` (linear, ``shift_convolve``, add) records one op in
-place of 4, writing its pointwise layer into the zero-padded buffer its
-depthwise taps read and recomputing that layer for the taps' partial.
+``pointwise_depthwise`` (linear, ``shift_convolve``, add, then a crop per
+channel part: q, k and v for the gated mixers) records one op with one
+output per part, in place of 4 and the crops, writing its pointwise layer
+into a zero-padded window of rows that its depthwise taps read and
+recomputing that layer for the taps' partial.
 ``circular_convolve`` is the centred convolution of an L-long map with a
 kernel of 2L-1 taps on each convolved axis, and picks its transform length
 itself.  It has one path, whether it is given a kernel or a kernel spectrum
@@ -39,9 +43,11 @@ The wide layers work in independent blocks under one byte budget,
 ``_BLOCK_BYTES`` (2 MiB), which covers every block in flight at once:
 ``circular_convolve`` runs its forward pass and both partials over blocks
 of trailing channels, ``feed_forward`` its forward pass and its VJP over
-blocks of rows, and the depthwise contraction of ``shift_convolve`` and
-``pointwise_depthwise`` (forward pass and x-partial) over blocks of rows
-of its first convolved axis.  Blocks are cut at ``_BLOCK_BYTES //
+blocks of rows, ``pointwise_depthwise`` its forward pass through a
+window of rows of its first convolved axis, halo included, that each
+block slides down its rows, and the depthwise contraction of
+``shift_convolve`` and the x-partial of ``pointwise_depthwise`` over blocks
+of rows of that axis.  Blocks are cut at ``_BLOCK_BYTES //
 _IN_FLIGHT`` each, a constant, and run on a pool of ``min(2,
 os.cpu_count())`` worker threads (``_each_block``), at most two at a time;
 numpy's FFTs, GEMMs and ``einsum`` release the interpreter lock, so two
@@ -87,9 +93,10 @@ _REAL_KINDS = "biuf"
 # flight take between them: ``circular_convolve`` transforms at most
 # ``_BLOCK_BYTES // _IN_FLIGHT`` of spectrum per block of trailing channels,
 # ``feed_forward`` holds at most that much hidden layer per block of rows, in
-# its forward pass and in its VJP, and the depthwise contraction of
-# ``shift_convolve`` and ``pointwise_depthwise`` writes at most that much
-# output per block of rows.  Each op allocates its outputs once and its
+# its forward pass and in its VJP, ``pointwise_depthwise`` holds at most that
+# much window of zero-padded rows and scratch per block, and the depthwise
+# contraction of ``shift_convolve`` writes at most that much output per
+# block of rows.  Each op allocates its outputs once and its
 # blocks write into them (``_over_blocks``), so the budget counts only a
 # block's scratch arrays.  At most ``_IN_FLIGHT`` blocks run at once, so
 # the budget holds whatever the number of workers; the cut is a constant,
@@ -97,6 +104,10 @@ _REAL_KINDS = "biuf"
 # on the machine.  Every micro-model shape runs as one block.
 _BLOCK_BYTES = 2 * 2**20
 _IN_FLIGHT = 2
+# The share of a block's budget that ``pointwise_depthwise`` gives its
+# W-wide scratch, which its GEMM and its einsum fill a chunk of rows at a
+# time: the rest holds the block's window of zero-padded rows.
+_CHUNK_BYTES = _BLOCK_BYTES // _IN_FLIGHT // 8
 # Threads that run a wide layer's blocks: one per CPU, at most _IN_FLIGHT.
 _WORKERS = min(_IN_FLIGHT, os.cpu_count() or 1)
 _POOL: ThreadPoolExecutor | None = None
@@ -253,8 +264,15 @@ def _lift(value) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: the keys of its inputs and of its output, and
+    """One recorded operation: the keys of its inputs and of its outputs, and
     its vector-Jacobian product.
+
+    Most ops have one output; an op that writes several tensors at once
+    records them as one node.  The VJP of a node with one output takes that
+    output's cotangent; the VJP of a node with several takes a list of
+    cotangents, one per output in order, ``None`` for an output that got no
+    gradient, and may empty the list once it has read them, so that those
+    not kept for a source are freed before it allocates.
 
     ``need[k]`` says whether input ``k`` wants a partial.  The VJP closure
     holds the same list (never the node, which would form a reference
@@ -263,14 +281,23 @@ class TapeNode:
     ``Tensor``; ``gradient`` drops it once the node has been replayed.
     """
 
-    __slots__ = ("op", "inputs", "output", "_vjp", "need")
+    __slots__ = ("op", "inputs", "_outputs", "_vjp", "need")
 
-    def __init__(self, op: str, inputs: tuple[int, ...], output: int, vjp, need: list[bool]):
+    def __init__(self, op: str, inputs: tuple[int, ...], outputs: int | tuple[int, ...], vjp, need: list[bool]):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        # One output's key as it is, several as a tuple: a tape holds one
+        # node per op, and a tuple for each of the one-output ops would
+        # grow the tape by 64 bytes a node.
+        self._outputs = outputs
         self._vjp = vjp
         self.need = need
+
+    @property
+    def outputs(self) -> tuple[int, ...]:
+        """The keys of the node's outputs, in order."""
+        keys = self._outputs
+        return keys if isinstance(keys, tuple) else (keys,)
 
 
 _TAPE_STATE = threading.local()
@@ -333,11 +360,12 @@ class GradTape:
         the tensors that depend on a source and narrows each node's ``need``
         to those inputs; the node list is then replayed back-to-front, a
         reverse topological order of the recorded graph, calling only nodes
-        with a needed input.  VJPs compute only the partials their ``need``
-        asks for, and the gradient of a node's output is dropped once its
-        VJP has run unless that output is a source.  Each node's VJP, with
-        the arrays it captured, is dropped as the replay reaches it, so the
-        later stages' captures are freed before the earlier VJPs allocate.
+        with a needed input and an output that got a gradient.  VJPs compute
+        only the partials their ``need`` asks for, and the gradient of each
+        of a node's outputs is dropped once its VJP has run unless that
+        output is a source.  Each node's VJP, with the arrays it captured,
+        is dropped as the replay reaches it, so the later stages' captures
+        are freed before the earlier VJPs allocate.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed; re-record the forward pass")
@@ -355,20 +383,19 @@ class GradTape:
             # Only narrowed: a VJP captured what its inputs needed when recorded.
             node.need[:] = [n and k in live for n, k in zip(node.need, node.inputs)]
             if any(node.need):
-                live.add(node.output)
+                live.update(node.outputs)
         keep = {s.key for s in sources}
         grads: dict[int, np.ndarray] = {target.key: seed}
         for node in reversed(self._nodes):
             vjp, node._vjp = node._vjp, None
             if not any(node.need):
                 continue
-            out = node.output
-            # Every use of the output comes later on the tape, so its gradient
+            # Every use of an output comes later on the tape, so its gradient
             # is complete here and, unless it is a source, dead afterwards.
-            g_out = grads.get(out) if out in keep else grads.pop(out, None)
-            if g_out is None:
+            g_outs = [grads.get(o) if o in keep else grads.pop(o, None) for o in node.outputs]
+            if all(g is None for g in g_outs):
                 continue
-            partials = vjp(g_out)
+            partials = vjp(g_outs[0] if len(g_outs) == 1 else g_outs)
             for k, need, partial in zip(node.inputs, node.need, partials):
                 if not need:
                     continue
@@ -400,17 +427,26 @@ def _needs(*inputs: Tensor) -> list[bool] | None:
     return need if any(need) else None
 
 
-def _record(op: str, output: Tensor, inputs: tuple[Tensor, ...], need: list[bool] | None, vjp) -> None:
+def _record(
+    op: str, output: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...], need: list[bool] | None, vjp
+) -> None:
     """Append ``op`` to the active tape, ``need`` as ``_needs(*inputs)`` gave
-    it; nothing is recorded when ``need`` is ``None``."""
+    it; nothing is recorded when ``need`` is ``None``.  ``output`` is the
+    op's one output or the tuple of its outputs (``TapeNode``)."""
     if need is None:
         return
     tape = _active_tape()
-    tape._tracked.add(output.key)
-    # From a list, so the tuple is allocated at its size: a tuple built from
-    # a generator is resized, and CPython's tuple free lists then fill, step
-    # after step, with the sizes it was resized to, until a full collection.
-    tape._nodes.append(TapeNode(op, tuple([i.key for i in inputs]), output.key, vjp, need))
+    # From lists, so the tuples are allocated at their size: a tuple built
+    # from a generator is resized, and CPython's tuple free lists then fill,
+    # step after step, with the sizes it was resized to, until a full
+    # collection.
+    if isinstance(output, Tensor):
+        outputs = output.key
+        tape._tracked.add(outputs)
+    else:
+        outputs = tuple([o.key for o in output])
+        tape._tracked.update(outputs)
+    tape._nodes.append(TapeNode(op, tuple([i.key for i in inputs]), outputs, vjp, need))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -1169,6 +1205,9 @@ class _Taps:
         lo = np.minimum(offs[self.live].min(axis=0, initial=0), 0)
         hi = np.maximum(offs[self.live].max(axis=0, initial=0), 0)
         self.box, self.index = tuple(int(k) for k in hi - lo + 1), offs - lo
+        # The shape ``_contract`` writes, for ``apply`` and ``x_partial``
+        # alike: the convolution's output, whose partial has its shape.
+        self.out_shape = np.broadcast_shapes(tuple(shape), tuple(w_shape[1:]))
         letters = "abcdefghijklmnopqrstuvwxyz"
         xs, ws = letters[:ndim], letters[ndim : ndim + len(ax)]
         cs = xs[ndim - tail :]  # the axes of the array that w's trailing axes cover
@@ -1199,7 +1238,7 @@ class _Taps:
         win = self._windows(padded)
         ndim, ax = padded.ndim, self.axes[0]
         blocks = _blocks(win.shape[ax], 8 * math.prod(win.shape[:ax] + win.shape[ax + 1 : ndim]))
-        out = np.empty(np.broadcast_shapes(win.shape[:ndim], grid.shape[len(self.axes) :]))
+        out = np.empty(self.out_shape)
         head = (slice(None),) * ax
 
         def rows(r: slice) -> None:
@@ -1254,22 +1293,39 @@ def shift_convolve(x, w, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]
     return out
 
 
-def pointwise_depthwise(x, pw, pb, dw, db, offsets: Sequence[tuple[int, ...]], axes: Sequence[int]) -> Tensor:
+def pointwise_depthwise(
+    x, pw, pb, dw, db, offsets: Sequence[tuple[int, ...]], axes: Sequence[int], parts: int = 1
+) -> tuple[Tensor, ...]:
     """A pointwise layer and a depthwise short convolution,
-    ``shift_convolve(x @ pw + pb, dw, offsets, axes) + db``, as one op.
+    ``shift_convolve(x @ pw + pb, dw, offsets, axes) + db``, as one op whose
+    W output channels are split into ``parts`` equal parts, one tensor each,
+    in channel order.
 
     ``x`` is [..., C], ``pw`` [C, W], ``pb`` and ``db`` [W], and ``dw`` is
-    [T, W], one row per offset as in ``shift_convolve``.  The GEMM
-    ``x @ pw`` runs on contiguous rows, and its sum with ``pb`` goes into
-    the interior of one buffer zero-padded for the taps, which the
-    depthwise einsum reads, over blocks of rows on the worker pool
-    (``_Taps``); ``db`` is added to the output in place.  That
-    is the arithmetic of the composed ``linear``, ``shift_convolve`` and
-    ``add``, in their order, so every bit matches, with no padded copy of
-    the wide map.  The node keeps ``x`` and the parameter arrays, not the
-    wide map: the partial of ``dw`` recomputes ``x @ pw + pb`` into such a
-    buffer, and every partial runs the composed ops' VJPs in their order,
-    computing only the partials ``need`` asks for.
+    [T, W], one row per offset as in ``shift_convolve``.  The op works on
+    rows of the first convolved axis through a window: a buffer zero-padded
+    for the taps that holds a run of output rows' input rows, the taps'
+    halo (``box - 1`` rows) included, as ``x @ pw + pb``.  The depthwise
+    einsum of the window's sliding views (``_Taps``) writes those output
+    rows, plus ``db``, into each part's output, allocated once.  The GEMM
+    and the einsum each fill a W-wide scratch a chunk of rows at a time
+    (``_CHUNK_BYTES``), and the window takes as many rows as fit beside one
+    chunk in a block's share of the budget.  When one window does not hold
+    every row, the rows run as ``_IN_FLIGHT`` blocks on the worker pool, and
+    each block slides its window down its rows: the halo rows that the next
+    position reads move to the window's top, so only the halo at a block's
+    start goes through the GEMM twice.  That is the arithmetic of the
+    composed ``linear``, ``shift_convolve`` and ``add``, in their order, and
+    the same in any chunk or block, so every bit matches the composed ops
+    cropped to each part; no W-wide map exists, padded or not, and no part
+    is copied out of one.  Every micro-model shape is one window.
+
+    All parts are one node.  It keeps ``x`` and the parameter arrays, not
+    the wide map.  Its VJP puts the parts' cotangents side by side in one
+    W-wide partial, zero for a part that got no gradient, and runs the
+    composed ops' VJPs on it in their order, computing only the partials
+    ``need`` asks for; the partial of ``dw`` recomputes ``x @ pw + pb`` into
+    one zero-padded buffer of all rows.
     """
     x, pw, pb, dw, db = (_lift(t) for t in (x, pw, pb, dw, db))
     sx = x.shape
@@ -1277,21 +1333,87 @@ def pointwise_depthwise(x, pw, pb, dw, db, offsets: Sequence[tuple[int, ...]], a
     for name, t in (("pb", pb), ("db", db)):
         if t.shape != (wide,):
             raise ValueError(f"pointwise_depthwise: {name} must have shape ({wide},), got {t.shape}")
+    if parts < 1 or wide % parts:
+        raise ValueError(f"pointwise_depthwise: {wide} channels do not split into {parts} equal parts")
     sw = sx[:-1] + (wide,)
     taps = _Taps(sw, dw.shape, offsets, axes)
-    interior = tuple(slice(lo, lo + n) for n, (lo, _) in zip(sw, taps.pads))
-    xd, pwd, pbd, dwd = x.data, pw.data, pb.data, dw.data
+    xd, pwd, pbd, dwd, dbd = x.data, pw.data, pb.data, dw.data, db.data
+    ax = taps.axes[0]
+    n, (before, after) = sw[ax], taps.pads[ax]
+    head = (slice(None),) * ax
+    padded = tuple([k + lo + hi for k, (lo, hi) in zip(sw, taps.pads)])
+    interior = [slice(lo, lo + k) for k, (lo, _) in zip(sw, taps.pads)]
+    # Bytes of one row of the first convolved axis: of the padded map, and of
+    # the W-wide scratch, which the GEMM and the einsum each fill ``chunk``
+    # rows at a time.
+    padded_row = 8 * math.prod(padded[:ax] + padded[ax + 1 :])
+    wide_row = 8 * math.prod(sw[:ax] + sw[ax + 1 :])
+    chunk = max(1, _CHUNK_BYTES // wide_row)
+    row_positions = wide_row // (8 * wide)
+    # Output rows a window covers at a time: it holds their input rows, halo
+    # included, and with one chunk of scratch it fits a block's share.
+    halo = before + after
+    step = max(1, (_BLOCK_BYTES // _IN_FLIGHT - chunk * wide_row) // padded_row - halo)
 
-    def padded_wide() -> np.ndarray:
-        """``x @ pw + pb`` in the interior of a buffer zero-padded by ``taps.pads``."""
-        buf = np.zeros(tuple(n + lo + hi for n, (lo, hi) in zip(sw, taps.pads)))
-        t = (xd.reshape(-1, c) @ pwd).reshape(sw)
-        np.add(t, pbd, out=buf[interior])
-        return buf
+    def fill(buf: np.ndarray, at: int, lo: int, hi: int) -> None:
+        """Rows lo .. hi - 1 of ``x @ pw + pb`` into ``buf``'s interior from
+        row ``at`` of the first convolved axis on; rows outside the map are
+        zeros."""
+        dst = list(interior)
+        inside = range(max(lo, 0), min(hi, n))
+        for a in range(inside.start, inside.stop, chunk):
+            b = min(a + chunk, inside.stop)
+            # BLAS takes a single position through its matrix-vector path,
+            # whose bits differ from the matrix-matrix path of every longer
+            # run of rows, so a lone position is computed with a neighbour.
+            a0, b0 = a, b
+            if (b - a) * row_positions == 1 and n > 1:
+                a0, b0 = (a, b + 1) if b < n else (a - 1, b)
+            rows = xd[head + (slice(a0, b0),)]
+            t = (rows.reshape(-1, c) @ pwd).reshape(rows.shape[:-1] + (wide,))
+            dst[ax] = slice(at + a - lo, at + b - lo)
+            np.add(t[head + (slice(a - a0, b - a0),)], pbd, out=buf[tuple(dst)])
+            del t  # not held through the next chunk's GEMM
+        for a, b in ((lo, inside.start), (inside.stop, hi)):
+            if a < b:
+                buf[head + (slice(at + a - lo, at + b - lo),)] = 0.0
 
-    y = taps.apply(padded_wide(), dwd)
-    y += db.data
-    out = Tensor(y)
+    size = wide // parts
+    chans = [slice(i * size, (i + 1) * size) for i in range(parts)]
+    outs = [np.empty(sw[:-1] + (size,)) for _ in chans]
+    grid = taps._grid(dwd)[taps.flip]
+
+    def forward(r: slice) -> None:
+        """Output rows ``r``, a window of ``step`` rows at a time.  A window
+        keeps the halo rows its successor reads, moved to its top, so each
+        input row of the block goes through the GEMM once."""
+        lo, hi, _ = r.indices(n)
+        buf = np.zeros(padded[:ax] + (min(step, hi - lo) + halo,) + padded[ax + 1 :])
+        for s in range(lo, hi, step):
+            e = min(s + step, hi)
+            if s == lo:
+                fill(buf, 0, s - before, e + after)
+            else:
+                # Row by row from the top: a row is read before any copy
+                # overwrites it, and no copy overlaps itself, so numpy makes
+                # no temporary of the halo when it is taller than a step.
+                for i in range(halo):
+                    buf[head + (i,)] = buf[head + (step + i,)]
+                fill(buf, halo, s + after, e + after)
+            win = taps._windows(buf[head + (slice(0, e - s + halo),)])
+            for a in range(s, e, chunk):
+                b = min(a + chunk, e)
+                y = np.einsum(taps.conv, win[head + (slice(a - s, b - s),)], grid)
+                y += dbd
+                for out, ch in zip(outs, chans):
+                    out[head + (slice(a, b),)] = y[..., ch]
+                del y  # not held through the next chunk's einsum
+
+    # Rows that need more than one window run as one block per worker in
+    # flight, each sliding its window down its rows.
+    per_block = -(-n // _IN_FLIGHT) if n > step else n
+    _over_blocks(forward, [slice(lo, min(lo + per_block, n)) for lo in range(0, n, per_block)])
+    out = tuple([Tensor(y) for y in outs])
     need = _needs(x, pw, pb, dw, db)
     if need:
         # The partial of dw recomputes the wide map from x, pw and pb; those
@@ -1307,11 +1429,21 @@ def pointwise_depthwise(x, pw, pb, dw, db, offsets: Sequence[tuple[int, ...]], a
         sdw = dw.shape
 
         def vjp(g):
+            if parts > 1:  # one cotangent per part, side by side
+                gs, g = g, np.zeros(sw)
+                for ch, gi in zip(chans, gs):
+                    if gi is not None:
+                        g[..., ch] = gi
+                gs.clear()  # freed before the partials allocate
+                del gs, gi
             gx = gpw = gpb = gdw = gdb = None
             if need[4]:
                 gdb = _unbroadcast(g, (wide,))
             if need[3]:
-                gdw = taps.w_partial(padded_wide(), g, sdw)
+                full = np.zeros(padded)
+                fill(full, 0, -before, n + after)
+                gdw = taps.w_partial(full, g, sdw)
+                del full
             if any(need[:3]):
                 gw = taps.x_partial(g, dwd)  # the partial of x @ pw + pb
                 if need[2]:
@@ -1374,11 +1506,23 @@ def strided_conv2d(x, weight, bias, stride: int, padding: int) -> Tensor:
             g2 = g.reshape(-1, cout)
             if need[0]:
                 gcols = (g2 @ wd.reshape(-1, cout).T).reshape(n, ho, wo, k, k, cin)
-                gxp = np.zeros((n, hh + 2 * padding, ww + 2 * padding, cin))
-                for dy in range(k):
-                    for dx in range(k):
-                        win = (slice(None), slice(dy, dy + stride * ho, stride), slice(dx, dx + stride * wo, stride))
-                        gxp[win] += gcols[:, :, :, dy, dx]
+                # Tap (dy, dx) = (s*qy + py, s*qx + px) of output (oy, ox) lands
+                # on padded row s*(oy + qy) + py and column s*(ox + qx) + px:
+                # with the padded input viewed as [N, H/s, s, W/s, s, Cin],
+                # one strided add per (qy, qx) scatters every phase (py, px)
+                # at once.  Each entry takes its taps in (dy, dx) order, as
+                # a loop over the k*k taps adds them.
+                q = -(-k // stride)
+                hq = max(ho + q - 1, -(-(hh + 2 * padding) // stride))
+                wq = max(wo + q - 1, -(-(ww + 2 * padding) // stride))
+                gxp = np.zeros((n, hq, stride, wq, stride, cin))
+                for qy in range(q):
+                    ys = slice(qy * stride, min(qy * stride + stride, k))
+                    for qx in range(q):
+                        xs = slice(qx * stride, min(qx * stride + stride, k))
+                        phase = gcols[:, :, :, ys, xs].transpose(0, 1, 3, 2, 4, 5)
+                        gxp[:, qy : qy + ho, : ys.stop - ys.start, qx : qx + wo, : xs.stop - xs.start] += phase
+                gxp = gxp.reshape(n, hq * stride, wq * stride, cin)
                 gx = gxp[:, padding : padding + hh, padding : padding + ww]
             if need[1]:
                 gw = (_im2col(np.pad(xd, pw), k, stride).T @ g2).reshape(k, k, cin, cout)

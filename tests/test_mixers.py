@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -275,6 +276,17 @@ class TestGlobal2D:
         y = mixer.forward(Tensor(x)).data
         assert np.abs(y - oracle_global2d(x, mixer)).max() < 1e-10
 
+    @pytest.mark.parametrize("shape", [(100, 2), (117, 1), (118, 2)])
+    def test_kernel_of_another_size_is_rejected_naming_the_taps(self, rng, shape):
+        # (5, 7) wants 9 x 13 taps; each size fails before the reshape.
+        mixer = mx.GatedConvMixer(mx.MixerConfig("global2d", 2, (5, 7), embed_dim=2), rng)
+        x = Tensor(rng.normal(size=(5, 7, 2)))
+        named = f"filter: a global2d mixer of extent (5, 7) wants a [117, 2] kernel, 9 x 13 taps of 2 channels, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            mixer.forward(x, kernel_override=rng.normal(size=shape))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            mixer.long_conv(x, rng.normal(size=shape))
+
     def test_extent_mismatch_rejected(self, rng):
         cfg = mx.MixerConfig("global2d", channels=3, extent=(6, 8), embed_dim=4)
         mixer = mx.GatedConvMixer(cfg, rng)
@@ -302,6 +314,25 @@ class TestSeparable:
             mixer.forward(x, kernel_override=kernels)
         with pytest.raises(ValueError, match=named):
             mixer.long_conv(x, kernels)
+
+    @pytest.mark.parametrize("taps", [5, 10, 17])
+    def test_vertical_kernel_of_another_length_is_rejected_naming_the_taps(self, rng, taps):
+        # Ly = 5 wants 9 taps; the check comes before the reshape.
+        mixer = mx.GatedConvMixer(mx.MixerConfig("separable2d", 2, (5, 7), embed_dim=2), rng)
+        x = Tensor(rng.normal(size=(5, 7, 2)))
+        kernels = [rng.normal(size=(13, 2)), rng.normal(size=(taps, 2))]
+        named = f"filter_v: a separable2d mixer of extent (5, 7) wants a [9, 2] kernel, 9 taps of 2 channels, got shape ({taps}, 2)"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            mixer.forward(x, kernel_override=kernels)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            mixer.long_conv(x, kernels)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_kernels_is_rejected(self, rng, count):
+        mixer = mx.GatedConvMixer(mx.MixerConfig("separable2d", 2, (5, 7), embed_dim=2), rng)
+        kernels = [rng.normal(size=(13, 2))] * count
+        with pytest.raises(ValueError, match=rf"a separable2d mixer takes 2 kernel\(s\), got {count}"):
+            mixer.forward(Tensor(rng.normal(size=(5, 7, 2))), kernel_override=kernels)
 
     def test_rank_one_kernel_equals_global2d(self, rng):
         ey, ex, c = 5, 6, 2
@@ -705,7 +736,7 @@ class TestOneOpPerPass:
     @staticmethod
     def _path_to_gate(nodes):
         """Ops on the chain from the gate's first input back to ``mul(q, k)``."""
-        by_output = {n.output: n for n in nodes}
+        by_output = {o: n for n in nodes for o in n.outputs}
         gate = by_output[nodes[-1].inputs[0]]  # out_proj's matmul reads the gate
         assert gate.op == "mul"
         chain, node = [], by_output[gate.inputs[0]]

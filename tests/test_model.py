@@ -361,10 +361,10 @@ class TestTapeCaptures:
 class TestInferenceMemory:
     """A warm forward pass with no tape at 224 px: the wide stage-1 layers run
     their scratch arrays in blocks, so none holds its whole 112 x 112
-    spectrum, its 4x-wide hidden layer or a padded copy of its q/k/v map."""
+    spectrum, its 4x-wide hidden layer, or a q/k/v map beside q, k and v."""
 
     @pytest.mark.parametrize("preset", ["hpx-s4", "hb-s4", "chpx-s4"])
-    def test_warm_224px_forward_peaks_at_14_mb(self, rng, preset):
+    def test_warm_224px_forward_peaks_under_11_5_mb(self, rng, preset):
         m = mdl.build_model(mdl.preset_config(preset), seed=0)
         image = Tensor(rng.normal(size=(1, 224, 224, 3)))
         m(image)  # builds the kernel spectra
@@ -375,8 +375,12 @@ class TestInferenceMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 18.4, 17.7 and 14.5 MB when each layer held its scratch arrays whole.
-        assert peak <= 14.0e6
+        # 11.12, 11.26 and 10.05 MB, the largest of runs whose pooled blocks
+        # overlap in different ways, under a margin of 0.24 MB.  13.63, 13.05
+        # and 10.43 MB when the q/k/v projection held a 3C-wide map (padded,
+        # or cropped into q, k and v); 18.4, 17.7 and 14.5 MB when each layer
+        # held its scratch arrays whole.
+        assert peak <= 11.5e6
 
 
 class TestBlockPool:

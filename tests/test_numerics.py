@@ -448,7 +448,7 @@ def _pool_case(name: str, rng):
         return (lambda x, w: nx.shift_convolve(x, w, offsets, axes)), arrays, shape
     arrays = [rng.normal(size=shape), rng.normal(size=(c, 3 * c)) / np.sqrt(c), 0.1 * rng.normal(size=3 * c),
               0.2 * rng.normal(size=(len(offsets), 3 * c)), 0.1 * rng.normal(size=3 * c)]
-    return (lambda *t: nx.pointwise_depthwise(*t, offsets, axes)), arrays, shape[:-1] + (3 * c,)
+    return (lambda *t: nx.pointwise_depthwise(*t, offsets, axes)[0]), arrays, shape[:-1] + (3 * c,)
 
 
 def _digests(op, arrays, g) -> list[str]:
@@ -672,6 +672,20 @@ class TestShiftConvolve:
             nx.shift_convolve(x, w, [(0,), (1,)], (-2,))
 
 
+def strided_x_partial_loop(g, w, x_shape, stride, padding):
+    """The x-partial of ``strided_conv2d`` as one strided add per tap, taps
+    in (dy, dx) order, into the zero-padded input's gradient."""
+    n, hh, ww, cin = x_shape
+    k, cout = w.shape[0], w.shape[3]
+    _, ho, wo, _ = g.shape
+    gcols = (g.reshape(-1, cout) @ w.reshape(-1, cout).T).reshape(n, ho, wo, k, k, cin)
+    gxp = np.zeros((n, hh + 2 * padding, ww + 2 * padding, cin))
+    for dy in range(k):
+        for dx in range(k):
+            gxp[:, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += gcols[:, :, :, dy, dx]
+    return gxp[:, padding : padding + hh, padding : padding + ww]
+
+
 class TestStridedConv2d:
     @pytest.mark.parametrize(
         "shape,k,stride,padding",
@@ -688,6 +702,26 @@ class TestStridedConv2d:
         b = rng.normal(size=5)
         y = nx.strided_conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
         assert np.abs(y - strided_direct(x, w, b, stride, padding)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape,k,stride,padding",
+        [
+            ((1, 224, 224, 3), 7, 4, 2),  # the 224 px stem
+            ((1, 56, 56, 8), 3, 2, 1),  # downsampling, 224 px stage 1 -> 2
+            ((32, 32, 32, 3), 7, 4, 2),  # the micro stem
+            ((32, 8, 8, 8), 3, 2, 1),
+            ((32, 2, 2, 8), 3, 2, 1),
+            ((2, 9, 13, 3), 5, 3, 1),  # k not a multiple of the stride, odd sides
+            ((1, 11, 7, 2), 7, 4, 0),
+        ],
+    )
+    def test_x_partial_is_the_tap_loop_bitwise(self, rng, shape, k, stride, padding):
+        x, w, b = Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=(k, k, shape[3], 4))), Tensor(np.zeros(4))
+        with GradTape([x]) as tape:
+            y = nx.strided_conv2d(x, w, b, stride, padding)
+        g = rng.normal(size=y.shape)
+        (gx,) = tape.gradient(y, [x], upstream=g)
+        assert _sha256(gx.data) == _sha256(strided_x_partial_loop(g, w.data, shape, stride, padding))
 
     def test_stem_gradient(self, rng):
         x = Tensor(rng.normal(size=(1, 11, 9, 2)))
@@ -833,11 +867,39 @@ class TestRecordedMemory:
         pw, pb = Tensor(rng.normal(size=(32, 96))), Tensor(rng.normal(size=96))
         dw, db = Tensor(rng.normal(size=(25, 96))), Tensor(rng.normal(size=96))
         offsets = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)]
-        op = lambda t: nx.pointwise_depthwise(nx.mul(t, -1.0), pw, pb, dw, db, offsets, (-3, -2))
+        op = lambda t: nx.pointwise_depthwise(nx.mul(t, -1.0), pw, pb, dw, db, offsets, (-3, -2))[0]
         # dw's partial recomputes the wide map: the tape keeps the negated
         # input (128 KB), not the 3x-wide map (384 KB) or its padded copy.
         retained = _retained_bytes(op, x, nodes=2, also=[dw])
         assert x.data.nbytes <= retained < x.data.nbytes + 8_000
+
+    @pytest.mark.parametrize("offsets,axes,shape", [
+        (_FIVE_BY_FIVE, (-3, -2), (1, 56, 56, 64)),  # hpx-s4's stage 1 at 224 px
+        (_THREE_TAPS, (-2,), (1, 3136, 64)),  # hb-s4's
+        (_FIVE_BY_FIVE, (-3, -2), (1, 7, 7, 512)),  # hpx-s4's stage 4: the halo is taller than a window step
+    ])
+    def test_pointwise_depthwise_transient_stays_within_its_outputs_and_the_budget(self, rng, offsets, axes, shape):
+        # No W-wide map, padded or not: beside its q, k and v, the op holds
+        # only the blocks in flight, each a window of padded rows, halo
+        # included, and a chunk of scratch within its share of the budget.
+        # At stage 1 it held a 5.5 MB padded map and a 4.8 MB product at
+        # once before.  On top of the budget come the tap grid (38 KB at
+        # stage 1, 307 KB at stage 4) and numpy's 64 KiB iterator buffer of
+        # each ufunc call in flight that broadcasts a bias.
+        c = shape[-1]
+        args = [Tensor(rng.normal(size=s)) for s in [shape, (c, 3 * c), (3 * c,), (len(offsets), 3 * c), (3 * c,)]]
+        nx.pointwise_depthwise(*args, offsets, axes, parts=3)  # the pool's threads start
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parts = nx.pointwise_depthwise(*args, offsets, axes, parts=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        outputs = sum(p.data.nbytes for p in parts)
+        assert outputs == 3 * args[0].data.nbytes
+        grid = 8 * len(offsets) * 3 * c
+        assert peak < outputs + nx._BLOCK_BYTES + grid + 200_000
 
     def test_circular_convolve_keeps_the_kernel_spectrum_or_x(self, rng):
         # An x-only tape keeps the kernel's spectrum at M = 32 (32 * 17 * 32
@@ -919,6 +981,40 @@ class TestTapeAndVjp:
         (gx,) = tape.gradient(c, [x])
         assert np.allclose(gx.data, 2.0)
 
+    @pytest.mark.parametrize("used", ["qkv", "k", "qv"])
+    def test_multi_output_node_gets_one_cotangent_per_output(self, rng, used):
+        # One cotangent per output, None for an output no gradient reached.
+        x = Tensor(rng.normal(size=(5, 2)))
+        params = [Tensor(rng.normal(size=s)) for s in [(2, 6), (6,), (3, 6), (6,)]]
+        got = []
+        with GradTape([x]) as tape:
+            parts = dict(zip("qkv", nx.pointwise_depthwise(x, *params, _THREE_TAPS, (-2,), parts=3)))
+            y = nx.tensor_sum(nx.square(parts[used[0]]))
+            for name in used[1:]:
+                y = nx.add(y, nx.tensor_sum(nx.square(parts[name])))
+        node = tape.nodes[0]
+        vjp = node._vjp
+        handed = []
+        node._vjp = lambda g: handed.append(g) or got.append(list(g)) or vjp(g)
+        (gx,) = tape.gradient(y, [x])
+        (cotangents,) = got
+        assert handed == [[]]  # emptied once read, so the parts are freed before the partials allocate
+        assert [name for name, g in zip("qkv", cotangents) if g is not None] == list(used)
+        for name, g in zip("qkv", cotangents):
+            if g is not None:
+                assert np.array_equal(g, 2.0 * parts[name].data)
+        assert np.abs(gx.data).max() > 0
+
+    def test_multi_output_node_outputs_are_sources(self, rng):
+        x = Tensor(rng.normal(size=(5, 2)))
+        params = [Tensor(rng.normal(size=s)) for s in [(2, 6), (6,), (3, 6), (6,)]]
+        with GradTape([x]) as tape:
+            q, k, v = nx.pointwise_depthwise(x, *params, _THREE_TAPS, (-2,), parts=3)
+            y = nx.tensor_sum(nx.mul(q, v))
+        gq, gk, gv, gx = tape.gradient(y, [q, k, v, x])
+        assert np.array_equal(gq.data, v.data) and np.array_equal(gv.data, q.data)
+        assert np.array_equal(gk.data, np.zeros_like(k.data)) and np.abs(gx.data).max() > 0
+
     @pytest.mark.parametrize("axis", [None, 0, (-3, -2), (0, 2)])
     def test_mean_records_one_node(self, axis, rng):
         x = Tensor(rng.normal(size=(2, 3, 4)))
@@ -973,7 +1069,7 @@ class TestTapeAndVjp:
                 break
         assert len(set(ids)) < len(ids)
         assert len(set(keys)) == len(keys)
-        assert len({node.output for node in tape.nodes}) == len(tape.nodes)
+        assert len({node.outputs for node in tape.nodes}) == len(tape.nodes)
         assert grad_check(f, [x]) < 1e-5
 
     @pytest.mark.parametrize("value,dtype", [
@@ -1065,6 +1161,14 @@ def _fused_partials(op, inputs, g):
         y = op(*inputs)
     (node,) = tape.nodes
     return y.data, node._vjp(g)
+
+
+def _qkv_reference(x, pw, pb, dw, db, offsets, axes):
+    """q, k and v as the composed graph gives them: the W-wide pointwise
+    layer, depthwise taps and bias, then one crop per part."""
+    wide = nx.add(nx.shift_convolve(nx.linear(x, pw, pb), dw, offsets, axes), db)
+    c, lead = wide.shape[-1] // 3, [slice(None)] * (wide.ndim - 1)
+    return [nx.crop(wide, lead + [slice(i * c, (i + 1) * c)]) for i in range(3)]
 
 
 class TestFusedOps:
@@ -1168,7 +1272,7 @@ class TestFusedOps:
             rng.normal(size=w) * 0.1,
         ]
         g = rng.normal(size=shape[:-1] + (w,))
-        op = lambda *t: nx.pointwise_depthwise(*t, offsets, axes)
+        op = lambda *t: nx.pointwise_depthwise(*t, offsets, axes)[0]
         y, partials = _fused_partials(op, [Tensor(a) for a in arrays], g)
         x, pw, pb, dw, db = inputs = [Tensor(a) for a in arrays]
         with GradTape(inputs) as tape:
@@ -1178,6 +1282,54 @@ class TestFusedOps:
         assert _sha256(y) == _sha256(ref.data)
         for got, want in zip(partials, ref_partials):
             assert got.shape == want.shape and _sha256(got) == _sha256(want.data)
+
+    @pytest.mark.parametrize("offsets,axes,shape,several", [
+        (_FIVE_BY_FIVE, (-3, -2), (2, 9, 7, 4), False),
+        ([(0,), (1,), (2,)], (-2,), (11, 3), False),
+        (_FIVE_BY_FIVE, (-3, -2), (32, 8, 8, 8), False),  # a micro model's stage 1
+        (_FIVE_BY_FIVE, (-3, -2), (1, 40, 40, 32), True),
+        (_THREE_TAPS, (-2,), (2, 3000, 8), True),
+    ])
+    @pytest.mark.parametrize("cotangents", ["qkv", "k"])
+    def test_pointwise_depthwise_parts_are_the_composed_graph_cropped(
+        self, rng, monkeypatch, offsets, axes, shape, several, cotangents
+    ):
+        # One node writes q, k and v; the reference is the W-wide composed
+        # graph and a crop per part.  A part with no cotangent gets None.
+        c = shape[-1]
+        arrays = [
+            rng.normal(size=shape),
+            rng.normal(size=(c, 3 * c)) / np.sqrt(c),
+            rng.normal(size=3 * c) * 0.1,
+            rng.normal(size=(len(offsets), 3 * c)) * 0.2,
+            rng.normal(size=3 * c) * 0.1,
+        ]
+        gs = [rng.normal(size=shape) if part in cotangents else None for part in "qkv"]
+        cuts = []
+        over_blocks = nx._over_blocks
+        monkeypatch.setattr(nx, "_over_blocks", lambda fn, bs: cuts.append(len(bs)) or over_blocks(fn, bs))
+        inputs = [Tensor(a) for a in arrays]
+        with GradTape(inputs) as tape:
+            parts = nx.pointwise_depthwise(*inputs, offsets, axes, parts=3)
+        (node,) = tape.nodes
+        assert len(cuts) == 1 and (cuts[0] > 1) == several
+        assert node.outputs == tuple(p.key for p in parts)
+        partials = node._vjp(list(gs))
+        ref_inputs = [Tensor(a) for a in arrays]
+        with GradTape(ref_inputs) as tape:
+            ref = _qkv_reference(*ref_inputs, offsets, axes)
+            terms = [nx.tensor_sum(nx.mul(r, Tensor(g))) for r, g in zip(ref, gs) if g is not None]
+            target = terms[0] if len(terms) == 1 else nx.add(nx.add(terms[0], terms[1]), terms[2])
+        ref_partials = tape.gradient(target, ref_inputs)
+        assert [_sha256(p.data) for p in parts] == [_sha256(r.data) for r in ref]
+        for got, want in zip(partials, ref_partials):
+            assert got.shape == want.shape and _sha256(got) == _sha256(want.data)
+
+    def test_pointwise_depthwise_parts_must_split_the_channels(self, rng):
+        args = [Tensor(rng.normal(size=s)) for s in [(2, 5, 4), (4, 12), (12,), (3, 12), (12,)]]
+        for parts in (0, 5):
+            with pytest.raises(ValueError, match=f"12 channels do not split into {parts} equal parts"):
+                nx.pointwise_depthwise(*args, [(-1,), (0,), (1,)], (-2,), parts=parts)
 
     @pytest.mark.parametrize("shapes,match", [
         ([(2, 5, 4), (5, 12), (12,), (3, 12), (12,)], r"x of shape \(2, 5, 4\) does not end in pw's K = 5"),
@@ -1419,6 +1571,11 @@ def _star_relu_off_kink(a, s, b):
     return nx.tensor_sum(nx.square(nx.star_relu(x, s, b)))
 
 
+def _gate(q, k, v):
+    """sum(q * k * v), the gated mixer's products without its convolution."""
+    return nx.tensor_sum(nx.mul(nx.mul(q, k), v))
+
+
 class TestGradCheck:
     def test_leaves_requires_grad_flags(self, rng):
         a = Tensor(rng.normal(size=3))
@@ -1462,7 +1619,13 @@ class TestGradCheck:
              lambda x, g, b, *t: nx.tensor_sum(nx.square(nx.feed_forward(x, g, b, 1e-6, *t))),
              [(2, 3), (3,), (3,), (3, 8), (8,), (), (), (8, 2), (2,)]),
             ("pointwise_depthwise",
-             lambda *t: nx.tensor_sum(nx.square(nx.pointwise_depthwise(*t, [(-1,), (0,), (1,)], (-2,)))),
+             lambda *t: nx.tensor_sum(nx.square(nx.pointwise_depthwise(*t, [(-1,), (0,), (1,)], (-2,))[0])),
+             [(5, 2), (2, 6), (6,), (3, 6), (6,)]),
+            ("pointwise_depthwise-qkv",
+             lambda *t: _gate(*nx.pointwise_depthwise(*t, [(-1,), (0,), (1,)], (-2,), parts=3)),
+             [(5, 2), (2, 6), (6,), (3, 6), (6,)]),
+            ("pointwise_depthwise-k",
+             lambda *t: nx.tensor_sum(nx.square(nx.pointwise_depthwise(*t, [(-1,), (0,), (1,)], (-2,), parts=3)[1])),
              [(5, 2), (2, 6), (6,), (3, 6), (6,)]),
         ],
     )
